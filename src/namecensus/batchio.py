@@ -3,8 +3,7 @@
 from __future__ import annotations
 
 import csv
-import dataclasses
-from concurrent.futures import ThreadPoolExecutor
+from collections.abc import Iterable
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -102,49 +101,42 @@ def run_batch(
     chinese: ChineseCharModel,
     config: ClassifierConfig,
     records: list[NameRecord],
-    workers: int = 1,
 ) -> list[Prediction]:
-    """Predict every record, preserving input order and indices.
-
-    With workers > 1 the batch fans out over a thread pool; predict is
-    pure over immutable models, so the output equals the sequential run.
-    """
-
-    def one(record: NameRecord) -> Prediction:
-        pred = predict(english, chinese, config, record.raw_name)
-        return dataclasses.replace(pred, index=record.index)
-
-    if workers <= 1:
-        return [one(r) for r in records]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(one, records, chunksize=1024))
+    """Predict every record, in input order."""
+    return [predict(english, chinese, config, r.raw_name) for r in records]
 
 
 RESULT_FIELDS = ["item", "name", "gender", "probability", "script", "given_name"]
 
 
 def write_results(predictions: list[Prediction], path: str | Path) -> None:
-    """Results CSV; probability is the max posterior, blank for Unknown."""
+    """Results CSV; item is the 1-based row position (read_input numbers
+    records the same way), probability the max posterior, blank for Unknown."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(RESULT_FIELDS)
-        for pred in predictions:
+        for item, pred in enumerate(predictions, start=1):
             if pred.posterior.evidence_found:
                 prob = f"{max(pred.posterior.p_female, pred.posterior.p_male):.4f}"
             else:
                 prob = ""
             writer.writerow(
-                [pred.index, pred.raw_name, pred.label.value, prob,
+                [item, pred.raw_name, pred.label.value, prob,
                  pred.script.value, pred.given]
             )
 
 
-def aggregate(predictions: list[Prediction]) -> AggregateStats:
-    if not predictions:
+def aggregate_labels(labels: Iterable[GenderLabel]) -> AggregateStats:
+    """Count and percentage per label; every label appears, even at zero."""
+    counts = dict.fromkeys(GenderLabel, 0)
+    for label in labels:
+        counts[label] += 1
+    total = sum(counts.values())
+    if not total:
         raise EmptyInputError("cannot aggregate zero predictions")
-    counts = {label: 0 for label in GenderLabel}
-    for pred in predictions:
-        counts[pred.label] += 1
-    total = len(predictions)
     percentages = {label: 100.0 * n / total for label, n in counts.items()}
     return AggregateStats(counts=counts, percentages=percentages, total=total)
+
+
+def aggregate(predictions: list[Prediction]) -> AggregateStats:
+    return aggregate_labels(pred.label for pred in predictions)

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -22,7 +23,7 @@ from namecensus.errors import (
 )
 
 MAGIC = b"NCMC"
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 _HEADER = struct.Struct("<4sI32s32s")
 
 
@@ -45,7 +46,7 @@ def digest_corpus_files(paths: list[Path]) -> str:
     return h.hexdigest()
 
 
-def _encode_english(model: EnglishNameModel) -> bytes:
+def _encode(model: EnglishNameModel | ChineseCharModel) -> bytes:
     doc = {
         "entries": {k: list(v) for k, v in sorted(model.entries.items())},
         "total_female": model.total_female,
@@ -54,14 +55,13 @@ def _encode_english(model: EnglishNameModel) -> bytes:
     return json.dumps(doc, ensure_ascii=False, separators=(",", ":")).encode("utf-8")
 
 
-def _encode_chinese(model: ChineseCharModel) -> bytes:
-    doc = {
-        "entries": {k: list(v) for k, v in sorted(model.entries.items())},
-        "total_female": model.total_female,
-        "total_male": model.total_male,
-        "smoothing_alpha": model.smoothing_alpha,
-    }
-    return json.dumps(doc, ensure_ascii=False, separators=(",", ":")).encode("utf-8")
+def _decode(model_type: type, section: bytes):
+    doc = json.loads(section.decode("utf-8"))
+    return model_type(
+        entries={k: (v[0], v[1]) for k, v in doc["entries"].items()},
+        total_female=doc["total_female"],
+        total_male=doc["total_male"],
+    )
 
 
 def save_cache(
@@ -70,7 +70,8 @@ def save_cache(
     path: str | Path,
     source_digest: str = "",
 ) -> None:
-    sections = [_encode_english(english), _encode_chinese(chinese)]
+    """Write atomically (temp file beside `path`, then os.replace)."""
+    sections = [_encode(english), _encode(chinese)]
     payload = b"".join(struct.pack("<Q", len(s)) + s for s in sections)
     header = _HEADER.pack(
         MAGIC,
@@ -78,7 +79,14 @@ def save_cache(
         bytes.fromhex(source_digest) if source_digest else b"\x00" * 32,
         hashlib.sha256(payload).digest(),
     )
-    Path(path).write_bytes(header + struct.pack("<Q", len(payload)) + payload)
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        tmp.write_bytes(header + struct.pack("<Q", len(payload)) + payload)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def read_source_digest(path: str | Path) -> str:
@@ -122,22 +130,9 @@ def load_cache(path: str | Path) -> ModelCache:
         pos += 8
         sections.append(payload[pos : pos + length])
         pos += length
-    english_doc = json.loads(sections[0].decode("utf-8"))
-    chinese_doc = json.loads(sections[1].decode("utf-8"))
-    english = EnglishNameModel(
-        entries={k: (v[0], v[1]) for k, v in english_doc["entries"].items()},
-        total_female=english_doc["total_female"],
-        total_male=english_doc["total_male"],
-    )
-    chinese = ChineseCharModel(
-        entries={k: (v[0], v[1]) for k, v in chinese_doc["entries"].items()},
-        total_female=chinese_doc["total_female"],
-        total_male=chinese_doc["total_male"],
-        smoothing_alpha=chinese_doc["smoothing_alpha"],
-    )
     return ModelCache(
         format_version=version,
-        english=english,
-        chinese=chinese,
+        english=_decode(EnglishNameModel, sections[0]),
+        chinese=_decode(ChineseCharModel, sections[1]),
         source_digest=source_digest.hex(),
     )

@@ -55,7 +55,6 @@ class Prediction:
     given: str
     posterior: Posterior
     label: GenderLabel
-    index: int = 0
 
 
 def posterior_english(model: EnglishNameModel, given: str) -> Posterior:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import os
 import sys
@@ -10,7 +11,9 @@ import time
 from pathlib import Path
 
 from namecensus import __version__
-from namecensus.batchio import aggregate, read_input, run_batch, write_results
+from namecensus.batchio import (
+    aggregate, aggregate_labels, read_input, run_batch, write_results,
+)
 from namecensus.cache import (
     digest_corpus_files,
     load_cache,
@@ -53,10 +56,27 @@ def _add_classifier_flags(parser: argparse.ArgumentParser) -> None:
                         help="JSON config file; flags override its values")
 
 
+# The keys a --config file may set, and the JSON type of each value.
+_CONFIG_TYPES = {"threshold": float, "unisex_floor": float, "alpha": float, "priors": str}
+
+
+def _read_config(path: str) -> dict:
+    doc = json.loads(Path(path).read_text(encoding="utf-8"))
+    if not isinstance(doc, dict):
+        raise NamecensusError(f"{path}: config must be a JSON object")
+    for key, value in doc.items():
+        want = _CONFIG_TYPES.get(key)
+        if want is None:
+            raise NamecensusError(f"{path}: unknown config key {key!r}")
+        if not (type(value) is want or (want is float and type(value) is int)):
+            raise NamecensusError(
+                f"{path}: config key {key!r} must be {want.__name__}, got {value!r}"
+            )
+    return doc
+
+
 def _resolve_config(args: argparse.Namespace) -> ClassifierConfig:
-    base = {}
-    if args.config:
-        base = json.loads(Path(args.config).read_text(encoding="utf-8"))
+    base = _read_config(args.config) if args.config else {}
     def pick(flag, key, default):
         return flag if flag is not None else base.get(key, default)
     return ClassifierConfig(
@@ -113,9 +133,7 @@ def cmd_predict(args: argparse.Namespace) -> int:
         has_header=not args.no_header,
     )
     start = time.perf_counter()
-    predictions = run_batch(
-        cache.english, cache.chinese, config, records, workers=args.workers
-    )
+    predictions = run_batch(cache.english, cache.chinese, config, records)
     elapsed = time.perf_counter() - start
     write_results(predictions, _require(args.out, "--out"))
     stats = aggregate(predictions)
@@ -161,22 +179,22 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 
 def cmd_chart(args: argparse.Namespace) -> int:
-    import csv
-
-    from namecensus.batchio import AggregateStats
-
+    labels = []
     with open(args.results, encoding="utf-8", newline="") as fh:
         reader = csv.DictReader(fh)
-        labels = [GenderLabel(row["gender"]) for row in reader]
+        if "gender" not in (reader.fieldnames or ()):
+            raise NamecensusError(f"{args.results}: no gender column")
+        for row in reader:
+            try:
+                labels.append(GenderLabel(row["gender"]))
+            except ValueError:
+                raise NamecensusError(
+                    f"{args.results}:{reader.line_num}: unknown gender label "
+                    f"{row['gender']!r}"
+                ) from None
     if not labels:
         raise NamecensusError(f"no result rows in {args.results}")
-    counts = {label: labels.count(label) for label in GenderLabel}
-    total = len(labels)
-    stats = AggregateStats(
-        counts=counts,
-        percentages={lb: 100.0 * n / total for lb, n in counts.items()},
-        total=total,
-    )
+    stats = aggregate_labels(labels)
     emit_chart(stats, args.json, args.svg)
     _print_stats(stats)
     return 0
@@ -213,7 +231,8 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--chart-json", default=None, metavar="CHART.json")
             p.add_argument("--chart-svg", default=None, metavar="CHART.svg")
             p.add_argument("--workers", type=int, default=1,
-                           help="worker threads for the batch (default 1)")
+                           help="accepted for compatibility and ignored; "
+                                "batches run sequentially")
         else:
             p.add_argument("--gold", required=True, metavar="GOLD.csv",
                            help="gold labels CSV: name,gender")

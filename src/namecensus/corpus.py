@@ -43,7 +43,6 @@ class ChineseCharModel:
     entries: dict[str, tuple[int, int]]
     total_female: int
     total_male: int
-    smoothing_alpha: float = 1.0
 
     @property
     def vocabulary_size(self) -> int:
@@ -110,9 +109,7 @@ def load_english_year_files(directory: str | Path) -> EnglishNameModel:
     )
 
 
-def load_chinese_charfreq(
-    file_path: str | Path, smoothing_alpha: float = 1.0
-) -> ChineseCharModel:
+def load_chinese_charfreq(file_path: str | Path) -> ChineseCharModel:
     """Load the single-character frequency table ``char,female,male``."""
     file_path = Path(file_path)
     if not file_path.is_file():
@@ -150,11 +147,8 @@ def load_chinese_charfreq(
                 entries[char] = (female, male)
     except UnicodeDecodeError as exc:
         raise CorpusError(f"{file_path}: not valid UTF-8: {exc}") from exc
-    if smoothing_alpha <= 0:
-        raise CorpusError(f"smoothing alpha must be positive, got {smoothing_alpha}")
     return ChineseCharModel(
         entries=entries,
         total_female=sum(v[0] for v in entries.values()),
         total_male=sum(v[1] for v in entries.values()),
-        smoothing_alpha=smoothing_alpha,
     )

@@ -170,8 +170,7 @@ def test_criterion_6_aggregation(full_models):
     for _ in range(1000):
         labels = [rng.choice(list(GenderLabel)) for _ in range(rng.randint(1, 60))]
         preds = [
-            Prediction("x", Script.LATIN, "x", Posterior(False), lb, index=i + 1)
-            for i, lb in enumerate(labels)
+            Prediction("x", Script.LATIN, "x", Posterior(False), lb) for lb in labels
         ]
         stats = aggregate(preds)
         ok &= abs(sum(stats.percentages.values()) - 100.0) <= 0.01

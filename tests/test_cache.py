@@ -1,3 +1,4 @@
+import pathlib
 import random
 import struct
 
@@ -41,7 +42,6 @@ def small_models(rng=None):
         entries=chi_entries,
         total_female=sum(v[0] for v in chi_entries.values()),
         total_male=sum(v[1] for v in chi_entries.values()),
-        smoothing_alpha=rng.choice([0.5, 1.0, 2.0]),
     )
     return english, chinese
 
@@ -77,6 +77,38 @@ def test_version_mismatch(tmp_path):
     path.write_bytes(bytes(blob))
     with pytest.raises(CacheVersionError):
         load_cache(path)
+
+
+def test_format_v1_rejected(tmp_path):
+    assert FORMAT_VERSION == 2
+    english, chinese = small_models()
+    path = tmp_path / "m.ncm"
+    save_cache(english, chinese, path)
+    blob = bytearray(path.read_bytes())
+    struct.pack_into("<I", blob, len(MAGIC), 1)
+    path.write_bytes(bytes(blob))
+    with pytest.raises(CacheVersionError):
+        load_cache(path)
+
+
+def test_failed_write_keeps_old_cache(tmp_path, monkeypatch):
+    english, chinese = small_models()
+    path = tmp_path / "m.ncm"
+    save_cache(english, chinese, path, source_digest="ab" * 32)
+    before = path.read_bytes()
+    real_write_bytes = pathlib.Path.write_bytes
+
+    def write_half_then_fail(self, data):
+        real_write_bytes(self, data[: len(data) // 2])
+        raise OSError("disk full")
+
+    monkeypatch.setattr(pathlib.Path, "write_bytes", write_half_then_fail)
+    other_english, other_chinese = small_models(random.Random(1))
+    with pytest.raises(OSError, match="disk full"):
+        save_cache(other_english, other_chinese, path, source_digest="cd" * 32)
+    monkeypatch.undo()
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["m.ncm"]
 
 
 def test_bad_magic(tmp_path):

@@ -29,12 +29,11 @@ def english_model(entries):
     )
 
 
-def chinese_model(entries, alpha=1.0):
+def chinese_model(entries):
     return ChineseCharModel(
         entries=entries,
         total_female=sum(v[0] for v in entries.values()),
         total_male=sum(v[1] for v in entries.values()),
-        smoothing_alpha=alpha,
     )
 
 

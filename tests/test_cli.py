@@ -1,9 +1,11 @@
 import csv
+import struct
 import subprocess
 import sys
 
 import pytest
 
+from namecensus.cache import FORMAT_VERSION, MAGIC, load_cache
 from namecensus.cli import main
 
 
@@ -65,6 +67,16 @@ class TestBuildCache:
                      "--chinese-csv", str(chinese), "--out", str(mini_cache)]) == 0
         assert "english distinct names: 4" in capsys.readouterr().out
 
+    def test_rebuilds_v1_cache(self, mini_corpus, mini_cache, capsys):
+        english, chinese = mini_corpus
+        blob = bytearray(mini_cache.read_bytes())
+        struct.pack_into("<I", blob, len(MAGIC), 1)
+        mini_cache.write_bytes(bytes(blob))
+        assert main(["build-cache", "--english-dir", str(english),
+                     "--chinese-csv", str(chinese), "--out", str(mini_cache)]) == 0
+        assert "wrote cache" in capsys.readouterr().out
+        assert load_cache(mini_cache).format_version == FORMAT_VERSION == 2
+
     def test_missing_directory_exit_1(self, tmp_path, capsys):
         code = main(["build-cache", "--english-dir", str(tmp_path / "nope"),
                      "--chinese-csv", str(tmp_path / "c.csv"),
@@ -112,6 +124,23 @@ class TestPredict:
         main(["predict", "--cache", str(mini_cache), "--in", str(infile),
               "--out", str(out), "--config", str(cfg), "--threshold", "0.6"])
         assert read_rows(out)[0]["gender"] == "Male"
+
+    @pytest.mark.parametrize("content, named", [
+        ("[1]", "JSON object"),
+        ('{"threshold": "0.7"}', "'threshold'"),
+        ('{"treshold": 0.7}', "'treshold'"),
+    ])
+    def test_bad_config_exit_1(self, tmp_path, mini_cache, capsys, content, named):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(content, encoding="utf-8")
+        infile = tmp_path / "names.txt"
+        infile.write_text("Jordan Smith\n", encoding="utf-8")
+        code = main(["predict", "--cache", str(mini_cache), "--in", str(infile),
+                     "--out", str(tmp_path / "o.csv"), "--config", str(cfg)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert named in err
 
     def test_chart_emission(self, tmp_path, mini_cache):
         infile = tmp_path / "names.txt"
@@ -196,6 +225,22 @@ class TestChartCommand:
                      "--svg", str(tmp_path / "c.svg")])
         assert code == 0
         assert (tmp_path / "c.svg").read_text(encoding="utf-8").startswith("<svg")
+
+    @pytest.mark.parametrize("content, named", [
+        ("item,name,label\n1,Hua Zhao,Female\n", "gender column"),
+        ("item,name,gender\n1,Hua Zhao,Female\n2,Wang,female\n",
+         "results.csv:3: unknown gender label 'female'"),
+    ])
+    def test_bad_results_exit_1(self, tmp_path, capsys, content, named):
+        results = tmp_path / "results.csv"
+        results.write_text(content, encoding="utf-8")
+        code = main(["chart", "--results", str(results),
+                     "--json", str(tmp_path / "c.json"),
+                     "--svg", str(tmp_path / "c.svg")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert named in err
 
 
 class TestUsage:

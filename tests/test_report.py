@@ -82,7 +82,7 @@ def _pred(name, label):
     found = label is not GenderLabel.UNKNOWN
     return Prediction(name, Script.LATIN, name.lower(),
                       Posterior(found, 0.9, 0.1) if found else Posterior(False),
-                      label, index=1)
+                      label)
 
 
 class TestEvaluate:
