@@ -102,8 +102,18 @@ def run_batch(
     config: ClassifierConfig,
     records: list[NameRecord],
 ) -> list[Prediction]:
-    """Predict every record, in input order."""
-    return [predict(english, chinese, config, r.raw_name) for r in records]
+    """Predict every record, in input order. Each distinct raw name is
+    predicted once; its repeats share the same frozen Prediction."""
+    memo: dict[str, Prediction] = {}
+    predictions = []
+    for record in records:
+        pred = memo.get(record.raw_name)
+        if pred is None:
+            pred = memo[record.raw_name] = predict(
+                english, chinese, config, record.raw_name
+            )
+        predictions.append(pred)
+    return predictions
 
 
 RESULT_FIELDS = ["item", "name", "gender", "probability", "script", "given_name"]

@@ -139,7 +139,7 @@ def predict(
     name = raw_name.strip()
     script = detect_script(name)
     if script in (Script.EMPTY, Script.OTHER):
-        return Prediction(raw_name, script, "", Posterior(False), GenderLabel.UNKNOWN)
+        return Prediction(name, script, "", Posterior(False), GenderLabel.UNKNOWN)
     if script in (Script.HAN, Script.MIXED):
         split = split_chinese(han_substring(name), compound_surnames)
         post = posterior_chinese(chinese, split.given, config)

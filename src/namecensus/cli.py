@@ -56,8 +56,9 @@ def _add_classifier_flags(parser: argparse.ArgumentParser) -> None:
                         help="JSON config file; flags override its values")
 
 
-# The keys a --config file may set, and the JSON type of each value.
-_CONFIG_TYPES = {"threshold": float, "unisex_floor": float, "alpha": float, "priors": str}
+# --config key (and flag), in check order -> field; its default's type is the JSON type.
+_CONFIG_FIELDS = {"threshold": "decisive_threshold", "unisex_floor": "unisex_floor",
+                  "alpha": "smoothing_alpha", "priors": "priors_mode"}
 
 
 def _read_config(path: str) -> dict:
@@ -65,9 +66,9 @@ def _read_config(path: str) -> dict:
     if not isinstance(doc, dict):
         raise NamecensusError(f"{path}: config must be a JSON object")
     for key, value in doc.items():
-        want = _CONFIG_TYPES.get(key)
-        if want is None:
+        if key not in _CONFIG_FIELDS:
             raise NamecensusError(f"{path}: unknown config key {key!r}")
+        want = type(getattr(ClassifierConfig, _CONFIG_FIELDS[key]))
         if not (type(value) is want or (want is float and type(value) is int)):
             raise NamecensusError(
                 f"{path}: config key {key!r} must be {want.__name__}, got {value!r}"
@@ -76,25 +77,26 @@ def _read_config(path: str) -> dict:
 
 
 def _resolve_config(args: argparse.Namespace) -> ClassifierConfig:
+    """Flags override the --config file, which overrides the defaults. The first
+    value that makes the config invalid is reported by its flag or key."""
     base = _read_config(args.config) if args.config else {}
-    def pick(flag, key, default):
-        return flag if flag is not None else base.get(key, default)
-    return ClassifierConfig(
-        decisive_threshold=pick(args.threshold, "threshold", 0.60),
-        unisex_floor=pick(args.unisex_floor, "unisex_floor", 0.50),
-        smoothing_alpha=pick(args.alpha, "alpha", 1.0),
-        priors_mode=pick(args.priors, "priors", "empirical"),
-    )
-
-
-def _require(value, flag: str):
-    if not value:
-        raise NamecensusError(f"missing required flag {flag}")
-    return value
+    values = {}
+    for key, field in _CONFIG_FIELDS.items():
+        if getattr(args, key) is not None:
+            values[field], source = getattr(args, key), "--" + key.replace("_", "-")
+        elif key in base:
+            values[field], source = base[key], f"{args.config}: config key {key!r}"
+        else:
+            continue
+        try:
+            ClassifierConfig(**values)
+        except ValueError as exc:
+            raise NamecensusError(f"{source}: {exc}") from None
+    return ClassifierConfig(**values)
 
 
 def cmd_build_cache(args: argparse.Namespace) -> int:
-    out = Path(_require(args.out, "--out"))
+    out = Path(args.out)
     year_files = find_year_files(args.english_dir)
     chinese_path = Path(args.chinese_csv)
     digest = digest_corpus_files(year_files + [chinese_path])
@@ -123,19 +125,23 @@ def _print_stats(stats) -> None:
         )
 
 
-def cmd_predict(args: argparse.Namespace) -> int:
+def _load_batch(args: argparse.Namespace):
+    """The config, the model cache and the input records of predict/eval."""
     config = _resolve_config(args)
-    cache = load_cache(_require(args.cache, "--cache"))
-    records = read_input(
-        _require(args.infile, "--in"),
-        format=args.format,
-        name_column=args.name_column,
-        has_header=not args.no_header,
-    )
+    if not args.cache:
+        raise NamecensusError("missing required flag --cache")
+    cache = load_cache(args.cache)
+    records = read_input(args.infile, format=args.format,
+                         name_column=args.name_column, has_header=not args.no_header)
+    return config, cache, records
+
+
+def cmd_predict(args: argparse.Namespace) -> int:
+    config, cache, records = _load_batch(args)
     start = time.perf_counter()
     predictions = run_batch(cache.english, cache.chinese, config, records)
     elapsed = time.perf_counter() - start
-    write_results(predictions, _require(args.out, "--out"))
+    write_results(predictions, args.out)
     stats = aggregate(predictions)
     _print_stats(stats)
     rate = len(predictions) / elapsed if elapsed > 0 else float("inf")
@@ -149,16 +155,9 @@ def cmd_predict(args: argparse.Namespace) -> int:
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
-    config = _resolve_config(args)
-    cache = load_cache(_require(args.cache, "--cache"))
-    records = read_input(
-        _require(args.infile, "--in"),
-        format=args.format,
-        name_column=args.name_column,
-        has_header=not args.no_header,
-    )
+    config, cache, records = _load_batch(args)
     predictions = run_batch(cache.english, cache.chinese, config, records)
-    gold = load_gold_labels(_require(args.gold, "--gold"))
+    gold = load_gold_labels(args.gold)
     result = evaluate(predictions, gold)
     print(f"total: {result.total}")
     print(f"correct: {result.correct}")

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import enum
 import functools
+import re
 import unicodedata
 
 # CJK Unified Ideographs, base block plus extensions A-H.
@@ -18,6 +19,10 @@ _HAN_RANGES = (
     (0x30000, 0x3134F),
     (0x31350, 0x323AF),
 )
+_HAN_RE = re.compile(
+    "[" + "".join(f"\\U{lo:08X}-\\U{hi:08X}" for lo, hi in _HAN_RANGES) + "]"
+)
+_ASCII_LETTER_RE = re.compile("[A-Za-z]")
 
 
 class Script(enum.Enum):
@@ -29,8 +34,7 @@ class Script(enum.Enum):
 
 
 def is_han(ch: str) -> bool:
-    cp = ord(ch)
-    return any(lo <= cp <= hi for lo, hi in _HAN_RANGES)
+    return _HAN_RE.fullmatch(ch) is not None
 
 
 @functools.lru_cache(maxsize=4096)
@@ -45,27 +49,21 @@ def detect_script(raw_name: str) -> Script:
     means Mixed, only non-Latin non-Han letters means Other, and no
     letters at all means Empty.
     """
-    has_han = False
-    has_latin = False
+    if raw_name.isascii():
+        # The only ASCII letters are A-Z and a-z, all Latin.
+        return Script.LATIN if _ASCII_LETTER_RE.search(raw_name) else Script.EMPTY
+    if _HAN_RE.search(raw_name):
+        rest = _HAN_RE.sub("", raw_name)
+        return Script.MIXED if any(map(is_latin_letter, rest)) else Script.HAN
     has_other_alpha = False
     for ch in raw_name:
-        if is_han(ch):
-            has_han = True
-        elif is_latin_letter(ch):
-            has_latin = True
-        elif ch.isalpha():
+        if is_latin_letter(ch):
+            return Script.LATIN
+        if ch.isalpha():
             has_other_alpha = True
-    if has_han and has_latin:
-        return Script.MIXED
-    if has_han:
-        return Script.HAN
-    if has_latin:
-        return Script.LATIN
-    if has_other_alpha:
-        return Script.OTHER
-    return Script.EMPTY
+    return Script.OTHER if has_other_alpha else Script.EMPTY
 
 
 def han_substring(raw_name: str) -> str:
     """The Han characters of a name, in order."""
-    return "".join(ch for ch in raw_name if is_han(ch))
+    return "".join(_HAN_RE.findall(raw_name))

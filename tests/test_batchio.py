@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from namecensus import batchio
 from namecensus.batchio import (
     NameRecord,
     aggregate,
@@ -15,6 +16,7 @@ from namecensus.classifier import (
     GenderLabel,
     Posterior,
     Prediction,
+    predict,
 )
 from namecensus.corpus import ChineseCharModel, EnglishNameModel
 from namecensus.errors import EmptyInputError, InputError
@@ -99,6 +101,30 @@ class TestRunBatch:
         preds = run_batch(ENG, CHI, CFG, records)
         assert preds[0].label is GenderLabel.UNKNOWN
         assert preds[1].label is GenderLabel.FEMALE
+
+    # Repeats, and names that differ only in surrounding whitespace.
+    MEMO_NAMES = ["Hua Zhao", "王青", "Hua Zhao", " Hua Zhao", "1234", "1234 ",
+                  "王青", "Zxqv", "Hua Zhao", " 1234", "Zxqv"]
+
+    def test_memo_equals_per_record_predict(self):
+        records = [NameRecord(i, n) for i, n in enumerate(self.MEMO_NAMES, start=1)]
+        assert run_batch(ENG, CHI, CFG, records) == [
+            predict(ENG, CHI, CFG, r.raw_name) for r in records
+        ]
+
+    def test_predict_called_once_per_distinct_raw_name(self, monkeypatch):
+        calls = []
+
+        def counting_predict(english, chinese, config, raw_name):
+            calls.append(raw_name)
+            return predict(english, chinese, config, raw_name)
+
+        monkeypatch.setattr(batchio, "predict", counting_predict)
+        records = [NameRecord(i, n) for i, n in enumerate(self.MEMO_NAMES, start=1)]
+        preds = run_batch(ENG, CHI, CFG, records)
+        assert sorted(calls) == sorted(set(self.MEMO_NAMES))
+        assert preds[0] is preds[2] is preds[8]
+        assert preds[0] is not preds[3]
 
 
 def _prediction(name, label, p_female=0.8):

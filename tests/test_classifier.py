@@ -193,6 +193,15 @@ class TestPredict:
             assert pred.label is GenderLabel.UNKNOWN
             assert not pred.posterior.evidence_found
 
+    @pytest.mark.parametrize("raw, stripped", [
+        ("  1234 ", "1234"),
+        (" Иван Петров ", "Иван Петров"),
+        (" Hua Zhao ", "Hua Zhao"),
+        (" 王娟 ", "王娟"),
+    ])
+    def test_raw_name_is_stripped_on_every_branch(self, raw, stripped):
+        assert predict(self.ENG, self.CHI, CFG, raw).raw_name == stripped
+
     def test_unknown_latin_name(self):
         assert predict(self.ENG, self.CHI, CFG, "Zxqv Qrst").label is GenderLabel.UNKNOWN
 

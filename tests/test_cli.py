@@ -129,6 +129,11 @@ class TestPredict:
         ("[1]", "JSON object"),
         ('{"threshold": "0.7"}', "'threshold'"),
         ('{"treshold": 0.7}', "'treshold'"),
+        ('{"priors": "bogus"}', "'priors'"),
+        ('{"threshold": 1.5}', "'threshold'"),
+        ('{"threshold": 0.55, "unisex_floor": 0.58}', "'unisex_floor'"),
+        ('{"unisex_floor": 0.4}', "'unisex_floor'"),
+        ('{"alpha": 0}', "'alpha'"),
     ])
     def test_bad_config_exit_1(self, tmp_path, mini_cache, capsys, content, named):
         cfg = tmp_path / "cfg.json"
@@ -141,6 +146,17 @@ class TestPredict:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert named in err
+
+    def test_bad_flag_value_names_the_flag(self, tmp_path, mini_cache, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"threshold": 0.9}', encoding="utf-8")
+        infile = tmp_path / "names.txt"
+        infile.write_text("Jordan Smith\n", encoding="utf-8")
+        code = main(["predict", "--cache", str(mini_cache), "--in", str(infile),
+                     "--out", str(tmp_path / "o.csv"), "--config", str(cfg),
+                     "--unisex-floor", "0.95"])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: --unisex-floor: ")
 
     def test_chart_emission(self, tmp_path, mini_cache):
         infile = tmp_path / "names.txt"

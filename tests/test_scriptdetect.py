@@ -2,7 +2,14 @@ import random
 
 import pytest
 
-from namecensus.scriptdetect import Script, detect_script, han_substring, is_han
+from namecensus.scriptdetect import (
+    _HAN_RANGES,
+    Script,
+    detect_script,
+    han_substring,
+    is_han,
+    is_latin_letter,
+)
 
 
 @pytest.mark.parametrize(
@@ -63,3 +70,70 @@ def test_is_han_covers_extension_blocks():
     assert is_han("\U00020000")  # extension B
     assert not is_han("a")
     assert not is_han("ナ")  # katakana is not Han
+
+
+# Reference: the range-loop detector that the compiled Han class replaced.
+def reference_is_han(ch):
+    cp = ord(ch)
+    return any(lo <= cp <= hi for lo, hi in _HAN_RANGES)
+
+
+def reference_detect_script(raw_name):
+    has_han = has_latin = has_other_alpha = False
+    for ch in raw_name:
+        if reference_is_han(ch):
+            has_han = True
+        elif is_latin_letter(ch):
+            has_latin = True
+        elif ch.isalpha():
+            has_other_alpha = True
+    if has_han and has_latin:
+        return Script.MIXED
+    if has_han:
+        return Script.HAN
+    if has_latin:
+        return Script.LATIN
+    if has_other_alpha:
+        return Script.OTHER
+    return Script.EMPTY
+
+
+def test_is_han_equals_range_loop_on_every_code_point():
+    for cp in range(0x323B1):
+        if 0xD800 <= cp <= 0xDFFF:
+            continue  # surrogates are not valid text
+        ch = chr(cp)
+        assert is_han(ch) == reference_is_han(ch), hex(cp)
+
+
+def _span(lo, hi):
+    return "".join(chr(cp) for cp in range(lo, hi + 1))
+
+
+# Character pools the random names are drawn from, one pool per name part.
+EQUIVALENCE_POOLS = [
+    "ABCXYZabcxyz",  # ASCII letters
+    "0123456789",
+    " .,'-!?()",
+    _span(0xC0, 0xFF) + _span(0x100, 0x24F),  # Latin-1 and Latin Extended letters
+    _span(0x410, 0x44F),  # Cyrillic
+    _span(0x3041, 0x3096) + _span(0x30A1, 0x30FA),  # kana
+    _span(0xAC00, 0xAC40),  # Hangul
+    _span(0xFF21, 0xFF3A) + _span(0xFF41, 0xFF5A),  # fullwidth Latin
+    "\u200b\u200c\u200d\ufeff",  # zero-width
+    _span(0x4E00, 0x4E80) + _span(0x9F80, 0x9FFF),  # BMP Han, both block ends
+    _span(0x20000, 0x20040) + _span(0x2A6A0, 0x2A6DF),  # extension-B Han
+]
+
+
+def test_detect_script_and_han_substring_equal_range_loop():
+    rng = random.Random(20240)
+    for _ in range(20_000):
+        pools = rng.sample(EQUIVALENCE_POOLS, rng.randint(1, 3))
+        name = "".join(
+            rng.choice(rng.choice(pools)) for _ in range(rng.randint(0, 10))
+        )
+        assert detect_script(name) is reference_detect_script(name), repr(name)
+        assert han_substring(name) == "".join(
+            ch for ch in name if reference_is_han(ch)
+        ), repr(name)
