@@ -36,7 +36,8 @@ def _read_text(path: Path) -> str:
     except FileNotFoundError:
         raise InputError(f"input file not found: {path}")
     try:
-        return data.decode("utf-8")
+        # Decoded as "utf-8-sig" would be, but byte offsets stay file offsets.
+        return data.decode("utf-8").removeprefix("\ufeff")
     except UnicodeDecodeError as exc:
         raise InputError(f"{path}: invalid UTF-8 at byte offset {exc.start}")
 

@@ -179,7 +179,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 def cmd_chart(args: argparse.Namespace) -> int:
     labels = []
-    with open(args.results, encoding="utf-8", newline="") as fh:
+    with open(args.results, encoding="utf-8-sig", newline="") as fh:
         reader = csv.DictReader(fh)
         if "gender" not in (reader.fieldnames or ()):
             raise NamecensusError(f"{args.results}: no gender column")

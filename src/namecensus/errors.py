@@ -14,7 +14,7 @@ class CacheError(NamecensusError):
 
 
 class CacheFormatError(CacheError):
-    """File is not a model cache (bad magic bytes)."""
+    """File is not a well-formed model cache, or a model cannot be written as one."""
 
 
 class CacheVersionError(CacheError):

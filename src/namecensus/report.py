@@ -89,7 +89,7 @@ class EvalResult:
 def load_gold_labels(path: str | Path) -> dict[str, GenderLabel]:
     """Gold CSV `name,gender` with header; gender is Female or Male."""
     gold: dict[str, GenderLabel] = {}
-    with open(path, encoding="utf-8", newline="") as fh:
+    with open(path, encoding="utf-8-sig", newline="") as fh:
         reader = csv.DictReader(fh)
         if reader.fieldnames is None or not {"name", "gender"} <= set(reader.fieldnames):
             raise GoldLabelError(f"{path}: expected columns name,gender")

@@ -61,6 +61,21 @@ class TestReadInput:
         with pytest.raises(InputError, match="byte offset 4"):
             read_input(path)
 
+    @pytest.mark.parametrize("filename, content", [
+        ("names.txt", "\ufeffHua Zhao\nPhil Barker\n"),
+        ("names.csv", "\ufeffname\nHua Zhao\nPhil Barker\n"),
+    ], ids=["txt", "csv"])
+    def test_leading_bom_ignored(self, tmp_path, filename, content):
+        path = tmp_path / filename
+        path.write_text(content, encoding="utf-8")
+        assert read_input(path) == [NameRecord(1, "Hua Zhao"), NameRecord(2, "Phil Barker")]
+
+    def test_invalid_utf8_offset_counts_bom(self, tmp_path):
+        path = tmp_path / "names.txt"
+        path.write_bytes(b"\xef\xbb\xbfabc\n\xffdef\n")
+        with pytest.raises(InputError, match="byte offset 7"):
+            read_input(path)
+
     def test_missing_column(self, tmp_path):
         path = tmp_path / "names.csv"
         path.write_text("id,author\n1,x\n", encoding="utf-8")

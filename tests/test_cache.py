@@ -1,3 +1,4 @@
+import hashlib
 import pathlib
 import random
 import struct
@@ -21,6 +22,8 @@ from namecensus.errors import (
 )
 
 HAN_POOL = "娟刚青金标骅明丽伟芳"
+HEADER_SIZE = len(MAGIC) + 4 + 32 + 32  # magic, version, source and payload digests
+SECTION = struct.Struct("<QQqq")  # entries, key bytes, total_female, total_male
 
 
 def small_models(rng=None):
@@ -79,13 +82,14 @@ def test_version_mismatch(tmp_path):
         load_cache(path)
 
 
-def test_format_v1_rejected(tmp_path):
-    assert FORMAT_VERSION == 2
+@pytest.mark.parametrize("old_version", [1, 2])
+def test_old_format_rejected(tmp_path, old_version):
+    assert FORMAT_VERSION == 3
     english, chinese = small_models()
     path = tmp_path / "m.ncm"
     save_cache(english, chinese, path)
     blob = bytearray(path.read_bytes())
-    struct.pack_into("<I", blob, len(MAGIC), 1)
+    struct.pack_into("<I", blob, len(MAGIC), old_version)
     path.write_bytes(bytes(blob))
     with pytest.raises(CacheVersionError):
         load_cache(path)
@@ -156,3 +160,112 @@ def test_read_source_digest_header_only(tmp_path):
     path = tmp_path / "m.ncm"
     save_cache(english, chinese, path, source_digest="cd" * 32)
     assert read_source_digest(path) == "cd" * 32
+    path.write_bytes(path.read_bytes()[:HEADER_SIZE])
+    assert read_source_digest(path) == "cd" * 32
+    path.write_bytes(path.read_bytes()[: HEADER_SIZE - 1])
+    with pytest.raises(CacheTruncatedError):
+        read_source_digest(path)
+
+
+def model_pair(entries):
+    """The same entries as an English and a Chinese model."""
+    totals = dict(
+        total_female=sum(f for f, _ in entries.values()),
+        total_male=sum(m for _, m in entries.values()),
+    )
+    return (
+        EnglishNameModel(entries=dict(entries), **totals),
+        ChineseCharModel(entries=dict(entries), **totals),
+    )
+
+
+@pytest.mark.parametrize("entries", [
+    {},
+    {"": (1, 2)},
+    {"zoë": (3, 0), "chloé": (7, 1), "zoe": (2, 2)},
+    {"娟": (30, 1), "刚": (1, 30), "𠀀": (0, 4)},
+    {"big": (2**32, 2**63 - 1), "zero": (0, 0)},
+], ids=["empty", "empty-key", "latin-diacritics", "han", "int64"])
+def test_round_trip_edge_models(tmp_path, entries):
+    english, chinese = model_pair(entries)
+    path = tmp_path / "m.ncm"
+    save_cache(english, chinese, path)
+    cache = load_cache(path)
+    assert cache.english == english
+    assert cache.chinese == chinese
+
+
+def test_insertion_order_does_not_change_bytes(tmp_path):
+    english, chinese = small_models()
+    reordered = [
+        type(m)(entries=dict(reversed(m.entries.items())),
+                total_female=m.total_female, total_male=m.total_male)
+        for m in (english, chinese)
+    ]
+    save_cache(english, chinese, tmp_path / "a.ncm")
+    save_cache(*reordered, tmp_path / "b.ncm")
+    assert (tmp_path / "a.ncm").read_bytes() == (tmp_path / "b.ncm").read_bytes()
+
+
+def rewrite_payload(path, edit):
+    """Apply `edit` to the payload and record its new length and digest."""
+    blob = path.read_bytes()
+    payload = edit(bytearray(blob[HEADER_SIZE + 8:]))
+    header = blob[: HEADER_SIZE - 32] + hashlib.sha256(payload).digest()
+    path.write_bytes(header + struct.pack("<Q", len(payload)) + bytes(payload))
+
+
+def bump_entry_count(payload):
+    count, *rest = SECTION.unpack_from(payload, 0)
+    SECTION.pack_into(payload, 0, count + 1, *rest)
+    return payload
+
+
+def grow_last_key_bytes(payload):
+    count, keys_len, *_ = SECTION.unpack_from(payload, 0)
+    last = SECTION.size + keys_len + 16 * count
+    count, keys_len, *rest = SECTION.unpack_from(payload, last)
+    SECTION.pack_into(payload, last, count, keys_len + 1, *rest)
+    return payload
+
+
+def split_first_key(payload):
+    payload[SECTION.size] = ord("\n")
+    return payload
+
+
+def bad_utf8_key(payload):
+    payload[SECTION.size] = 0xFF
+    return payload
+
+
+@pytest.mark.parametrize("edit", [
+    bump_entry_count,
+    grow_last_key_bytes,
+    split_first_key,
+    bad_utf8_key,
+    lambda p: p[:-16],
+    lambda p: p + b"\x00" * 16,
+    lambda p: p[: SECTION.size - 1],
+], ids=["count", "key-bytes", "split-key", "utf8", "cut", "trailing", "short-header"])
+def test_inconsistent_section_is_format_error(tmp_path, edit):
+    english, chinese = small_models()
+    path = tmp_path / "m.ncm"
+    save_cache(english, chinese, path)
+    rewrite_payload(path, edit)
+    with pytest.raises(CacheFormatError):
+        load_cache(path)
+
+
+@pytest.mark.parametrize("entries, named", [
+    ({"a\nb": (1, 1)}, "newline"),
+    ({"big": (2**63, 0)}, "int64"),
+    ({"neg": (-(2**63) - 1, 0)}, "int64"),
+], ids=["newline-key", "count-too-big", "count-too-small"])
+def test_unencodable_model_is_one_line_error(tmp_path, entries, named):
+    english, chinese = model_pair(entries)
+    path = tmp_path / "m.ncm"
+    with pytest.raises(CacheFormatError, match=named) as info:
+        save_cache(english, chinese, path)
+    assert "\n" not in str(info.value)
+    assert list(tmp_path.iterdir()) == []

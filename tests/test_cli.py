@@ -67,15 +67,16 @@ class TestBuildCache:
                      "--chinese-csv", str(chinese), "--out", str(mini_cache)]) == 0
         assert "english distinct names: 4" in capsys.readouterr().out
 
-    def test_rebuilds_v1_cache(self, mini_corpus, mini_cache, capsys):
+    @pytest.mark.parametrize("old_version", [1, 2])
+    def test_rebuilds_old_cache(self, mini_corpus, mini_cache, capsys, old_version):
         english, chinese = mini_corpus
         blob = bytearray(mini_cache.read_bytes())
-        struct.pack_into("<I", blob, len(MAGIC), 1)
+        struct.pack_into("<I", blob, len(MAGIC), old_version)
         mini_cache.write_bytes(bytes(blob))
         assert main(["build-cache", "--english-dir", str(english),
                      "--chinese-csv", str(chinese), "--out", str(mini_cache)]) == 0
         assert "wrote cache" in capsys.readouterr().out
-        assert load_cache(mini_cache).format_version == FORMAT_VERSION == 2
+        assert load_cache(mini_cache).format_version == FORMAT_VERSION == 3
 
     def test_missing_directory_exit_1(self, tmp_path, capsys):
         code = main(["build-cache", "--english-dir", str(tmp_path / "nope"),
@@ -241,6 +242,15 @@ class TestChartCommand:
                      "--svg", str(tmp_path / "c.svg")])
         assert code == 0
         assert (tmp_path / "c.svg").read_text(encoding="utf-8").startswith("<svg")
+
+    def test_results_with_bom(self, tmp_path, capsys):
+        results = tmp_path / "results.csv"
+        results.write_text("\ufeffitem,name,gender\n1,Hua Zhao,Female\n", encoding="utf-8")
+        code = main(["chart", "--results", str(results),
+                     "--json", str(tmp_path / "c.json"),
+                     "--svg", str(tmp_path / "c.svg")])
+        assert code == 0
+        assert "total names: 1" in capsys.readouterr().out
 
     @pytest.mark.parametrize("content, named", [
         ("item,name,label\n1,Hua Zhao,Female\n", "gender column"),

@@ -143,6 +143,11 @@ class TestGoldFile:
             "王青": GenderLabel.MALE,
         }
 
+    def test_load_with_bom(self, tmp_path):
+        path = tmp_path / "gold.csv"
+        path.write_text("\ufeffname,gender\nAda Lovelace,Female\n", encoding="utf-8")
+        assert load_gold_labels(path) == {"Ada Lovelace": GenderLabel.FEMALE}
+
     def test_conflicting_duplicates(self, tmp_path):
         path = tmp_path / "gold.csv"
         path.write_text("name,gender\nA,Female\nA,Male\n", encoding="utf-8")
