@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import io
 from collections.abc import Iterable
 from dataclasses import dataclass
 from pathlib import Path
@@ -19,7 +20,6 @@ from namecensus.errors import EmptyInputError, InputError
 
 @dataclass(frozen=True)
 class NameRecord:
-    index: int  # 1-based, contiguous over kept records
     raw_name: str
 
 
@@ -48,10 +48,12 @@ def read_input(
     name_column: str | int = "name",
     has_header: bool = True,
 ) -> list[NameRecord]:
-    """One NameRecord per nonblank name, indices contiguous from 1.
+    """One NameRecord per nonblank name, in file order.
 
     txt is one name per line; csv takes `name_column` (header name or
-    0-based index); auto picks by file extension.
+    0-based index); auto picks by file extension. Records end only at
+    LF, CRLF or CR; other Unicode line boundaries, such as U+0085 or
+    U+2028, stay inside the name.
     """
     path = Path(path)
     text = _read_text(path)
@@ -59,9 +61,10 @@ def read_input(
         format = "csv" if path.suffix.lower() == ".csv" else "txt"
     names: list[str] = []
     if format == "txt":
-        names = [line.strip() for line in text.splitlines() if line.strip()]
+        lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+        names = [name for name in map(str.strip, lines) if name]
     elif format == "csv":
-        rows = list(csv.reader(text.splitlines()))
+        rows = list(csv.reader(io.StringIO(text, newline="")))
         if not rows:
             raise EmptyInputError(f"{path}: empty input")
         col: int
@@ -94,7 +97,7 @@ def read_input(
         raise InputError(f"unknown input format {format!r}")
     if not names:
         raise EmptyInputError(f"{path}: no name records found")
-    return [NameRecord(i, name) for i, name in enumerate(names, start=1)]
+    return [NameRecord(name) for name in names]
 
 
 def run_batch(
@@ -121,8 +124,8 @@ RESULT_FIELDS = ["item", "name", "gender", "probability", "script", "given_name"
 
 
 def write_results(predictions: list[Prediction], path: str | Path) -> None:
-    """Results CSV; item is the 1-based row position (read_input numbers
-    records the same way), probability the max posterior, blank for Unknown."""
+    """Results CSV; item is the 1-based row position, probability the max
+    posterior, blank for Unknown."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(RESULT_FIELDS)
@@ -135,6 +138,25 @@ def write_results(predictions: list[Prediction], path: str | Path) -> None:
                 [item, pred.raw_name, pred.label.value, prob,
                  pred.script.value, pred.given]
             )
+
+
+def read_result_labels(path: str | Path) -> list[GenderLabel]:
+    """The gender column of a results CSV, in row order."""
+    labels = []
+    with open(path, encoding="utf-8-sig", newline="") as fh:
+        reader = csv.DictReader(fh)
+        if "gender" not in (reader.fieldnames or ()):
+            raise InputError(f"{path}: no gender column")
+        for row in reader:
+            try:
+                labels.append(GenderLabel(row["gender"]))
+            except ValueError:
+                raise InputError(
+                    f"{path}:{reader.line_num}: unknown gender label {row['gender']!r}"
+                ) from None
+    if not labels:
+        raise EmptyInputError(f"no result rows in {path}")
+    return labels
 
 
 def aggregate_labels(labels: Iterable[GenderLabel]) -> AggregateStats:

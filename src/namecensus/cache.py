@@ -39,7 +39,6 @@ _SECTION = struct.Struct("<QQqq")
 
 @dataclass(frozen=True)
 class ModelCache:
-    format_version: int
     english: EnglishNameModel
     chinese: ChineseCharModel
     source_digest: str
@@ -137,11 +136,11 @@ def save_cache(
 def read_source_digest(path: str | Path) -> str:
     """Source digest from the header alone, for staleness checks."""
     with open(path, "rb") as fh:
-        header = _read_header(fh.read(_HEADER.size))
-    return header[2].hex()
+        source_digest, _ = _read_header(fh.read(_HEADER.size))
+    return source_digest.hex()
 
 
-def _read_header(blob: bytes) -> tuple:
+def _read_header(blob: bytes) -> tuple[bytes, bytes]:
     if len(blob) < _HEADER.size:
         raise CacheTruncatedError("cache file shorter than its header")
     magic, version, source_digest, payload_digest = _HEADER.unpack(blob[: _HEADER.size])
@@ -151,12 +150,12 @@ def _read_header(blob: bytes) -> tuple:
         raise CacheVersionError(
             f"cache format version {version}, this build supports {FORMAT_VERSION}"
         )
-    return magic, version, source_digest, payload_digest
+    return source_digest, payload_digest
 
 
 def load_cache(path: str | Path) -> ModelCache:
     blob = Path(path).read_bytes()
-    _, version, source_digest, payload_digest = _read_header(blob)
+    source_digest, payload_digest = _read_header(blob)
     offset = _HEADER.size
     if len(blob) < offset + 8:
         raise CacheTruncatedError("cache file ends before payload length")
@@ -174,7 +173,6 @@ def load_cache(path: str | Path) -> ModelCache:
     if pos != len(payload):
         raise CacheFormatError(f"{len(payload) - pos} bytes follow the model sections")
     return ModelCache(
-        format_version=version,
         english=english,
         chinese=chinese,
         source_digest=source_digest.hex(),

@@ -57,13 +57,18 @@ class Prediction:
     label: GenderLabel
 
 
-def posterior_english(model: EnglishNameModel, given: str) -> Posterior:
-    """Exact-key lookup; the count ratio is the Bayes posterior under
-    empirical priors. Absent names yield no evidence (no smoothing)."""
+def posterior_english(
+    model: EnglishNameModel, given: str, config: ClassifierConfig = ClassifierConfig()
+) -> Posterior:
+    """Exact-key count ratio; absent names yield no evidence (no smoothing).
+    Uniform priors first divide each count by its class total (0 if empty)."""
     pair = model.entries.get(normalize_name_key(given))
     if pair is None:
         return Posterior(evidence_found=False)
     female, male = pair
+    if config.priors_mode == "uniform":
+        female = female / model.total_female if model.total_female else 0.0
+        male = male / model.total_male if model.total_male else 0.0
     total = female + male
     return Posterior(evidence_found=True, p_female=female / total, p_male=male / total)
 
@@ -127,23 +132,20 @@ def predict(
     chinese: ChineseCharModel,
     config: ClassifierConfig,
     raw_name: str,
-    compound_surnames: frozenset[str] | None = None,
 ) -> Prediction:
     """Full pipeline: script detection, name splitting, posterior, label.
 
     Mixed-script entries are routed through the Chinese pipeline on their
     Han substring; Other/Empty scripts short-circuit to Unknown.
     """
-    if compound_surnames is None:
-        compound_surnames = default_compound_surnames()
     name = raw_name.strip()
     script = detect_script(name)
     if script in (Script.EMPTY, Script.OTHER):
         return Prediction(name, script, "", Posterior(False), GenderLabel.UNKNOWN)
     if script in (Script.HAN, Script.MIXED):
-        split = split_chinese(han_substring(name), compound_surnames)
+        split = split_chinese(han_substring(name), default_compound_surnames())
         post = posterior_chinese(chinese, split.given, config)
     else:
         split = split_english(name)
-        post = posterior_english(english, split.given)
+        post = posterior_english(english, split.given, config)
     return Prediction(name, script, split.given, post, classify(post, config))

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import os
 import sys
@@ -12,7 +11,7 @@ from pathlib import Path
 
 from namecensus import __version__
 from namecensus.batchio import (
-    aggregate, aggregate_labels, read_input, run_batch, write_results,
+    aggregate, aggregate_labels, read_input, read_result_labels, run_batch, write_results,
 )
 from namecensus.cache import (
     digest_corpus_files,
@@ -30,14 +29,10 @@ from namecensus.errors import CacheError, NamecensusError
 from namecensus.report import LABEL_ORDER, emit_chart, evaluate, load_gold_labels
 
 
-def _default_cache() -> str | None:
-    return os.environ.get("NAMECENSUS_CACHE")
-
-
 def _add_cache_flag(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--cache",
-        default=_default_cache(),
+        default=os.environ.get("NAMECENSUS_CACHE"),
         metavar="FILE.ncm",
         help="model cache path (default: $NAMECENSUS_CACHE)",
     )
@@ -137,6 +132,8 @@ def _load_batch(args: argparse.Namespace):
 
 
 def cmd_predict(args: argparse.Namespace) -> int:
+    if bool(args.chart_json) != bool(args.chart_svg):
+        raise NamecensusError("--chart-json and --chart-svg go together")
     config, cache, records = _load_batch(args)
     start = time.perf_counter()
     predictions = run_batch(cache.english, cache.chinese, config, records)
@@ -146,9 +143,7 @@ def cmd_predict(args: argparse.Namespace) -> int:
     _print_stats(stats)
     rate = len(predictions) / elapsed if elapsed > 0 else float("inf")
     print(f"predicted {len(predictions)} names in {elapsed:.3f}s ({rate:.0f} names/s)")
-    if args.chart_json or args.chart_svg:
-        if not (args.chart_json and args.chart_svg):
-            raise NamecensusError("--chart-json and --chart-svg go together")
+    if args.chart_json:
         emit_chart(stats, args.chart_json, args.chart_svg)
         print(f"wrote chart: {args.chart_json}, {args.chart_svg}")
     return 0
@@ -178,22 +173,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 
 def cmd_chart(args: argparse.Namespace) -> int:
-    labels = []
-    with open(args.results, encoding="utf-8-sig", newline="") as fh:
-        reader = csv.DictReader(fh)
-        if "gender" not in (reader.fieldnames or ()):
-            raise NamecensusError(f"{args.results}: no gender column")
-        for row in reader:
-            try:
-                labels.append(GenderLabel(row["gender"]))
-            except ValueError:
-                raise NamecensusError(
-                    f"{args.results}:{reader.line_num}: unknown gender label "
-                    f"{row['gender']!r}"
-                ) from None
-    if not labels:
-        raise NamecensusError(f"no result rows in {args.results}")
-    stats = aggregate_labels(labels)
+    stats = aggregate_labels(read_result_labels(args.results))
     emit_chart(stats, args.json, args.svg)
     _print_stats(stats)
     return 0
@@ -229,9 +209,6 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--out", required=True, metavar="RESULTS.csv")
             p.add_argument("--chart-json", default=None, metavar="CHART.json")
             p.add_argument("--chart-svg", default=None, metavar="CHART.svg")
-            p.add_argument("--workers", type=int, default=1,
-                           help="accepted for compatibility and ignored; "
-                                "batches run sequentially")
         else:
             p.add_argument("--gold", required=True, metavar="GOLD.csv",
                            help="gold labels CSV: name,gender")
@@ -249,10 +226,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except NamecensusError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (OSError, json.JSONDecodeError, ValueError) as exc:
+    except (NamecensusError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -7,14 +7,13 @@ from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
-from namecensus.scriptdetect import Script, is_latin_letter
+from namecensus.scriptdetect import is_latin_letter
 
 
 @dataclass(frozen=True)
 class SplitName:
     surname: str
     given: str
-    script: Script
 
 
 def load_compound_surnames(path: str | Path | None = None) -> frozenset[str]:
@@ -46,10 +45,10 @@ def split_chinese(han_text: str, compound_surnames: frozenset[str]) -> SplitName
     A single-character input is all given name; there is nobody to strip.
     """
     if len(han_text) == 1:
-        return SplitName(surname="", given=han_text, script=Script.HAN)
+        return SplitName(surname="", given=han_text)
     if han_text[:2] in compound_surnames and len(han_text) > 2:
-        return SplitName(surname=han_text[:2], given=han_text[2:], script=Script.HAN)
-    return SplitName(surname=han_text[0], given=han_text[1:], script=Script.HAN)
+        return SplitName(surname=han_text[:2], given=han_text[2:])
+    return SplitName(surname=han_text[0], given=han_text[1:])
 
 
 def _is_initial(token: str) -> bool:
@@ -67,11 +66,11 @@ def split_english(latin_text: str) -> SplitName:
     """
     tokens = latin_text.split()
     if not tokens:
-        return SplitName(surname="", given=latin_text, script=Script.LATIN)
+        return SplitName(surname="", given=latin_text)
     surname = tokens[-1]
     given = tokens[0]
     for token in tokens[:-1]:
         if not _is_initial(token):
             given = token
             break
-    return SplitName(surname=surname, given=given, script=Script.LATIN)
+    return SplitName(surname=surname, given=given)

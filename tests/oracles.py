@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 
 def bayes_product_oracle(
     entries: dict[str, tuple[int, int]],
@@ -28,3 +30,24 @@ def bayes_product_oracle(
         w_male *= (male + alpha) / (n_male + alpha * vocab)
     total = w_female + w_male
     return w_female / total, w_male / total
+
+
+def english_ratio_oracle(
+    entries: dict[str, tuple[int, int]],
+    key: str,
+    priors_mode: str = "empirical",
+) -> tuple[float, float] | None:
+    """Exact-fraction count ratio for one name key; None when absent.
+
+    Uniform priors divide each count by its class total over all entries;
+    a class whose total is 0 contributes nothing.
+    """
+    if key not in entries:
+        return None
+    female, male = map(Fraction, entries[key])
+    if priors_mode == "uniform":
+        n_female = sum(v[0] for v in entries.values())
+        n_male = sum(v[1] for v in entries.values())
+        female = female / n_female if n_female else Fraction(0)
+        male = male / n_male if n_male else Fraction(0)
+    return float(female / (female + male)), float(male / (female + male))

@@ -32,18 +32,18 @@ class TestReadInput:
         path = tmp_path / "names.txt"
         path.write_text("Hua Zhao\n\n王青\n", encoding="utf-8")
         records = read_input(path)
-        assert records == [NameRecord(1, "Hua Zhao"), NameRecord(2, "王青")]
+        assert records == [NameRecord("Hua Zhao"), NameRecord("王青")]
 
     def test_csv_name_column(self, tmp_path):
         path = tmp_path / "names.csv"
         path.write_text("id,author\n7,Phil Barker\n", encoding="utf-8")
         records = read_input(path, name_column="author")
-        assert records == [NameRecord(1, "Phil Barker")]
+        assert records == [NameRecord("Phil Barker")]
 
     def test_csv_quoted_comma(self, tmp_path):
         path = tmp_path / "names.csv"
         path.write_text('name\n"Gray, Alasdair"\n', encoding="utf-8")
-        assert read_input(path) == [NameRecord(1, "Gray, Alasdair")]
+        assert read_input(path) == [NameRecord("Gray, Alasdair")]
 
     def test_csv_column_by_index_without_header(self, tmp_path):
         path = tmp_path / "names.csv"
@@ -68,7 +68,23 @@ class TestReadInput:
     def test_leading_bom_ignored(self, tmp_path, filename, content):
         path = tmp_path / filename
         path.write_text(content, encoding="utf-8")
-        assert read_input(path) == [NameRecord(1, "Hua Zhao"), NameRecord(2, "Phil Barker")]
+        assert read_input(path) == [NameRecord("Hua Zhao"), NameRecord("Phil Barker")]
+
+    # Unicode line boundaries that str.splitlines() splits at, but a file's
+    # records do not: only LF, CRLF and CR end a record.
+    @pytest.mark.parametrize("sep", ["\x85", "\u2028", "\u2029", "\x0b", "\x0c", "\x1c"],
+                             ids=["NEL", "LS", "PS", "VT", "FF", "FS"])
+    @pytest.mark.parametrize("filename, template", [
+        ("names.txt", "Mary{sep}Smith\r\nJohn Brown\rHua Zhao\n"),
+        ("names.csv", 'id,name\r\n1,"Mary{sep}Smith"\r\n2,John Brown\r3,Hua Zhao\n'),
+        ("names.csv", "id,name\n1,Mary{sep}Smith\n2,John Brown\n3,Hua Zhao\n"),
+    ], ids=["txt", "csv-quoted", "csv-unquoted"])
+    def test_records_end_only_at_newlines(self, tmp_path, filename, template, sep):
+        path = tmp_path / filename
+        path.write_bytes(template.format(sep=sep).encode("utf-8"))
+        assert read_input(path) == [
+            NameRecord(f"Mary{sep}Smith"), NameRecord("John Brown"), NameRecord("Hua Zhao"),
+        ]
 
     def test_invalid_utf8_offset_counts_bom(self, tmp_path):
         path = tmp_path / "names.txt"
@@ -99,20 +115,20 @@ class TestReadInput:
 
 class TestRunBatch:
     def test_order_and_index_preserved(self, tmp_path):
-        records = [NameRecord(1, "Hua Zhao"), NameRecord(2, "王青"), NameRecord(3, "x1")]
+        records = [NameRecord("Hua Zhao"), NameRecord("王青"), NameRecord("x1")]
         preds = run_batch(ENG, CHI, CFG, records)
         assert [p.raw_name for p in preds] == ["Hua Zhao", "王青", "x1"]
         path = tmp_path / "out.csv"
         write_results(preds, path)
         with open(path, encoding="utf-8", newline="") as fh:
             rows = list(csv.DictReader(fh))
-        assert [r["item"] for r in rows] == [str(r.index) for r in records]
+        assert [r["item"] for r in rows] == ["1", "2", "3"]
 
     def test_singleton(self):
-        assert len(run_batch(ENG, CHI, CFG, [NameRecord(1, "Hua")])) == 1
+        assert len(run_batch(ENG, CHI, CFG, [NameRecord("Hua")])) == 1
 
     def test_bad_records_degrade_to_unknown_not_abort(self):
-        records = [NameRecord(1, "####"), NameRecord(2, "Hua Zhao")]
+        records = [NameRecord("####"), NameRecord("Hua Zhao")]
         preds = run_batch(ENG, CHI, CFG, records)
         assert preds[0].label is GenderLabel.UNKNOWN
         assert preds[1].label is GenderLabel.FEMALE
@@ -122,7 +138,7 @@ class TestRunBatch:
                   "王青", "Zxqv", "Hua Zhao", " 1234", "Zxqv"]
 
     def test_memo_equals_per_record_predict(self):
-        records = [NameRecord(i, n) for i, n in enumerate(self.MEMO_NAMES, start=1)]
+        records = [NameRecord(n) for n in self.MEMO_NAMES]
         assert run_batch(ENG, CHI, CFG, records) == [
             predict(ENG, CHI, CFG, r.raw_name) for r in records
         ]
@@ -135,7 +151,7 @@ class TestRunBatch:
             return predict(english, chinese, config, raw_name)
 
         monkeypatch.setattr(batchio, "predict", counting_predict)
-        records = [NameRecord(i, n) for i, n in enumerate(self.MEMO_NAMES, start=1)]
+        records = [NameRecord(n) for n in self.MEMO_NAMES]
         preds = run_batch(ENG, CHI, CFG, records)
         assert sorted(calls) == sorted(set(self.MEMO_NAMES))
         assert preds[0] is preds[2] is preds[8]

