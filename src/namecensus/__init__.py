@@ -3,13 +3,12 @@
 __version__ = "0.1.0"
 
 from namecensus.classifier import ClassifierConfig, GenderLabel, Posterior, predict
-from namecensus.corpus import ChineseCharModel, EnglishNameModel
+from namecensus.corpus import CountModel
 from namecensus.scriptdetect import Script, detect_script
 
 __all__ = [
-    "ChineseCharModel",
     "ClassifierConfig",
-    "EnglishNameModel",
+    "CountModel",
     "GenderLabel",
     "Posterior",
     "Script",

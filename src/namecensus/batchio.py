@@ -14,7 +14,7 @@ from namecensus.classifier import (
     Prediction,
     predict,
 )
-from namecensus.corpus import ChineseCharModel, EnglishNameModel
+from namecensus.corpus import CountModel
 from namecensus.errors import EmptyInputError, InputError
 
 
@@ -101,8 +101,8 @@ def read_input(
 
 
 def run_batch(
-    english: EnglishNameModel,
-    chinese: ChineseCharModel,
+    english: CountModel,
+    chinese: CountModel,
     config: ClassifierConfig,
     records: list[NameRecord],
 ) -> list[Prediction]:

@@ -23,7 +23,7 @@ from array import array
 from dataclasses import dataclass
 from pathlib import Path
 
-from namecensus.corpus import ChineseCharModel, EnglishNameModel
+from namecensus.corpus import CountModel
 from namecensus.errors import (
     CacheDigestError,
     CacheFormatError,
@@ -39,9 +39,8 @@ _SECTION = struct.Struct("<QQqq")
 
 @dataclass(frozen=True)
 class ModelCache:
-    english: EnglishNameModel
-    chinese: ChineseCharModel
-    source_digest: str
+    english: CountModel
+    chinese: CountModel
 
 
 def digest_corpus_files(paths: list[Path]) -> str:
@@ -55,7 +54,7 @@ def digest_corpus_files(paths: list[Path]) -> str:
     return h.hexdigest()
 
 
-def _encode(model: EnglishNameModel | ChineseCharModel) -> bytes:
+def _encode(model: CountModel) -> bytes:
     keys = sorted(model.entries)
     bad = next((k for k in keys if "\n" in k), None)
     if bad is not None:
@@ -65,15 +64,13 @@ def _encode(model: EnglishNameModel | ChineseCharModel) -> bytes:
         counts = array("q", [c for k in keys for c in model.entries[k]])
         header = _SECTION.pack(len(keys), len(key_bytes), model.total_female, model.total_male)
     except (OverflowError, struct.error):
-        raise CacheFormatError(
-            f"cannot cache {type(model).__name__}: a count is outside the int64 range"
-        ) from None
+        raise CacheFormatError("cannot cache model: a count is outside the int64 range") from None
     if sys.byteorder == "big":
         counts.byteswap()
     return header + key_bytes + counts.tobytes()
 
 
-def _decode(model_type: type, payload: bytes, pos: int):
+def _decode(payload: bytes, pos: int) -> tuple[CountModel, int]:
     """Decode the section at `pos`; return the model and the section's end."""
     if len(payload) - pos < _SECTION.size:
         raise CacheFormatError("model section ends inside its header")
@@ -101,17 +98,12 @@ def _decode(model_type: type, payload: bytes, pos: int):
     if sys.byteorder == "big":
         counts.byteswap()
     it = iter(counts)
-    model = model_type(
-        entries=dict(zip(keys, zip(it, it))),
-        total_female=total_female,
-        total_male=total_male,
-    )
-    return model, end
+    return CountModel(dict(zip(keys, zip(it, it))), total_female, total_male), end
 
 
 def save_cache(
-    english: EnglishNameModel,
-    chinese: ChineseCharModel,
+    english: CountModel,
+    chinese: CountModel,
     path: str | Path,
     source_digest: str = "",
 ) -> None:
@@ -155,7 +147,7 @@ def _read_header(blob: bytes) -> tuple[bytes, bytes]:
 
 def load_cache(path: str | Path) -> ModelCache:
     blob = Path(path).read_bytes()
-    source_digest, payload_digest = _read_header(blob)
+    _, payload_digest = _read_header(blob)
     offset = _HEADER.size
     if len(blob) < offset + 8:
         raise CacheTruncatedError("cache file ends before payload length")
@@ -168,12 +160,8 @@ def load_cache(path: str | Path) -> ModelCache:
         )
     if hashlib.sha256(payload).digest() != payload_digest:
         raise CacheDigestError("cache payload digest mismatch (corrupted file)")
-    english, pos = _decode(EnglishNameModel, payload, 0)
-    chinese, pos = _decode(ChineseCharModel, payload, pos)
+    english, pos = _decode(payload, 0)
+    chinese, pos = _decode(payload, pos)
     if pos != len(payload):
         raise CacheFormatError(f"{len(payload) - pos} bytes follow the model sections")
-    return ModelCache(
-        english=english,
-        chinese=chinese,
-        source_digest=source_digest.hex(),
-    )
+    return ModelCache(english=english, chinese=chinese)

@@ -6,7 +6,7 @@ import enum
 import math
 from dataclasses import dataclass
 
-from namecensus.corpus import ChineseCharModel, EnglishNameModel, normalize_name_key
+from namecensus.corpus import CountModel, normalize_name_key
 from namecensus.namesplit import (
     default_compound_surnames,
     split_chinese,
@@ -16,6 +16,8 @@ from namecensus.scriptdetect import Script, detect_script, han_substring
 
 
 class GenderLabel(enum.Enum):
+    """Declaration order is the row order of summaries, charts and eval."""
+
     FEMALE = "Female"
     MALE = "Male"
     UNISEX = "Unisex"
@@ -42,8 +44,10 @@ class ClassifierConfig:
                 "need 0.5 <= unisex_floor <= decisive_threshold < 1, got "
                 f"{self.unisex_floor} / {self.decisive_threshold}"
             )
-        if self.smoothing_alpha <= 0:
-            raise ValueError(f"smoothing alpha must be positive: {self.smoothing_alpha}")
+        if not (math.isfinite(self.smoothing_alpha) and self.smoothing_alpha > 0):
+            raise ValueError(
+                f"smoothing alpha must be a finite positive number: {self.smoothing_alpha}"
+            )
         if self.priors_mode not in ("empirical", "uniform"):
             raise ValueError(f"priors_mode must be empirical or uniform: {self.priors_mode}")
 
@@ -58,7 +62,7 @@ class Prediction:
 
 
 def posterior_english(
-    model: EnglishNameModel, given: str, config: ClassifierConfig = ClassifierConfig()
+    model: CountModel, given: str, config: ClassifierConfig = ClassifierConfig()
 ) -> Posterior:
     """Exact-key count ratio; absent names yield no evidence (no smoothing).
     Uniform priors first divide each count by its class total (0 if empty)."""
@@ -73,9 +77,7 @@ def posterior_english(
     return Posterior(evidence_found=True, p_female=female / total, p_male=male / total)
 
 
-def posterior_chinese(
-    model: ChineseCharModel, given: str, config: ClassifierConfig
-) -> Posterior:
+def posterior_chinese(model: CountModel, given: str, config: ClassifierConfig) -> Posterior:
     """Per-character naive Bayes with add-alpha smoothing, in log space.
 
     Characters absent from the corpus still contribute their smoothing
@@ -86,7 +88,7 @@ def posterior_chinese(
     if model.total_female + model.total_male == 0:
         return Posterior(evidence_found=False)  # all-zero corpus carries no signal
     alpha = config.smoothing_alpha
-    vocab = model.vocabulary_size
+    vocab = len(model.entries)
     n_female, n_male = model.total_female, model.total_male
     if config.priors_mode == "uniform":
         prior_female = prior_male = 0.5
@@ -128,8 +130,8 @@ def classify(post: Posterior, config: ClassifierConfig) -> GenderLabel:
 
 
 def predict(
-    english: EnglishNameModel,
-    chinese: ChineseCharModel,
+    english: CountModel,
+    chinese: CountModel,
     config: ClassifierConfig,
     raw_name: str,
 ) -> Prediction:

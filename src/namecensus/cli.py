@@ -26,7 +26,7 @@ from namecensus.corpus import (
     load_english_year_files,
 )
 from namecensus.errors import CacheError, NamecensusError
-from namecensus.report import LABEL_ORDER, emit_chart, evaluate, load_gold_labels
+from namecensus.report import emit_chart, evaluate, load_gold_labels
 
 
 def _add_cache_flag(parser: argparse.ArgumentParser) -> None:
@@ -57,7 +57,10 @@ _CONFIG_FIELDS = {"threshold": "decisive_threshold", "unisex_floor": "unisex_flo
 
 
 def _read_config(path: str) -> dict:
-    doc = json.loads(Path(path).read_text(encoding="utf-8"))
+    try:
+        doc = json.loads(Path(path).read_text(encoding="utf-8-sig"))
+    except ValueError as exc:  # JSON syntax or invalid UTF-8
+        raise NamecensusError(f"{path}: {exc}") from None
     if not isinstance(doc, dict):
         raise NamecensusError(f"{path}: config must be a JSON object")
     for key, value in doc.items():
@@ -106,14 +109,14 @@ def cmd_build_cache(args: argparse.Namespace) -> int:
     chinese = load_chinese_charfreq(chinese_path)
     save_cache(english, chinese, out, source_digest=digest)
     print(f"wrote cache: {out}")
-    print(f"english distinct names: {english.distinct_names}")
-    print(f"chinese distinct characters: {chinese.vocabulary_size}")
+    print(f"english distinct names: {len(english.entries)}")
+    print(f"chinese distinct characters: {len(chinese.entries)}")
     return 0
 
 
 def _print_stats(stats) -> None:
     print(f"total names: {stats.total}")
-    for label in LABEL_ORDER:
+    for label in GenderLabel:
         print(
             f"  {label.value:<8} {stats.counts[label]:>8} "
             f"({stats.percentages[label]:.1f}%)"
@@ -159,7 +162,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
     print(f"accuracy: {result.accuracy:.4f}")
     print("confusion (predicted x gold):")
     print(f"  {'':<8} {'Female':>8} {'Male':>8}")
-    for predicted in LABEL_ORDER:
+    for predicted in GenderLabel:
         row = [
             result.confusion[(predicted, gold_label)]
             for gold_label in (GenderLabel.FEMALE, GenderLabel.MALE)

@@ -20,33 +20,21 @@ YEAR_FILE_RE = re.compile(r"^yob(\d{4})\.txt$")
 
 
 @dataclass(frozen=True)
-class EnglishNameModel:
-    """Per-given-name gender counts aggregated over all yearly files.
-
-    Keys are case-folded and NFC-normalized. Values are
-    (female_count, male_count) pairs.
-    """
+class CountModel:
+    """Per-key gender counts: a Latin given name (case-folded, NFC) or
+    one Han character, mapped to its (female_count, male_count) pair."""
 
     entries: dict[str, tuple[int, int]]
     total_female: int
     total_male: int
 
-    @property
-    def distinct_names(self) -> int:
-        return len(self.entries)
-
-
-@dataclass(frozen=True)
-class ChineseCharModel:
-    """Per-character gender counts for Han given names."""
-
-    entries: dict[str, tuple[int, int]]
-    total_female: int
-    total_male: int
-
-    @property
-    def vocabulary_size(self) -> int:
-        return len(self.entries)
+    @classmethod
+    def from_entries(cls, entries: dict[str, tuple[int, int]]) -> CountModel:
+        return cls(
+            entries=entries,
+            total_female=sum(f for f, _ in entries.values()),
+            total_male=sum(m for _, m in entries.values()),
+        )
 
 
 def normalize_name_key(name: str) -> str:
@@ -84,7 +72,7 @@ def find_year_files(directory: str | Path) -> list[Path]:
     return files
 
 
-def load_english_year_files(directory: str | Path) -> EnglishNameModel:
+def load_english_year_files(directory: str | Path) -> CountModel:
     """Aggregate every yearly file in `directory` into one model.
 
     Counts for the same (case-folded name, sex) sum across years, so the
@@ -101,15 +89,10 @@ def load_english_year_files(directory: str | Path) -> EnglishNameModel:
                 key = normalize_name_key(name)
                 pair = entries.setdefault(key, [0, 0])
                 pair[0 if sex == "F" else 1] += count
-    final = {k: (v[0], v[1]) for k, v in entries.items()}
-    return EnglishNameModel(
-        entries=final,
-        total_female=sum(v[0] for v in final.values()),
-        total_male=sum(v[1] for v in final.values()),
-    )
+    return CountModel.from_entries({k: (f, m) for k, (f, m) in entries.items()})
 
 
-def load_chinese_charfreq(file_path: str | Path) -> ChineseCharModel:
+def load_chinese_charfreq(file_path: str | Path) -> CountModel:
     """Load the single-character frequency table ``char,female,male``."""
     file_path = Path(file_path)
     if not file_path.is_file():
@@ -147,8 +130,4 @@ def load_chinese_charfreq(file_path: str | Path) -> ChineseCharModel:
                 entries[char] = (female, male)
     except UnicodeDecodeError as exc:
         raise CorpusError(f"{file_path}: not valid UTF-8: {exc}") from exc
-    return ChineseCharModel(
-        entries=entries,
-        total_female=sum(v[0] for v in entries.values()),
-        total_male=sum(v[1] for v in entries.values()),
-    )
+    return CountModel.from_entries(entries)

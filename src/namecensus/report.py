@@ -11,13 +11,6 @@ from namecensus.batchio import AggregateStats
 from namecensus.classifier import GenderLabel, Prediction
 from namecensus.errors import GoldLabelError
 
-LABEL_ORDER = [
-    GenderLabel.FEMALE,
-    GenderLabel.MALE,
-    GenderLabel.UNISEX,
-    GenderLabel.UNKNOWN,
-]
-
 SVG_BAR_SCALE = 400  # px for a 100% bar
 _BAR_WIDTH = 80
 _BAR_GAP = 30
@@ -33,7 +26,7 @@ def chart_payload(stats: AggregateStats) -> dict:
                 "count": stats.counts[label],
                 "percent": stats.percentages[label],
             }
-            for label in LABEL_ORDER
+            for label in GenderLabel
         ],
     }
 
@@ -47,7 +40,7 @@ def render_svg(stats: AggregateStats) -> str:
         f'<line x1="{_MARGIN}" y1="{baseline}" x2="{width - _MARGIN}" '
         f'y2="{baseline}" stroke="black"/>',
     ]
-    for i, label in enumerate(LABEL_ORDER):
+    for i, label in enumerate(GenderLabel):
         pct = stats.percentages[label]
         bar_h = pct / 100.0 * SVG_BAR_SCALE
         x = _MARGIN + i * (_BAR_WIDTH + _BAR_GAP)

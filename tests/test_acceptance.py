@@ -27,7 +27,7 @@ from namecensus.classifier import (
     classify,
     posterior_chinese,
 )
-from namecensus.corpus import ChineseCharModel, EnglishNameModel
+from namecensus.corpus import CountModel
 from namecensus.scriptdetect import Script
 from oracles import bayes_product_oracle
 
@@ -109,11 +109,7 @@ def test_criterion_4_oracle_equivalence():
     for _ in range(1000):
         chars = rng.sample(HAN_POOL, rng.randint(1, 3))
         entries = {ch: (rng.randint(0, 20), rng.randint(0, 20)) for ch in chars}
-        model = ChineseCharModel(
-            entries=entries,
-            total_female=sum(v[0] for v in entries.values()),
-            total_male=sum(v[1] for v in entries.values()),
-        )
+        model = CountModel.from_entries(entries)
         pool = chars + [rng.choice(HAN_POOL)]
         names = pool + [a + b for a in pool for b in pool]
         for given in names:
@@ -130,18 +126,14 @@ def test_criterion_4_oracle_equivalence():
 
 def test_criterion_5_normalization_and_partition():
     rng = random.Random(5150)
-    english = EnglishNameModel(
+    english = CountModel(
         entries={"hua": (80, 20), "jordan": (3, 7)}, total_female=83, total_male=27
     )
     ok = True
     for _ in range(10_000):
         chars = rng.sample(HAN_POOL, rng.randint(1, 4))
         entries = {ch: (rng.randint(0, 30), rng.randint(0, 30)) for ch in chars}
-        model = ChineseCharModel(
-            entries=entries,
-            total_female=sum(v[0] for v in entries.values()),
-            total_male=sum(v[1] for v in entries.values()),
-        )
+        model = CountModel.from_entries(entries)
         name = "王" + "".join(rng.choice(HAN_POOL) for _ in range(rng.randint(1, 3)))
         from namecensus.classifier import predict
 
@@ -203,16 +195,8 @@ def test_criterion_7_corpus_integrity(tmp_path, full_models):
             ch: (rng.randint(0, 40), rng.randint(0, 40))
             for ch in rng.sample(HAN_POOL, rng.randint(1, 5))
         }
-        english = EnglishNameModel(
-            entries=eng_entries,
-            total_female=sum(v[0] for v in eng_entries.values()),
-            total_male=sum(v[1] for v in eng_entries.values()),
-        )
-        chinese = ChineseCharModel(
-            entries=chi_entries,
-            total_female=sum(v[0] for v in chi_entries.values()),
-            total_male=sum(v[1] for v in chi_entries.values()),
-        )
+        english = CountModel.from_entries(eng_entries)
+        chinese = CountModel.from_entries(chi_entries)
         path = tmp_path / f"c{i}.ncm"
         save_cache(english, chinese, path)
         cache = load_cache(path)
@@ -231,7 +215,7 @@ def test_criterion_7_corpus_integrity(tmp_path, full_models):
     ok &= load_english_year_files(a_dir) == load_english_year_files(b_dir)
     # full-corpus cardinality, order-of-magnitude only
     english, _ = full_models
-    ok &= 80_000 <= english.distinct_names <= 120_000
+    ok &= 80_000 <= len(english.entries) <= 120_000
     _report("7 corpus-integrity", ok)
 
 

@@ -18,13 +18,13 @@ from namecensus.classifier import (
     Prediction,
     predict,
 )
-from namecensus.corpus import ChineseCharModel, EnglishNameModel
+from namecensus.corpus import CountModel
 from namecensus.errors import EmptyInputError, InputError
 from namecensus.scriptdetect import Script
 
 CFG = ClassifierConfig()
-ENG = EnglishNameModel(entries={"hua": (80, 20)}, total_female=80, total_male=20)
-CHI = ChineseCharModel(entries={"青": (55, 45)}, total_female=55, total_male=45)
+ENG = CountModel(entries={"hua": (80, 20)}, total_female=80, total_male=20)
+CHI = CountModel(entries={"青": (55, 45)}, total_female=55, total_male=45)
 
 
 class TestReadInput:

@@ -13,7 +13,7 @@ from namecensus.cache import (
     read_source_digest,
     save_cache,
 )
-from namecensus.corpus import ChineseCharModel, EnglishNameModel
+from namecensus.corpus import CountModel
 from namecensus.errors import (
     CacheDigestError,
     CacheFormatError,
@@ -36,16 +36,8 @@ def small_models(rng=None):
         ch: (rng.randint(0, 50), rng.randint(0, 50))
         for ch in rng.sample(HAN_POOL, rng.randint(1, 6))
     }
-    english = EnglishNameModel(
-        entries=eng_entries,
-        total_female=sum(v[0] for v in eng_entries.values()),
-        total_male=sum(v[1] for v in eng_entries.values()),
-    )
-    chinese = ChineseCharModel(
-        entries=chi_entries,
-        total_female=sum(v[0] for v in chi_entries.values()),
-        total_male=sum(v[1] for v in chi_entries.values()),
-    )
+    english = CountModel.from_entries(eng_entries)
+    chinese = CountModel.from_entries(chi_entries)
     return english, chinese
 
 
@@ -57,7 +49,7 @@ def test_round_trip_identity(tmp_path):
     assert cache.english == english
     assert cache.chinese == chinese
     assert FORMAT_VERSION == 3
-    assert cache.source_digest == "ab" * 32
+    assert read_source_digest(path) == "ab" * 32
 
 
 def test_round_trip_randomized_corpora(tmp_path):
@@ -167,18 +159,6 @@ def test_read_source_digest_header_only(tmp_path):
         read_source_digest(path)
 
 
-def model_pair(entries):
-    """The same entries as an English and a Chinese model."""
-    totals = dict(
-        total_female=sum(f for f, _ in entries.values()),
-        total_male=sum(m for _, m in entries.values()),
-    )
-    return (
-        EnglishNameModel(entries=dict(entries), **totals),
-        ChineseCharModel(entries=dict(entries), **totals),
-    )
-
-
 @pytest.mark.parametrize("entries", [
     {},
     {"": (1, 2)},
@@ -187,19 +167,18 @@ def model_pair(entries):
     {"big": (2**32, 2**63 - 1), "zero": (0, 0)},
 ], ids=["empty", "empty-key", "latin-diacritics", "han", "int64"])
 def test_round_trip_edge_models(tmp_path, entries):
-    english, chinese = model_pair(entries)
+    model = CountModel.from_entries(entries)
     path = tmp_path / "m.ncm"
-    save_cache(english, chinese, path)
+    save_cache(model, model, path)
     cache = load_cache(path)
-    assert cache.english == english
-    assert cache.chinese == chinese
+    assert cache.english == model
+    assert cache.chinese == model
 
 
 def test_insertion_order_does_not_change_bytes(tmp_path):
     english, chinese = small_models()
     reordered = [
-        type(m)(entries=dict(reversed(m.entries.items())),
-                total_female=m.total_female, total_male=m.total_male)
+        CountModel(dict(reversed(m.entries.items())), m.total_female, m.total_male)
         for m in (english, chinese)
     ]
     save_cache(english, chinese, tmp_path / "a.ncm")
@@ -263,9 +242,9 @@ def test_inconsistent_section_is_format_error(tmp_path, edit):
     ({"neg": (-(2**63) - 1, 0)}, "int64"),
 ], ids=["newline-key", "count-too-big", "count-too-small"])
 def test_unencodable_model_is_one_line_error(tmp_path, entries, named):
-    english, chinese = model_pair(entries)
+    model = CountModel.from_entries(entries)
     path = tmp_path / "m.ncm"
     with pytest.raises(CacheFormatError, match=named) as info:
-        save_cache(english, chinese, path)
+        save_cache(model, model, path)
     assert "\n" not in str(info.value)
     assert list(tmp_path.iterdir()) == []

@@ -12,7 +12,7 @@ from namecensus.classifier import (
     posterior_english,
     predict,
 )
-from namecensus.corpus import ChineseCharModel, EnglishNameModel
+from namecensus.corpus import CountModel
 from namecensus.scriptdetect import Script
 from oracles import bayes_product_oracle, english_ratio_oracle
 
@@ -21,52 +21,37 @@ CFG = ClassifierConfig()
 HAN_POOL = "娟刚青金标骅明丽伟芳"
 
 
-def english_model(entries):
-    return EnglishNameModel(
-        entries=entries,
-        total_female=sum(v[0] for v in entries.values()),
-        total_male=sum(v[1] for v in entries.values()),
-    )
-
-
-def chinese_model(entries):
-    return ChineseCharModel(
-        entries=entries,
-        total_female=sum(v[0] for v in entries.values()),
-        total_male=sum(v[1] for v in entries.values()),
-    )
-
-
 def random_chinese_model(rng, max_chars=3, max_count=20):
     chars = rng.sample(HAN_POOL, rng.randint(1, max_chars))
-    return chinese_model(
+    return CountModel.from_entries(
         {ch: (rng.randint(0, max_count), rng.randint(0, max_count)) for ch in chars}
     )
 
 
 class TestPosteriorEnglish:
     def test_hand_ratio_female(self):
-        post = posterior_english(english_model({"hua": (80, 20)}), "Hua")
+        post = posterior_english(CountModel.from_entries({"hua": (80, 20)}), "Hua")
         assert post.evidence_found
         assert post.p_female == pytest.approx(0.8)
 
     def test_hand_ratio_male(self):
-        post = posterior_english(english_model({"jordan": (3, 7)}), "jordan")
+        post = posterior_english(CountModel.from_entries({"jordan": (3, 7)}), "jordan")
         assert post.p_female == pytest.approx(0.3)
         assert post.p_male == pytest.approx(0.7)
 
     def test_absent_key_is_no_evidence(self):
-        assert not posterior_english(english_model({"hua": (80, 20)}), "zxqv").evidence_found
+        model = CountModel.from_entries({"hua": (80, 20)})
+        assert not posterior_english(model, "zxqv").evidence_found
 
     def test_lookup_is_case_and_normalization_insensitive(self):
-        model = english_model({"josé": (50, 2)})
+        model = CountModel.from_entries({"josé": (50, 2)})
         # decomposed input must hit the composed key
         assert posterior_english(model, "José").evidence_found
 
     def test_uniform_priors_reweight_by_class_totals(self):
         # Class totals 900 female / 100 male: 80/20 is 0.8 female by count ratio,
         # but (80/900) / (80/900 + 20/100) = 0.308 once each class is weighted alike.
-        model = english_model({"alex": (80, 20), "mary": (820, 80)})
+        model = CountModel.from_entries({"alex": (80, 20), "mary": (820, 80)})
         empirical = posterior_english(model, "Alex", CFG)
         uniform = posterior_english(model, "Alex", ClassifierConfig(priors_mode="uniform"))
         assert classify(empirical, CFG) is GenderLabel.FEMALE
@@ -74,7 +59,7 @@ class TestPosteriorEnglish:
         assert uniform.p_female == pytest.approx(0.8 / 2.6, abs=1e-12)
 
     def test_default_config_is_empirical(self):
-        model = english_model({"alex": (80, 20), "mary": (820, 80)})
+        model = CountModel.from_entries({"alex": (80, 20), "mary": (820, 80)})
         assert posterior_english(model, "alex") == posterior_english(model, "alex", CFG)
 
     def test_matches_ratio_oracle(self):
@@ -88,7 +73,7 @@ class TestPosteriorEnglish:
                 entries = {n: tuple(0 if i == idx else c for i, c in enumerate(v))
                            for n, v in entries.items()}
             entries = {n: v for n, v in entries.items() if sum(v)}
-            model = english_model(entries)
+            model = CountModel.from_entries(entries)
             for mode in ("empirical", "uniform"):
                 cfg = ClassifierConfig(priors_mode=mode)
                 for name in names:
@@ -107,20 +92,20 @@ class TestPosteriorEnglish:
 class TestPosteriorChinese:
     def test_single_char_empirical_priors(self):
         # {娟: (3,1)}, alpha=1, V=1: both likelihoods are 1, priors decide
-        post = posterior_chinese(chinese_model({"娟": (3, 1)}), "娟", CFG)
+        post = posterior_chinese(CountModel.from_entries({"娟": (3, 1)}), "娟", CFG)
         assert post.p_female == pytest.approx(0.75, abs=1e-12)
 
     def test_single_char_uniform_priors(self):
         cfg = ClassifierConfig(priors_mode="uniform")
-        post = posterior_chinese(chinese_model({"娟": (3, 1)}), "娟", cfg)
+        post = posterior_chinese(CountModel.from_entries({"娟": (3, 1)}), "娟", cfg)
         assert post.p_female == pytest.approx(0.5, abs=1e-12)
 
     def test_no_known_character_is_no_evidence(self):
-        post = posterior_chinese(chinese_model({"娟": (3, 1)}), "金标", CFG)
+        post = posterior_chinese(CountModel.from_entries({"娟": (3, 1)}), "金标", CFG)
         assert not post.evidence_found
 
     def test_empty_model_is_never_evidence(self):
-        post = posterior_chinese(chinese_model({}), "娟", CFG)
+        post = posterior_chinese(CountModel.from_entries({}), "娟", CFG)
         assert not post.evidence_found
 
     def test_matches_product_oracle(self):
@@ -144,10 +129,10 @@ class TestPosteriorChinese:
         rng = random.Random(9)
         for _ in range(100):
             chars = rng.sample(HAN_POOL, rng.randint(1, 3))
-            model = chinese_model(
+            model = CountModel.from_entries(
                 {ch: (rng.randint(1, 20), rng.randint(1, 20)) for ch in chars}
             )
-            scaled = chinese_model(
+            scaled = CountModel.from_entries(
                 {ch: (f * 7, m * 7) for ch, (f, m) in model.entries.items()}
             )
             for mode in ("empirical", "uniform"):
@@ -159,7 +144,7 @@ class TestPosteriorChinese:
 
     def test_zero_evidence_gender_gets_zero_posterior(self):
         # all-female corpus: empirical male prior is 0
-        post = posterior_chinese(chinese_model({"娟": (5, 0)}), "娟", CFG)
+        post = posterior_chinese(CountModel.from_entries({"娟": (5, 0)}), "娟", CFG)
         assert post.p_female == pytest.approx(1.0)
         assert post.p_male == pytest.approx(0.0)
 
@@ -199,15 +184,16 @@ class TestClassify:
     def test_config_validation(self):
         with pytest.raises(ValueError):
             ClassifierConfig(decisive_threshold=0.4)
-        with pytest.raises(ValueError):
-            ClassifierConfig(smoothing_alpha=0.0)
+        for alpha in (0.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="finite positive"):
+                ClassifierConfig(smoothing_alpha=alpha)
         with pytest.raises(ValueError):
             ClassifierConfig(priors_mode="bogus")
 
 
 class TestPredict:
-    ENG = english_model({"hua": (80, 20), "jordan": (3, 7)})
-    CHI = chinese_model({"娟": (30, 1), "刚": (1, 30), "青": (55, 45)})
+    ENG = CountModel.from_entries({"hua": (80, 20), "jordan": (3, 7)})
+    CHI = CountModel.from_entries({"娟": (30, 1), "刚": (1, 30), "青": (55, 45)})
 
     def test_latin_pipeline(self):
         pred = predict(self.ENG, self.CHI, CFG, "Hua Zhao")

@@ -137,6 +137,9 @@ class TestPredict:
         ('{"threshold": 0.55, "unisex_floor": 0.58}', "'unisex_floor'"),
         ('{"unisex_floor": 0.4}', "'unisex_floor'"),
         ('{"alpha": 0}', "'alpha'"),
+        ('{"alpha": NaN}', "'alpha'"),
+        ('{"alpha": Infinity}', "'alpha'"),
+        ('{"alpha": ', "cfg.json: Expecting value"),
     ])
     def test_bad_config_exit_1(self, tmp_path, mini_cache, capsys, content, named):
         cfg = tmp_path / "cfg.json"
@@ -160,6 +163,37 @@ class TestPredict:
                      "--unisex-floor", "0.95"])
         assert code == 1
         assert capsys.readouterr().err.startswith("error: --unisex-floor: ")
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_alpha_flag_exit_1(self, tmp_path, mini_cache, capsys, value):
+        infile = tmp_path / "names.txt"
+        infile.write_text("王青\n", encoding="utf-8")
+        out = tmp_path / "o.csv"
+        code = main(["predict", "--cache", str(mini_cache), "--in", str(infile),
+                     "--out", str(out), f"--alpha={value}"])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: --alpha: ")
+        assert not out.exists()
+
+    def test_config_file_with_bom(self, tmp_path, mini_cache):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('\ufeff{"threshold": 0.9}', encoding="utf-8")
+        infile = tmp_path / "names.txt"
+        infile.write_text("Jordan Smith\n", encoding="utf-8")
+        out = tmp_path / "results.csv"
+        assert main(["predict", "--cache", str(mini_cache), "--in", str(infile),
+                     "--out", str(out), "--config", str(cfg)]) == 0
+        assert read_rows(out)[0]["gender"] == "Unisex"  # 0.7 male, under 0.9
+
+    def test_summary_lines_in_label_order(self, tmp_path, mini_cache, capsys):
+        infile = tmp_path / "names.txt"
+        # Unknown, Unisex, Male, Female: the reverse of the printed order.
+        infile.write_text("Zxqv Q\n王青\n王刚\n王娟\n", encoding="utf-8")
+        assert main(["predict", "--cache", str(mini_cache), "--in", str(infile),
+                     "--out", str(tmp_path / "o.csv")]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split()[0] for line in lines[1:5]] == [
+            "Female", "Male", "Unisex", "Unknown"]
 
     def test_chart_emission(self, tmp_path, mini_cache):
         infile = tmp_path / "names.txt"
@@ -247,6 +281,20 @@ class TestEval:
         out = capsys.readouterr().out
         assert "accuracy: 0.6667" in out
         assert "王刚: predicted Male, gold Female" in out
+
+    def test_confusion_rows_in_label_order(self, tmp_path, mini_cache, capsys):
+        infile = tmp_path / "names.txt"
+        infile.write_text("Zxqv Q\n王青\n王刚\n王娟\n", encoding="utf-8")
+        gold = tmp_path / "gold.csv"
+        gold.write_text("name,gender\nZxqv Q,Male\n王青,Female\n王刚,Male\n王娟,Female\n",
+                        encoding="utf-8")
+        assert main(["eval", "--cache", str(mini_cache), "--in", str(infile),
+                     "--gold", str(gold)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        start = lines.index("confusion (predicted x gold):") + 2
+        assert [line.split() for line in lines[start:start + 4]] == [
+            ["Female", "1", "0"], ["Male", "0", "1"],
+            ["Unisex", "1", "0"], ["Unknown", "0", "1"]]
 
     def test_gold_name_absent_exit_1(self, tmp_path, mini_cache, capsys):
         infile = tmp_path / "names.txt"

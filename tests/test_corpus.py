@@ -3,6 +3,7 @@ import random
 import pytest
 
 from namecensus.corpus import (
+    CountModel,
     load_chinese_charfreq,
     load_english_year_files,
     normalize_name_key,
@@ -16,6 +17,12 @@ def write_years(tmp_path, files):
     return tmp_path
 
 
+def test_from_entries_sums_class_totals():
+    model = CountModel.from_entries({"mary": (20, 1), "娟": (3, 0), "刚": (0, 9)})
+    assert (model.total_female, model.total_male) == (23, 10)
+    assert CountModel.from_entries({}) == CountModel({}, 0, 0)
+
+
 class TestEnglishCorpus:
     def test_counts_sum_across_years(self, tmp_path):
         write_years(tmp_path, {
@@ -25,7 +32,7 @@ class TestEnglishCorpus:
         model = load_english_year_files(tmp_path)
         assert model.entries == {"mary": (20, 0)}
         assert model.total_female == 20
-        assert model.distinct_names == 1
+        assert len(model.entries) == 1
 
     def test_both_sexes_one_entry(self, tmp_path):
         write_years(tmp_path, {"yob2015.txt": ["Jordan,F,3", "Jordan,M,7"]})
@@ -95,17 +102,17 @@ class TestChineseCorpus:
 
     def test_single_row(self, tmp_path):
         model = load_chinese_charfreq(self.write(tmp_path, ["娟,3,1"]))
-        assert model.vocabulary_size == 1
+        assert len(model.entries) == 1
         assert (model.total_female, model.total_male) == (3, 1)
 
     def test_column_sums(self, tmp_path):
         model = load_chinese_charfreq(self.write(tmp_path, ["娟,3,1", "刚,1,9"]))
         assert (model.total_female, model.total_male) == (4, 10)
-        assert model.vocabulary_size == 2
+        assert len(model.entries) == 2
 
     def test_header_only_is_valid_empty_model(self, tmp_path):
         model = load_chinese_charfreq(self.write(tmp_path, []))
-        assert model.vocabulary_size == 0
+        assert len(model.entries) == 0
 
     def test_duplicate_character(self, tmp_path):
         with pytest.raises(CorpusError, match="duplicate"):
