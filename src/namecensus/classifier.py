@@ -34,15 +34,13 @@ class Posterior:
 @dataclass(frozen=True)
 class ClassifierConfig:
     decisive_threshold: float = 0.60
-    unisex_floor: float = 0.50
     smoothing_alpha: float = 1.0
     priors_mode: str = "empirical"  # or "uniform"
 
     def __post_init__(self) -> None:
-        if not (0.5 <= self.unisex_floor <= self.decisive_threshold < 1.0):
+        if not (0.5 <= self.decisive_threshold < 1.0):
             raise ValueError(
-                "need 0.5 <= unisex_floor <= decisive_threshold < 1, got "
-                f"{self.unisex_floor} / {self.decisive_threshold}"
+                f"need 0.5 <= decisive_threshold < 1, got {self.decisive_threshold}"
             )
         if not (math.isfinite(self.smoothing_alpha) and self.smoothing_alpha > 0):
             raise ValueError(
@@ -90,6 +88,12 @@ def posterior_chinese(model: CountModel, given: str, config: ClassifierConfig) -
     alpha = config.smoothing_alpha
     vocab = len(model.entries)
     n_female, n_male = model.total_female, model.total_male
+    # The smallest factor, an unseen character against the larger class, must
+    # stay a positive finite float, or its log fails.
+    if not alpha / (max(n_female, n_male) + alpha * vocab) > 0:
+        raise ValueError(
+            f"smoothing alpha {alpha} is out of range for {vocab} corpus characters"
+        )
     if config.priors_mode == "uniform":
         prior_female = prior_male = 0.5
     else:
@@ -118,8 +122,8 @@ def posterior_chinese(model: CountModel, given: str, config: ClassifierConfig) -
 
 
 def classify(post: Posterior, config: ClassifierConfig) -> GenderLabel:
-    """Strictly-above-threshold posteriors are decisive; the band
-    [unisex_floor, threshold] is Unisex; no evidence is Unknown."""
+    """Strictly-above-threshold posteriors are decisive; evidence at or
+    below the threshold is Unisex; no evidence is Unknown."""
     if not post.evidence_found:
         return GenderLabel.UNKNOWN
     if post.p_female > config.decisive_threshold:

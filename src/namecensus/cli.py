@@ -19,7 +19,7 @@ from namecensus.cache import (
     read_source_digest,
     save_cache,
 )
-from namecensus.classifier import ClassifierConfig, GenderLabel
+from namecensus.classifier import ClassifierConfig, GenderLabel, predict
 from namecensus.corpus import (
     find_year_files,
     load_chinese_charfreq,
@@ -29,20 +29,15 @@ from namecensus.errors import CacheError, NamecensusError
 from namecensus.report import emit_chart, evaluate, load_gold_labels
 
 
-def _add_cache_flag(parser: argparse.ArgumentParser) -> None:
+def _add_model_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--cache",
         default=os.environ.get("NAMECENSUS_CACHE"),
         metavar="FILE.ncm",
         help="model cache path (default: $NAMECENSUS_CACHE)",
     )
-
-
-def _add_classifier_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--threshold", type=float, default=None,
                         help="decisive posterior threshold (default 0.60)")
-    parser.add_argument("--unisex-floor", type=float, default=None,
-                        help="lower edge of the unisex band (default 0.50)")
     parser.add_argument("--alpha", type=float, default=None,
                         help="add-alpha smoothing for Chinese characters (default 1.0)")
     parser.add_argument("--priors", choices=["empirical", "uniform"], default=None,
@@ -52,8 +47,8 @@ def _add_classifier_flags(parser: argparse.ArgumentParser) -> None:
 
 
 # --config key (and flag), in check order -> field; its default's type is the JSON type.
-_CONFIG_FIELDS = {"threshold": "decisive_threshold", "unisex_floor": "unisex_floor",
-                  "alpha": "smoothing_alpha", "priors": "priors_mode"}
+_CONFIG_FIELDS = {"threshold": "decisive_threshold", "alpha": "smoothing_alpha",
+                  "priors": "priors_mode"}
 
 
 def _read_config(path: str) -> dict:
@@ -123,21 +118,20 @@ def _print_stats(stats) -> None:
         )
 
 
-def _load_batch(args: argparse.Namespace):
-    """The config, the model cache and the input records of predict/eval."""
+def _load_model(args: argparse.Namespace):
+    """The config and the model cache of predict/eval."""
     config = _resolve_config(args)
     if not args.cache:
         raise NamecensusError("missing required flag --cache")
-    cache = load_cache(args.cache)
-    records = read_input(args.infile, format=args.format,
-                         name_column=args.name_column, has_header=not args.no_header)
-    return config, cache, records
+    return config, load_cache(args.cache)
 
 
 def cmd_predict(args: argparse.Namespace) -> int:
     if bool(args.chart_json) != bool(args.chart_svg):
         raise NamecensusError("--chart-json and --chart-svg go together")
-    config, cache, records = _load_batch(args)
+    config, cache = _load_model(args)
+    records = read_input(args.infile, format=args.format,
+                         name_column=args.name_column, has_header=not args.no_header)
     start = time.perf_counter()
     predictions = run_batch(cache.english, cache.chinese, config, records)
     elapsed = time.perf_counter() - start
@@ -153,9 +147,9 @@ def cmd_predict(args: argparse.Namespace) -> int:
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
-    config, cache, records = _load_batch(args)
-    predictions = run_batch(cache.english, cache.chinese, config, records)
+    config, cache = _load_model(args)
     gold = load_gold_labels(args.gold)
+    predictions = [predict(cache.english, cache.chinese, config, name) for name in gold]
     result = evaluate(predictions, gold)
     print(f"total: {result.total}")
     print(f"correct: {result.correct}")
@@ -198,24 +192,24 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, metavar="FILE.ncm")
     p.set_defaults(func=cmd_build_cache)
 
-    for name, func in (("predict", cmd_predict), ("eval", cmd_eval)):
-        p = sub.add_parser(name, help=f"{name} a batch of names")
-        _add_cache_flag(p)
-        p.add_argument("--in", dest="infile", required=True, metavar="NAMES")
-        p.add_argument("--format", choices=["txt", "csv", "auto"], default="auto")
-        p.add_argument("--name-column", default="name",
-                       help="CSV column holding names (name or 0-based index)")
-        p.add_argument("--no-header", action="store_true",
-                       help="CSV input has no header row")
-        _add_classifier_flags(p)
-        if name == "predict":
-            p.add_argument("--out", required=True, metavar="RESULTS.csv")
-            p.add_argument("--chart-json", default=None, metavar="CHART.json")
-            p.add_argument("--chart-svg", default=None, metavar="CHART.svg")
-        else:
-            p.add_argument("--gold", required=True, metavar="GOLD.csv",
-                           help="gold labels CSV: name,gender")
-        p.set_defaults(func=func)
+    p = sub.add_parser("predict", help="predict a batch of names")
+    _add_model_flags(p)
+    p.add_argument("--in", dest="infile", required=True, metavar="NAMES")
+    p.add_argument("--format", choices=["txt", "csv", "auto"], default="auto")
+    p.add_argument("--name-column", default="name",
+                   help="CSV column holding names (name or 0-based index)")
+    p.add_argument("--no-header", action="store_true",
+                   help="CSV input has no header row")
+    p.add_argument("--out", required=True, metavar="RESULTS.csv")
+    p.add_argument("--chart-json", default=None, metavar="CHART.json")
+    p.add_argument("--chart-svg", default=None, metavar="CHART.svg")
+    p.set_defaults(func=cmd_predict)
+
+    p = sub.add_parser("eval", help="score the names of a gold file against their labels")
+    _add_model_flags(p)
+    p.add_argument("--gold", required=True, metavar="GOLD.csv",
+                   help="gold labels CSV: name,gender")
+    p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("chart", help="re-emit the chart from a results CSV")
     p.add_argument("--results", required=True, metavar="RESULTS.csv")

@@ -2,7 +2,8 @@
 
 English side: a directory of yearly ``yob<YYYY>.txt`` files, each line
 ``Name,S,Count`` with no header. Chinese side: a single UTF-8 CSV
-``char,female,male`` with a header row.
+``char,female,male`` with a header row. A leading byte-order mark is
+ignored in both.
 """
 
 from __future__ import annotations
@@ -80,7 +81,7 @@ def load_english_year_files(directory: str | Path) -> CountModel:
     """
     entries: dict[str, list[int]] = {}
     for path in find_year_files(directory):
-        with open(path, encoding="utf-8", newline="") as fh:
+        with open(path, encoding="utf-8-sig", newline="") as fh:
             for lineno, raw in enumerate(fh, start=1):
                 line = raw.rstrip("\r\n")
                 if not line:
@@ -99,7 +100,7 @@ def load_chinese_charfreq(file_path: str | Path) -> CountModel:
         raise CorpusError(f"character corpus not found: {file_path}")
     entries: dict[str, tuple[int, int]] = {}
     try:
-        with open(file_path, encoding="utf-8", newline="") as fh:
+        with open(file_path, encoding="utf-8-sig", newline="") as fh:
             reader = csv.reader(fh)
             header = next(reader, None)
             if header != ["char", "female", "male"]:

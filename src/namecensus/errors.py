@@ -38,4 +38,4 @@ class EmptyInputError(InputError):
 
 
 class GoldLabelError(NamecensusError):
-    """Gold-label file is empty, conflicting, or unmatched."""
+    """Gold-label file is empty, malformed, or conflicting."""

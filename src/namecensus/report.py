@@ -87,13 +87,18 @@ def load_gold_labels(path: str | Path) -> dict[str, GenderLabel]:
         if reader.fieldnames is None or not {"name", "gender"} <= set(reader.fieldnames):
             raise GoldLabelError(f"{path}: expected columns name,gender")
         for row in reader:
+            where = f"{path}:{reader.line_num}"
+            if row["name"] is None or row["gender"] is None:
+                raise GoldLabelError(f"{where}: row has too few cells for name,gender")
             name = row["name"].strip()
             gender = row["gender"].strip()
+            if not name:
+                raise GoldLabelError(f"{where}: blank gold name")
             if gender not in ("Female", "Male"):
-                raise GoldLabelError(f"{path}: gold gender must be Female or Male: {gender!r}")
+                raise GoldLabelError(f"{where}: gold gender must be Female or Male: {gender!r}")
             label = GenderLabel(gender)
             if name in gold and gold[name] is not label:
-                raise GoldLabelError(f"{path}: conflicting gold labels for {name!r}")
+                raise GoldLabelError(f"{where}: conflicting gold labels for {name!r}")
             gold[name] = label
     if not gold:
         raise GoldLabelError(f"{path}: empty gold set")
@@ -104,13 +109,11 @@ def evaluate(
     predictions: list[Prediction], gold: dict[str, GenderLabel]
 ) -> EvalResult:
     """Strict scoring: only an exact label match counts as correct, so
-    Unisex and Unknown are always wrong against binary gold."""
+    Unisex and Unknown are always wrong against binary gold. Every gold
+    name must have a prediction."""
     if not gold:
         raise GoldLabelError("empty gold set")
     by_name = {p.raw_name: p for p in predictions}
-    missing = sorted(name for name in gold if name not in by_name)
-    if missing:
-        raise GoldLabelError(f"gold names absent from predictions: {missing}")
     confusion = {(p, g): 0 for p in GenderLabel for g in (GenderLabel.FEMALE, GenderLabel.MALE)}
     mismatches = []
     correct = 0

@@ -72,9 +72,7 @@ def test_criterion_2_curated_accuracy(tmp_path, cache_path):
     han = sum(1 for n in names if any("一" <= ch <= "鿿" for ch in n))
     assert 0.4 <= han / len(names) <= 0.6  # roughly half Chinese-character
     start = time.perf_counter()
-    result = _cli(["eval", "--cache", str(cache_path),
-                   "--in", str(gold_csv), "--format", "csv",
-                   "--gold", str(gold_csv)])
+    result = _cli(["eval", "--cache", str(cache_path), "--gold", str(gold_csv)])
     elapsed = time.perf_counter() - start
     assert result.returncode == 0, result.stderr
     accuracy = float(re.search(r"accuracy: ([0-9.]+)", result.stdout).group(1))

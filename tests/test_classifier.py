@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 
@@ -180,6 +181,21 @@ class TestClassify:
     def test_custom_threshold(self):
         cfg = ClassifierConfig(decisive_threshold=0.9)
         assert classify(Posterior(True, 0.3, 0.7), cfg) is GenderLabel.UNISEX
+
+    # One non-default value per ClassifierConfig field; a field missing here
+    # fails the knob test below until it gets a value that must take effect.
+    NON_DEFAULT = {"decisive_threshold": 0.9, "smoothing_alpha": 0.3,
+                   "priors_mode": "uniform"}
+
+    @pytest.mark.parametrize("field", dataclasses.fields(ClassifierConfig),
+                             ids=lambda field: field.name)
+    def test_every_knob_changes_a_prediction(self, field):
+        english = CountModel.from_entries({"hua": (80, 20), "jordan": (3, 7)})
+        chinese = CountModel.from_entries({"娟": (30, 1), "刚": (1, 30), "青": (55, 45)})
+        names = ["Hua Zhao", "Jordan Smith", "王娟", "王刚", "王青", "王娟刚"]
+        cfg = ClassifierConfig(**{field.name: self.NON_DEFAULT[field.name]})
+        assert [predict(english, chinese, cfg, n) for n in names] != [
+            predict(english, chinese, CFG, n) for n in names]
 
     def test_config_validation(self):
         with pytest.raises(ValueError):

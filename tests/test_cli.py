@@ -160,9 +160,9 @@ class TestPredict:
         infile.write_text("Jordan Smith\n", encoding="utf-8")
         code = main(["predict", "--cache", str(mini_cache), "--in", str(infile),
                      "--out", str(tmp_path / "o.csv"), "--config", str(cfg),
-                     "--unisex-floor", "0.95"])
+                     "--threshold", "1.0"])
         assert code == 1
-        assert capsys.readouterr().err.startswith("error: --unisex-floor: ")
+        assert capsys.readouterr().err.startswith("error: --threshold: ")
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
     def test_non_finite_alpha_flag_exit_1(self, tmp_path, mini_cache, capsys, value):
@@ -174,6 +174,18 @@ class TestPredict:
         assert code == 1
         assert capsys.readouterr().err.startswith("error: --alpha: ")
         assert not out.exists()
+
+    @pytest.mark.parametrize("value", ["1e308", "5e-324"])
+    def test_alpha_out_of_range_for_model_exit_1(self, tmp_path, mini_cache, capsys, value):
+        # 龘 is not in the corpus, so its smoothed likelihood is alpha / denom:
+        # 1e308 overflows the denominator, 5e-324 underflows the quotient.
+        infile = tmp_path / "names.txt"
+        infile.write_text("王龘青\n", encoding="utf-8")
+        code = main(["predict", "--cache", str(mini_cache), "--in", str(infile),
+                     "--out", str(tmp_path / "o.csv"), f"--alpha={value}"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: smoothing alpha ") and err.count("\n") == 1
 
     def test_config_file_with_bom(self, tmp_path, mini_cache):
         cfg = tmp_path / "cfg.json"
@@ -268,43 +280,34 @@ class TestPredict:
 
 class TestEval:
     def test_accuracy_with_planted_mismatch(self, tmp_path, mini_cache, capsys):
-        infile = tmp_path / "names.txt"
-        infile.write_text("Hua Zhao\n王娟\n王刚\n", encoding="utf-8")
         gold = tmp_path / "gold.csv"
         gold.write_text(
             "name,gender\nHua Zhao,Female\n王娟,Female\n王刚,Female\n",
             encoding="utf-8",
         )
-        code = main(["eval", "--cache", str(mini_cache), "--in", str(infile),
-                     "--gold", str(gold)])
+        code = main(["eval", "--cache", str(mini_cache), "--gold", str(gold)])
         assert code == 0
         out = capsys.readouterr().out
         assert "accuracy: 0.6667" in out
         assert "王刚: predicted Male, gold Female" in out
 
     def test_confusion_rows_in_label_order(self, tmp_path, mini_cache, capsys):
-        infile = tmp_path / "names.txt"
-        infile.write_text("Zxqv Q\n王青\n王刚\n王娟\n", encoding="utf-8")
         gold = tmp_path / "gold.csv"
         gold.write_text("name,gender\nZxqv Q,Male\n王青,Female\n王刚,Male\n王娟,Female\n",
                         encoding="utf-8")
-        assert main(["eval", "--cache", str(mini_cache), "--in", str(infile),
-                     "--gold", str(gold)]) == 0
+        assert main(["eval", "--cache", str(mini_cache), "--gold", str(gold)]) == 0
         lines = capsys.readouterr().out.splitlines()
         start = lines.index("confusion (predicted x gold):") + 2
         assert [line.split() for line in lines[start:start + 4]] == [
             ["Female", "1", "0"], ["Male", "0", "1"],
             ["Unisex", "1", "0"], ["Unknown", "0", "1"]]
 
-    def test_gold_name_absent_exit_1(self, tmp_path, mini_cache, capsys):
-        infile = tmp_path / "names.txt"
-        infile.write_text("Hua Zhao\n", encoding="utf-8")
+    def test_short_gold_row_exit_1(self, tmp_path, mini_cache, capsys):
         gold = tmp_path / "gold.csv"
-        gold.write_text("name,gender\nNobody Here,Male\n", encoding="utf-8")
-        code = main(["eval", "--cache", str(mini_cache), "--in", str(infile),
-                     "--gold", str(gold)])
-        assert code == 1
-        assert "Nobody Here" in capsys.readouterr().err
+        gold.write_text("name,gender\nAda Lovelace\n", encoding="utf-8")
+        assert main(["eval", "--cache", str(mini_cache), "--gold", str(gold)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {gold}:2: row has too few cells for name,gender\n")
 
 
 class TestChartCommand:
@@ -371,6 +374,17 @@ class TestUsage:
         assert result.returncode == 2
         assert "unrecognized arguments: --workers 2" in result.stderr
         assert not (tmp_path / "results.csv").exists()
+
+    @pytest.mark.parametrize("argv, removed", [
+        (["predict", "--in", "names.txt", "--out", "o.csv", "--unisex-floor", "0.55"],
+         "--unisex-floor 0.55"),
+        (["eval", "--gold", "gold.csv", "--in", "names.txt"], "--in names.txt"),
+    ])
+    def test_removed_options_exit_2(self, capsys, argv, removed):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {removed}" in capsys.readouterr().err
 
     def test_version_and_help_on_subcommands(self):
         for argv in (["--version"], ["predict", "--help"], ["eval", "--help"],

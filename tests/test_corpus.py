@@ -43,6 +43,10 @@ class TestEnglishCorpus:
         write_years(tmp_path, {"yob2015.txt": ["MARY,F,5", "mary,F,5"]})
         assert load_english_year_files(tmp_path).entries == {"mary": (10, 0)}
 
+    def test_leading_bom_ignored(self, tmp_path):
+        (tmp_path / "yob2015.txt").write_bytes(b"\xef\xbb\xbfMary,F,10\nMary,F,5\n")
+        assert load_english_year_files(tmp_path).entries == {"mary": (15, 0)}
+
     def test_crlf_endings_accepted(self, tmp_path):
         (tmp_path / "yob2015.txt").write_bytes(b"Mary,F,10\r\nJohn,M,4\r\n")
         model = load_english_year_files(tmp_path)
@@ -131,6 +135,11 @@ class TestChineseCorpus:
         path.write_text("character,f,m\n娟,3,1\n", encoding="utf-8")
         with pytest.raises(CorpusError, match="header"):
             load_chinese_charfreq(path)
+
+    def test_leading_bom_ignored(self, tmp_path):
+        path = tmp_path / "chars.csv"
+        path.write_text("\ufeffchar,female,male\n娟,3,1\n", encoding="utf-8")
+        assert load_chinese_charfreq(path).entries == {"娟": (3, 1)}
 
     def test_invalid_utf8(self, tmp_path):
         path = tmp_path / "chars.csv"

@@ -124,10 +124,6 @@ class TestEvaluate:
         assert result.correct == 1
         assert len(result.mismatches) == result.total - result.correct
 
-    def test_unmatched_gold_names_error(self):
-        with pytest.raises(GoldLabelError, match="absent"):
-            evaluate([_pred("a", GenderLabel.MALE)], {"zz": GenderLabel.MALE})
-
     def test_empty_gold_error(self):
         with pytest.raises(GoldLabelError, match="empty"):
             evaluate([_pred("a", GenderLabel.MALE)], {})
@@ -159,6 +155,17 @@ class TestGoldFile:
         path.write_text("name,gender\nA,Unisex\n", encoding="utf-8")
         with pytest.raises(GoldLabelError, match="Female or Male"):
             load_gold_labels(path)
+
+    @pytest.mark.parametrize("row, message", [
+        ("Ada Lovelace", "row has too few cells for name,gender"),
+        (" ,Female", "blank gold name"),
+    ])
+    def test_bad_row_names_file_and_line(self, tmp_path, row, message):
+        path = tmp_path / "gold.csv"
+        path.write_text(f"name,gender\nAlan Turing,Male\n{row}\n", encoding="utf-8")
+        with pytest.raises(GoldLabelError) as exc:
+            load_gold_labels(path)
+        assert str(exc.value) == f"{path}:3: {message}"
 
     def test_empty_gold_file(self, tmp_path):
         path = tmp_path / "gold.csv"
