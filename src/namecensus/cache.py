@@ -15,6 +15,7 @@ decoding is one split and one array read instead of a JSON parse.
 
 from __future__ import annotations
 
+import gc
 import hashlib
 import os
 import struct
@@ -160,8 +161,15 @@ def load_cache(path: str | Path) -> ModelCache:
         )
     if hashlib.sha256(payload).digest() != payload_digest:
         raise CacheDigestError("cache payload digest mismatch (corrupted file)")
-    english, pos = _decode(payload, 0)
-    chinese, pos = _decode(payload, pos)
+    # The count tuples set off collections that find no garbage.
+    gc_was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        english, pos = _decode(payload, 0)
+        chinese, pos = _decode(payload, pos)
+    finally:
+        if gc_was_enabled:
+            gc.enable()
     if pos != len(payload):
         raise CacheFormatError(f"{len(payload) - pos} bytes follow the model sections")
     return ModelCache(english=english, chinese=chinese)

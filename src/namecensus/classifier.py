@@ -24,11 +24,14 @@ class GenderLabel(enum.Enum):
     UNKNOWN = "Unknown"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Posterior:
     evidence_found: bool
     p_female: float = 0.0
     p_male: float = 0.0
+
+
+_NO_EVIDENCE = Posterior(evidence_found=False)  # shared by every no-evidence path
 
 
 @dataclass(frozen=True)
@@ -50,7 +53,7 @@ class ClassifierConfig:
             raise ValueError(f"priors_mode must be empirical or uniform: {self.priors_mode}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Prediction:
     raw_name: str
     script: Script
@@ -66,7 +69,7 @@ def posterior_english(
     Uniform priors first divide each count by its class total (0 if empty)."""
     pair = model.entries.get(normalize_name_key(given))
     if pair is None:
-        return Posterior(evidence_found=False)
+        return _NO_EVIDENCE
     female, male = pair
     if config.priors_mode == "uniform":
         female = female / model.total_female if model.total_female else 0.0
@@ -82,9 +85,9 @@ def posterior_chinese(model: CountModel, given: str, config: ClassifierConfig) -
     term, but a name with no known character at all is no evidence.
     """
     if not any(ch in model.entries for ch in given):
-        return Posterior(evidence_found=False)
+        return _NO_EVIDENCE
     if model.total_female + model.total_male == 0:
-        return Posterior(evidence_found=False)  # all-zero corpus carries no signal
+        return _NO_EVIDENCE  # all-zero corpus carries no signal
     alpha = config.smoothing_alpha
     vocab = len(model.entries)
     n_female, n_male = model.total_female, model.total_male
@@ -147,7 +150,7 @@ def predict(
     name = raw_name.strip()
     script = detect_script(name)
     if script in (Script.EMPTY, Script.OTHER):
-        return Prediction(name, script, "", Posterior(False), GenderLabel.UNKNOWN)
+        return Prediction(name, script, "", _NO_EVIDENCE, GenderLabel.UNKNOWN)
     if script in (Script.HAN, Script.MIXED):
         split = split_chinese(han_substring(name), default_compound_surnames())
         post = posterior_chinese(chinese, split.given, config)

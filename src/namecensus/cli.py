@@ -11,7 +11,7 @@ from pathlib import Path
 
 from namecensus import __version__
 from namecensus.batchio import (
-    aggregate, aggregate_labels, read_input, read_result_labels, run_batch, write_results,
+    aggregate_labels, iter_names, iter_predictions, read_result_labels, write_results,
 )
 from namecensus.cache import (
     digest_corpus_files,
@@ -130,16 +130,16 @@ def cmd_predict(args: argparse.Namespace) -> int:
     if bool(args.chart_json) != bool(args.chart_svg):
         raise NamecensusError("--chart-json and --chart-svg go together")
     config, cache = _load_model(args)
-    records = read_input(args.infile, format=args.format,
-                         name_column=args.name_column, has_header=not args.no_header)
     start = time.perf_counter()
-    predictions = run_batch(cache.english, cache.chinese, config, records)
+    names = iter_names(args.infile, format=args.format,
+                       name_column=args.name_column, has_header=not args.no_header)
+    stats = write_results(
+        iter_predictions(cache.english, cache.chinese, config, names), args.out
+    )
     elapsed = time.perf_counter() - start
-    write_results(predictions, args.out)
-    stats = aggregate(predictions)
     _print_stats(stats)
-    rate = len(predictions) / elapsed if elapsed > 0 else float("inf")
-    print(f"predicted {len(predictions)} names in {elapsed:.3f}s ({rate:.0f} names/s)")
+    rate = stats.total / elapsed if elapsed > 0 else float("inf")
+    print(f"predicted {stats.total} names in {elapsed:.3f}s ({rate:.0f} names/s)")
     if args.chart_json:
         emit_chart(stats, args.chart_json, args.chart_svg)
         print(f"wrote chart: {args.chart_json}, {args.chart_svg}")

@@ -14,7 +14,7 @@ import unicodedata
 from dataclasses import dataclass
 from pathlib import Path
 
-from namecensus.errors import CorpusError
+from namecensus.errors import CorpusError, invalid_utf8
 from namecensus.scriptdetect import is_han
 
 YEAR_FILE_RE = re.compile(r"^yob(\d{4})\.txt$")
@@ -81,15 +81,18 @@ def load_english_year_files(directory: str | Path) -> CountModel:
     """
     entries: dict[str, list[int]] = {}
     for path in find_year_files(directory):
-        with open(path, encoding="utf-8-sig", newline="") as fh:
-            for lineno, raw in enumerate(fh, start=1):
-                line = raw.rstrip("\r\n")
-                if not line:
-                    continue
-                name, sex, count = _parse_year_line(line, path, lineno)
-                key = normalize_name_key(name)
-                pair = entries.setdefault(key, [0, 0])
-                pair[0 if sex == "F" else 1] += count
+        try:
+            with open(path, encoding="utf-8-sig", newline="") as fh:
+                for lineno, raw in enumerate(fh, start=1):
+                    line = raw.rstrip("\r\n")
+                    if not line:
+                        continue
+                    name, sex, count = _parse_year_line(line, path, lineno)
+                    key = normalize_name_key(name)
+                    pair = entries.setdefault(key, [0, 0])
+                    pair[0 if sex == "F" else 1] += count
+        except UnicodeDecodeError:
+            raise CorpusError(invalid_utf8(path)) from None
     return CountModel.from_entries({k: (f, m) for k, (f, m) in entries.items()})
 
 
@@ -129,6 +132,8 @@ def load_chinese_charfreq(file_path: str | Path) -> CountModel:
                 if female < 0 or male < 0:
                     raise CorpusError(f"{file_path}:{lineno}: negative count")
                 entries[char] = (female, male)
-    except UnicodeDecodeError as exc:
-        raise CorpusError(f"{file_path}: not valid UTF-8: {exc}") from exc
+    except csv.Error as exc:
+        raise CorpusError(f"{file_path}:{reader.line_num}: {exc}") from None
+    except UnicodeDecodeError:
+        raise CorpusError(invalid_utf8(file_path)) from None
     return CountModel.from_entries(entries)

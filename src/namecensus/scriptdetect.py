@@ -19,9 +19,16 @@ _HAN_RANGES = (
     (0x30000, 0x3134F),
     (0x31350, 0x323AF),
 )
-_HAN_RE = re.compile(
-    "[" + "".join(f"\\U{lo:08X}-\\U{hi:08X}" for lo, hi in _HAN_RANGES) + "]"
-)
+
+
+@functools.cache
+def _han_re() -> re.Pattern[str]:
+    """Compiled on first use: an up-to-date build-cache never detects a script."""
+    return re.compile(
+        "[" + "".join(f"\\U{lo:08X}-\\U{hi:08X}" for lo, hi in _HAN_RANGES) + "]"
+    )
+
+
 _ASCII_LETTER_RE = re.compile("[A-Za-z]")
 
 
@@ -34,7 +41,7 @@ class Script(enum.Enum):
 
 
 def is_han(ch: str) -> bool:
-    return _HAN_RE.fullmatch(ch) is not None
+    return _han_re().fullmatch(ch) is not None
 
 
 @functools.lru_cache(maxsize=4096)
@@ -52,8 +59,9 @@ def detect_script(raw_name: str) -> Script:
     if raw_name.isascii():
         # The only ASCII letters are A-Z and a-z, all Latin.
         return Script.LATIN if _ASCII_LETTER_RE.search(raw_name) else Script.EMPTY
-    if _HAN_RE.search(raw_name):
-        rest = _HAN_RE.sub("", raw_name)
+    han_re = _han_re()
+    if han_re.search(raw_name):
+        rest = han_re.sub("", raw_name)
         return Script.MIXED if any(map(is_latin_letter, rest)) else Script.HAN
     has_other_alpha = False
     for ch in raw_name:
@@ -66,4 +74,4 @@ def detect_script(raw_name: str) -> Script:
 
 def han_substring(raw_name: str) -> str:
     """The Han characters of a name, in order."""
-    return "".join(_HAN_RE.findall(raw_name))
+    return "".join(_han_re().findall(raw_name))

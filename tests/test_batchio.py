@@ -1,5 +1,9 @@
 import csv
+import io
+import os
 import random
+import threading
+import tracemalloc
 
 import pytest
 
@@ -7,7 +11,10 @@ from namecensus import batchio
 from namecensus.batchio import (
     NameRecord,
     aggregate,
+    iter_names,
+    iter_predictions,
     read_input,
+    read_result_labels,
     run_batch,
     write_results,
 )
@@ -113,6 +120,82 @@ class TestReadInput:
         assert read_input(csv_path)[0].raw_name == "Hua Zhao"
 
 
+    # A 5-byte chunk ends the first read between the CR and the LF of "name\r\n".
+    @pytest.mark.parametrize("chunk", [5, 1 << 16])
+    def test_csv_field_over_limit_names_file_and_line(self, tmp_path, monkeypatch, chunk):
+        monkeypatch.setattr(batchio, "_CHUNK", chunk)
+        path = tmp_path / "names.csv"
+        path.write_bytes(b"name\r\nHua Zhao\r\n" + b"x" * 200_000 + b"\r\n")
+        with pytest.raises(InputError) as exc:
+            read_input(path)
+        assert str(exc.value) == f"{path}:3: field larger than field limit (131072)"
+
+
+def whole_file_names(path):
+    """The names as read from the whole decoded text at once."""
+    text = path.read_bytes().decode("utf-8").removeprefix("\ufeff")
+    if path.suffix == ".csv":
+        rows = list(csv.reader(io.StringIO(text, newline="")))
+        col = rows[0].index("name")
+        return [row[col].strip() for row in rows[1:] if len(row) > col and row[col].strip()]
+    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    return [name for name in map(str.strip, lines) if name]
+
+
+class TestIterNames:
+    CONTENTS = {
+        "cr.txt": "Mary Smith\rJohn Brown\r\r王青\r",
+        "crlf.txt": "Mary Smith\r\nJohn Brown\r\n\r\n王青",
+        "bom-mixed.txt": "\ufeff Mary\u2028Smith \r\nJohn\rBrown\n\n赵金标\r\r\n\ufeffHua Zhao",
+        "cr.csv": 'id,name\r1,"Mary\rSmith"\r2,王青\r\r3,"Gray, Alasdair"\r',
+        "bom-crlf.csv": '\ufeffid,name\r\n1,"Mary\r\nSmith"\r\n,\r\n2,"a""b"\n3,赵金标',
+    }
+
+    # Chunks of 1-7 bytes split CRLF pairs, UTF-8 characters and the BOM.
+    @pytest.mark.parametrize("chunk", [1, 2, 3, 7, 1 << 16])
+    @pytest.mark.parametrize("filename", CONTENTS)
+    def test_same_names_as_whole_file_read(self, tmp_path, monkeypatch, filename, chunk):
+        monkeypatch.setattr(batchio, "_CHUNK", chunk)
+        path = tmp_path / filename
+        path.write_bytes(self.CONTENTS[filename].encode("utf-8"))
+        expected = whole_file_names(path)
+        assert len(expected) >= 3
+        assert list(iter_names(path)) == expected
+        assert read_input(path) == [NameRecord(name) for name in expected]
+
+    @pytest.mark.parametrize("chunk", [1, 2, 5, 1 << 16])
+    def test_invalid_utf8_after_bom_and_lines_reports_file_offset(
+        self, tmp_path, monkeypatch, chunk
+    ):
+        monkeypatch.setattr(batchio, "_CHUNK", chunk)
+        path = tmp_path / "names.txt"
+        data = "\ufeffMary Smith\r\n王青\rJohn\n".encode("utf-8") + b"Br\xffown\n"
+        path.write_bytes(data)
+        offset = data.index(b"\xff")
+        with pytest.raises(InputError, match=f"byte offset {offset}$"):
+            list(iter_names(path))
+
+    def test_peak_memory_follows_distinct_names_not_rows(self, tmp_path):
+        names = [f"{chr(65 + i // 26)}{chr(97 + i % 26)}ua Zhao" for i in range(200)]
+
+        def peak(repeats):
+            path = tmp_path / f"names{repeats}.txt"
+            path.write_text("\n".join(names * repeats) + "\n", encoding="utf-8")
+            tracemalloc.start()
+            try:
+                stats = write_results(
+                    iter_predictions(ENG, CHI, CFG, iter_names(path)), tmp_path / "out.csv"
+                )
+                assert stats.total == 200 * repeats
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(1)  # fills the process-wide caches that later runs share
+        small, large = peak(50), peak(500)
+        assert abs(large - small) <= 0.1 * small
+
+
 class TestRunBatch:
     def test_order_and_index_preserved(self, tmp_path):
         records = [NameRecord("Hua Zhao"), NameRecord("王青"), NameRecord("x1")]
@@ -191,6 +274,68 @@ class TestWriteResults:
             ("1", "Gray, Alasdair", "Male"),
             ("2", "Hua Zhao", "Female"),
         ]
+
+
+    def test_write_returns_label_counts(self, tmp_path):
+        preds = [_prediction("Hua Zhao", GenderLabel.FEMALE)] * 3 + [
+            _prediction("Zxqv Q", GenderLabel.UNKNOWN)
+        ]
+        assert write_results(iter(preds), tmp_path / "out.csv") == aggregate(preds)
+
+    def test_cr_rows_quoted_in_full_and_read_back(self, tmp_path):
+        names = ["Mary\rSmith", "John\nBrown", 'Hua "Q" Zhao', "Gray, Alasdair",
+                 "Mary\u2028Smith", "\ufeffHua Zhao", "王\r青", "Hua\r\nZhao"]
+        preds = list(iter_predictions(ENG, CHI, CFG, names))
+        path = tmp_path / "out.csv"
+        write_results(preds, path)
+        assert read_result_labels(path) == [pred.label for pred in preds]
+        with open(path, encoding="utf-8", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [row["name"] for row in rows] == names
+        assert path.read_bytes().split(b"\n")[1] == b'"1","Mary\rSmith","Unknown","","Latin","Mary"'
+
+    def test_failed_batch_leaves_old_file_and_no_temp(self, tmp_path):
+        path = tmp_path / "out.csv"
+        path.write_bytes(b"old\n")
+
+        def failing():
+            yield _prediction("Hua Zhao", GenderLabel.FEMALE)
+            raise ValueError("mid-batch")
+
+        with pytest.raises(ValueError, match="mid-batch"):
+            write_results(failing(), path)
+        with pytest.raises(EmptyInputError):
+            write_results([], path)
+        assert path.read_bytes() == b"old\n"
+        assert list(tmp_path.iterdir()) == [path]
+
+    def test_pipe_is_written_in_place(self, tmp_path):
+        fifo = tmp_path / "results.fifo"
+        os.mkfifo(fifo)
+        got = []
+        reader = threading.Thread(target=lambda: got.append(fifo.read_bytes()), daemon=True)
+        reader.start()
+        write_results([_prediction("Hua Zhao", GenderLabel.FEMALE)], fifo)
+        reader.join(timeout=10)
+        assert not reader.is_alive()
+        assert got == [b"item,name,gender,probability,script,given_name\n"
+                       b"1,Hua Zhao,Female,0.8000,Latin,hua\n"]
+        assert list(tmp_path.iterdir()) == [fifo] and fifo.is_fifo()
+
+
+class TestReadResultLabels:
+    @pytest.mark.parametrize("data, message", [
+        (b"item,name,gender\n1,Hua Zhao,Female\n2,\xff,Male\n",
+         "3: invalid UTF-8 at byte offset 37"),
+        (b"item,name,gender\n1,Hua Zhao,Female\n2," + b"x" * 200_000 + b",Male\n",
+         "3: field larger than field limit (131072)"),
+    ], ids=["bad-byte", "field-limit"])
+    def test_bad_file_names_file_and_line(self, tmp_path, data, message):
+        path = tmp_path / "results.csv"
+        path.write_bytes(data)
+        with pytest.raises(InputError) as exc:
+            read_result_labels(path)
+        assert str(exc.value) == f"{path}:{message}"
 
 
 class TestAggregate:

@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import pathlib
 import random
@@ -8,6 +9,7 @@ import pytest
 from namecensus.cache import (
     FORMAT_VERSION,
     MAGIC,
+    ModelCache,
     digest_corpus_files,
     load_cache,
     read_source_digest,
@@ -234,6 +236,25 @@ def test_inconsistent_section_is_format_error(tmp_path, edit):
     rewrite_payload(path, edit)
     with pytest.raises(CacheFormatError):
         load_cache(path)
+
+
+def test_load_restores_gc_state(tmp_path):
+    english, chinese = small_models()
+    good, bad = tmp_path / "good.ncm", tmp_path / "bad.ncm"
+    save_cache(english, chinese, good)
+    save_cache(english, chinese, bad)
+    rewrite_payload(bad, bump_entry_count)
+    was_enabled = gc.isenabled()
+    try:
+        for enabled in (False, True):
+            (gc.enable if enabled else gc.disable)()
+            assert load_cache(good) == ModelCache(english, chinese)
+            assert gc.isenabled() is enabled
+            with pytest.raises(CacheFormatError):
+                load_cache(bad)
+            assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was_enabled else gc.disable)()
 
 
 @pytest.mark.parametrize("entries, named", [

@@ -5,7 +5,9 @@ import sys
 
 import pytest
 
+from namecensus.batchio import read_result_labels
 from namecensus.cache import FORMAT_VERSION, MAGIC, load_cache
+from namecensus.classifier import ClassifierConfig, predict
 from namecensus.cli import main
 
 
@@ -270,6 +272,37 @@ class TestPredict:
         out = tmp_path / "results.csv"
         assert main(["predict", "--in", str(infile), "--out", str(out)]) == 0
 
+    def test_names_with_line_breaks_read_back_in_order(self, tmp_path, mini_cache):
+        names = ["Hua\rZhao", "Mary\rSmith", "王\r娟", "Phil\nBarker", 'Jordan "J" Q',
+                 "Gray, Alasdair", "Hua\u2028Zhao", "\ufeffPhil Barker", "Hua Zhao"]
+        infile = tmp_path / "names.csv"
+        with open(infile, "w", encoding="utf-8", newline="") as fh:
+            csv.writer(fh, lineterminator="\n", quoting=csv.QUOTE_ALL).writerows(
+                [["name"]] + [[name] for name in names])
+        out = tmp_path / "results.csv"
+        assert main(["predict", "--cache", str(mini_cache), "--in", str(infile),
+                     "--out", str(out)]) == 0
+        cache = load_cache(mini_cache)
+        assert read_result_labels(out) == [
+            predict(cache.english, cache.chinese, ClassifierConfig(), name).label
+            for name in names
+        ]
+
+    @pytest.mark.parametrize("content, flags", [
+        ("Hua Zhao\n王龘青\n", ["--alpha", "1e308"]),
+        ("\n \n", []),
+    ], ids=["fails-mid-batch", "empty-input"])
+    def test_failed_predict_leaves_old_results(self, tmp_path, mini_cache, content, flags):
+        infile = tmp_path / "names.txt"
+        infile.write_text(content, encoding="utf-8")
+        out = tmp_path / "results.csv"
+        out.write_bytes(b"item,name,gender\n1,Old Name,Female\n")
+        before = sorted(tmp_path.iterdir())
+        assert main(["predict", "--cache", str(mini_cache), "--in", str(infile),
+                     "--out", str(out), *flags]) == 1
+        assert out.read_bytes() == b"item,name,gender\n1,Old Name,Female\n"
+        assert sorted(tmp_path.iterdir()) == before
+
     def test_missing_input_exit_1(self, tmp_path, mini_cache, capsys):
         code = main(["predict", "--cache", str(mini_cache),
                      "--in", str(tmp_path / "nope.txt"),
@@ -308,6 +341,19 @@ class TestEval:
         assert main(["eval", "--cache", str(mini_cache), "--gold", str(gold)]) == 1
         assert capsys.readouterr().err == (
             f"error: {gold}:2: row has too few cells for name,gender\n")
+
+
+@pytest.mark.parametrize("command", ["eval", "chart"])
+def test_undecodable_gold_or_results_names_file(tmp_path, mini_cache, capsys, command):
+    path = tmp_path / "labels.csv"
+    path.write_bytes(b"item,name,gender\n1,Hua Zhao,Female\n2,\xff,Male\n")
+    if command == "eval":
+        argv = ["eval", "--cache", str(mini_cache), "--gold", str(path)]
+    else:
+        argv = ["chart", "--results", str(path), "--json", str(tmp_path / "c.json"),
+                "--svg", str(tmp_path / "c.svg")]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == f"error: {path}:3: invalid UTF-8 at byte offset 37\n"
 
 
 class TestChartCommand:

@@ -85,6 +85,13 @@ class TestEnglishCorpus:
             load_english_year_files(tmp_path)
         assert "yob2015.txt:2" in str(exc.value)
 
+    def test_invalid_utf8_names_file_and_line(self, tmp_path):
+        path = tmp_path / "yob2000.txt"
+        path.write_bytes(b"Mary,F,5\r\nJos\xe9,M,3\n")
+        with pytest.raises(CorpusError) as exc:
+            load_english_year_files(tmp_path)
+        assert str(exc.value) == f"{path}:2: invalid UTF-8 at byte offset 13"
+
     def test_downstream_probabilities_sum_to_one(self, tmp_path):
         rng = random.Random(3)
         lines = [
@@ -140,6 +147,12 @@ class TestChineseCorpus:
         path = tmp_path / "chars.csv"
         path.write_text("\ufeffchar,female,male\n娟,3,1\n", encoding="utf-8")
         assert load_chinese_charfreq(path).entries == {"娟": (3, 1)}
+
+    def test_field_over_limit_names_file_and_line(self, tmp_path):
+        path = self.write(tmp_path, ["娟,3,1", "x" * 200_000 + ",1,2"])
+        with pytest.raises(CorpusError) as exc:
+            load_chinese_charfreq(path)
+        assert str(exc.value) == f"{path}:3: field larger than field limit (131072)"
 
     def test_invalid_utf8(self, tmp_path):
         path = tmp_path / "chars.csv"

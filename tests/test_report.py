@@ -167,6 +167,18 @@ class TestGoldFile:
             load_gold_labels(path)
         assert str(exc.value) == f"{path}:3: {message}"
 
+    @pytest.mark.parametrize("data, message", [
+        (b"name,gender\nAda Lovelace,Female\n\xff,Male\n", "3: invalid UTF-8 at byte offset 32"),
+        (b"name,gender\n" + b"x" * 200_000 + b",Male\n",
+         "2: field larger than field limit (131072)"),
+    ], ids=["bad-byte", "field-limit"])
+    def test_bad_file_names_file_and_line(self, tmp_path, data, message):
+        path = tmp_path / "gold.csv"
+        path.write_bytes(data)
+        with pytest.raises(GoldLabelError) as exc:
+            load_gold_labels(path)
+        assert str(exc.value) == f"{path}:{message}"
+
     def test_empty_gold_file(self, tmp_path):
         path = tmp_path / "gold.csv"
         path.write_text("name,gender\n", encoding="utf-8")

@@ -1,4 +1,6 @@
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -137,3 +139,12 @@ def test_detect_script_and_han_substring_equal_range_loop():
         assert han_substring(name) == "".join(
             ch for ch in name if reference_is_han(ch)
         ), repr(name)
+
+
+def test_han_pattern_compiled_on_first_use():
+    # Every CLI call imports this module; an up-to-date build-cache never detects a script.
+    code = ("import namecensus.cli, namecensus.scriptdetect as s; "
+            "print(s._han_re.cache_info().currsize)")
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                            check=True)
+    assert result.stdout == "0\n"
