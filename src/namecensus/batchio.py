@@ -6,9 +6,10 @@ import csv
 import io
 import itertools
 import os
-from collections.abc import Iterable, Iterator
+from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass
 from pathlib import Path
+from typing import TypeVar
 
 from namecensus.classifier import (
     ClassifierConfig,
@@ -112,7 +113,7 @@ def _csv_names(
             except IndexError:
                 if any(cell.strip() for cell in row):
                     raise InputError(
-                        f"{path}: row {row} has no column index {col}"
+                        f"{path}:{reader.line_num}: row has no column index {col}"
                     ) from None
                 continue  # a blank row
             if name:
@@ -161,21 +162,19 @@ def read_input(
     return [NameRecord(name) for name in iter_names(path, format, name_column, has_header)]
 
 
-def iter_predictions(
-    english: CountModel,
-    chinese: CountModel,
-    config: ClassifierConfig,
-    names: Iterable[str],
-) -> Iterator[Prediction]:
-    """Predict every name, in input order. Each distinct raw name is
-    predicted once; its repeats share the same frozen Prediction, so the
-    memo holds one entry per distinct name."""
-    memo: dict[str, Prediction] = {}
-    for name in names:
-        pred = memo.get(name)
-        if pred is None:
-            pred = memo[name] = predict(english, chinese, config, name)
-        yield pred
+_T = TypeVar("_T")
+
+
+def _memoised(fn: Callable[[str], _T], keys: Iterable[str]) -> Iterator[_T]:
+    """`fn(key)` for every key, in order. Each distinct key is computed
+    once and its repeats share the value, so the memo holds one entry
+    per distinct key."""
+    memo: dict[str, _T] = {}
+    for key in keys:
+        value = memo.get(key)
+        if value is None:
+            value = memo[key] = fn(key)
+        yield value
 
 
 def run_batch(
@@ -184,17 +183,66 @@ def run_batch(
     config: ClassifierConfig,
     records: list[NameRecord],
 ) -> list[Prediction]:
-    return list(iter_predictions(english, chinese, config,
-                                 (record.raw_name for record in records)))
+    """Predict every record, in order; repeats of a raw name share one
+    frozen Prediction."""
+    return list(_memoised(lambda name: predict(english, chinese, config, name),
+                          (record.raw_name for record in records)))
 
 
 RESULT_FIELDS = ["item", "name", "gender", "probability", "script", "given_name"]
 
+# (label, name field, rest): the row is f"{item},{name field}{rest}"; a
+# name field of None marks a row quoted in full, written f'"{item}{rest}'.
+_Row = tuple[str, str | None, str]
+
+
+def _field(field: str) -> str:
+    """A field holding a comma, a quote or an LF is quoted, as csv.writer
+    quotes it; any other field, NUL included, is written as it is."""
+    if "," in field or '"' in field or "\n" in field:
+        return '"' + field.replace('"', '""') + '"'
+    return field
+
+
+def _row(pred: Prediction) -> _Row:
+    """The results row of `pred`, all but its item; probability is the max
+    posterior, blank for Unknown. The name field of a plain name is
+    `pred.raw_name` itself, so a memo entry keyed by the name does not
+    copy it."""
+    post = pred.posterior
+    prob = f"{max(post.p_female, post.p_male):.4f}" if post.evidence_found else ""
+    label, script = pred.label.value, pred.script.value
+    if "\r" in pred.raw_name or "\r" in pred.given:
+        # A reader would split an unquoted CR, so such a row is quoted in
+        # full, its item included.
+        fields = (pred.raw_name, label, prob, script, pred.given)
+        return label, None, '","' + '","'.join(f.replace('"', '""') for f in fields) + '"\n'
+    return label, _field(pred.raw_name), f",{label},{prob},{script},{_field(pred.given)}\n"
+
+
+def predict_to_results(
+    english: CountModel,
+    chinese: CountModel,
+    config: ClassifierConfig,
+    names: Iterable[str],
+    path: str | Path,
+) -> AggregateStats:
+    """Predict every name into the results CSV at `path`, as `names` is
+    iterated; returns its label counts. Each distinct name is predicted
+    and its row formatted once; the memo holds that row text."""
+    rows = _memoised(lambda name: _row(predict(english, chinese, config, name)), names)
+    return _write_rows(rows, path)
+
 
 def write_results(predictions: Iterable[Prediction], path: str | Path) -> AggregateStats:
-    """Results CSV, written as `predictions` is iterated; returns its label
-    counts. item is the 1-based row position, probability the max
-    posterior, blank for Unknown.
+    """Results CSV of `predictions`, written as they are iterated; returns
+    its label counts."""
+    return _write_rows(map(_row, predictions), path)
+
+
+def _write_rows(rows: Iterable[_Row], path: str | Path) -> AggregateStats:
+    """The results CSV of `rows`; returns its label counts. item is the
+    1-based row position.
 
     The rows go to a temp file beside `path`, which replaces `path` only
     once every row is written, so a failed batch leaves `path` as it was.
@@ -209,23 +257,14 @@ def write_results(predictions: Iterable[Prediction], path: str | Path) -> Aggreg
     counts = dict.fromkeys((label.value for label in GenderLabel), 0)
     try:
         with open(tmp or path, "w", encoding="utf-8", newline="\n") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            # csv.writer leaves a field with a bare CR unquoted, and a reader
-            # then splits the row there; such rows are quoted in full.
-            quoted = csv.writer(fh, lineterminator="\n", quoting=csv.QUOTE_ALL)
-            writer.writerow(RESULT_FIELDS)
-            for item, pred in enumerate(predictions, start=1):
-                if pred.posterior.evidence_found:
-                    prob = f"{max(pred.posterior.p_female, pred.posterior.p_male):.4f}"
-                else:
-                    prob = ""
-                label = pred.label.value
+            write = fh.write
+            write(",".join(RESULT_FIELDS) + "\n")
+            for item, (label, name, rest) in enumerate(rows, start=1):
                 counts[label] += 1
-                row = [item, pred.raw_name, label, prob, pred.script.value, pred.given]
-                if "\r" in pred.raw_name or "\r" in pred.given:
-                    quoted.writerow(row)
+                if name is None:
+                    write(f'"{item}{rest}')
                 else:
-                    writer.writerow(row)
+                    write(f"{item},{name}{rest}")
         stats = _stats({label: counts[label.value] for label in GenderLabel})
         if tmp:
             os.replace(tmp, path)

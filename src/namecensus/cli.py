@@ -11,7 +11,7 @@ from pathlib import Path
 
 from namecensus import __version__
 from namecensus.batchio import (
-    aggregate_labels, iter_names, iter_predictions, read_result_labels, write_results,
+    aggregate_labels, iter_names, predict_to_results, read_result_labels,
 )
 from namecensus.cache import (
     digest_corpus_files,
@@ -133,9 +133,7 @@ def cmd_predict(args: argparse.Namespace) -> int:
     start = time.perf_counter()
     names = iter_names(args.infile, format=args.format,
                        name_column=args.name_column, has_header=not args.no_header)
-    stats = write_results(
-        iter_predictions(cache.english, cache.chinese, config, names), args.out
-    )
+    stats = predict_to_results(cache.english, cache.chinese, config, names, args.out)
     elapsed = time.perf_counter() - start
     _print_stats(stats)
     rate = stats.total / elapsed if elapsed > 0 else float("inf")

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import csv
+import io
 from fractions import Fraction
 
 
@@ -51,3 +53,19 @@ def english_ratio_oracle(
         female = female / n_female if n_female else Fraction(0)
         male = male / n_male if n_male else Fraction(0)
     return float(female / (female + male)), float(male / (female + male))
+
+
+def results_csv_oracle(rows: list[list[object]]) -> bytes:
+    """A results CSV as csv.writer writes it, LF line ends, except that a
+    row with a CR in any field is quoted in full (csv.writer leaves a
+    bare CR unquoted, and a reader would split the row there)."""
+    out = io.StringIO(newline="")
+    minimal = csv.writer(out, lineterminator="\n")
+    quote_all = csv.writer(out, lineterminator="\n", quoting=csv.QUOTE_ALL)
+    minimal.writerow(["item", "name", "gender", "probability", "script", "given_name"])
+    for row in rows:
+        if any("\r" in str(field) for field in row):
+            quote_all.writerow(row)
+        else:
+            minimal.writerow(row)
+    return out.getvalue().encode("utf-8")

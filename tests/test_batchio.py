@@ -2,6 +2,7 @@ import csv
 import io
 import os
 import random
+import sys
 import threading
 import tracemalloc
 
@@ -12,7 +13,7 @@ from namecensus.batchio import (
     NameRecord,
     aggregate,
     iter_names,
-    iter_predictions,
+    predict_to_results,
     read_input,
     read_result_labels,
     run_batch,
@@ -28,6 +29,7 @@ from namecensus.classifier import (
 from namecensus.corpus import CountModel
 from namecensus.errors import EmptyInputError, InputError
 from namecensus.scriptdetect import Script
+from oracles import results_csv_oracle
 
 CFG = ClassifierConfig()
 ENG = CountModel(entries={"hua": (80, 20)}, total_female=80, total_male=20)
@@ -104,6 +106,17 @@ class TestReadInput:
         path.write_text("id,author\n1,x\n", encoding="utf-8")
         with pytest.raises(InputError, match="no column 'name'"):
             read_input(path)
+
+    @pytest.mark.parametrize("content, line", [
+        ("id,name\n1,Hua Zhao\n2\n", 3),
+        ('id,name\r\n1,"Hua\r\nZhao"\r\n\r\n2\r\n', 5),
+    ], ids=["lf", "crlf-multiline-field"])
+    def test_short_csv_row_names_file_and_line(self, tmp_path, content, line):
+        path = tmp_path / "names.csv"
+        path.write_bytes(content.encode("utf-8"))
+        with pytest.raises(InputError) as exc:
+            read_input(path)
+        assert str(exc.value) == f"{path}:{line}: row has no column index 1"
 
     def test_empty_input_distinct_error(self, tmp_path):
         path = tmp_path / "names.txt"
@@ -183,9 +196,7 @@ class TestIterNames:
             path.write_text("\n".join(names * repeats) + "\n", encoding="utf-8")
             tracemalloc.start()
             try:
-                stats = write_results(
-                    iter_predictions(ENG, CHI, CFG, iter_names(path)), tmp_path / "out.csv"
-                )
+                stats = predict_to_results(ENG, CHI, CFG, iter_names(path), tmp_path / "out.csv")
                 assert stats.total == 200 * repeats
                 return tracemalloc.get_traced_memory()[1]
             finally:
@@ -285,7 +296,7 @@ class TestWriteResults:
     def test_cr_rows_quoted_in_full_and_read_back(self, tmp_path):
         names = ["Mary\rSmith", "John\nBrown", 'Hua "Q" Zhao', "Gray, Alasdair",
                  "Mary\u2028Smith", "\ufeffHua Zhao", "王\r青", "Hua\r\nZhao"]
-        preds = list(iter_predictions(ENG, CHI, CFG, names))
+        preds = [predict(ENG, CHI, CFG, name) for name in names]
         path = tmp_path / "out.csv"
         write_results(preds, path)
         assert read_result_labels(path) == [pred.label for pred in preds]
@@ -293,6 +304,33 @@ class TestWriteResults:
             rows = list(csv.DictReader(fh))
         assert [row["name"] for row in rows] == names
         assert path.read_bytes().split(b"\n")[1] == b'"1","Mary\rSmith","Unknown","","Latin","Mary"'
+
+    # csv.writer on Python 3.10 refuses a NUL, so the reference drops it there.
+    POOL = ',"\r\n \t\ufeff王青娟Иванa' + ("\x00" if sys.version_info >= (3, 11) else "")
+
+    def test_rows_match_csv_writer_reference_and_read_back(self, tmp_path):
+        rng = random.Random(2024)
+
+        def text():
+            return "".join(rng.choice(self.POOL) for _ in range(rng.randint(0, 6)))
+
+        preds = []
+        for _ in range(3000):
+            label = rng.choice(list(GenderLabel))
+            found = label is not GenderLabel.UNKNOWN
+            p_female = rng.random()
+            post = Posterior(True, p_female, 1 - p_female) if found else Posterior(False)
+            preds.append(Prediction(text(), rng.choice(list(Script)), text(), post, label))
+        path = tmp_path / "out.csv"
+        write_results(preds, path)
+        assert path.read_bytes() == results_csv_oracle([
+            [item, pred.raw_name, pred.label.value,
+             f"{max(pred.posterior.p_female, pred.posterior.p_male):.4f}"
+             if pred.posterior.evidence_found else "",
+             pred.script.value, pred.given]
+            for item, pred in enumerate(preds, start=1)
+        ])
+        assert read_result_labels(path) == [pred.label for pred in preds]
 
     def test_failed_batch_leaves_old_file_and_no_temp(self, tmp_path):
         path = tmp_path / "out.csv"

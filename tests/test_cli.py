@@ -1,11 +1,14 @@
 import csv
+import dataclasses
 import struct
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
-from namecensus.batchio import read_result_labels
+from namecensus import batchio
+from namecensus.batchio import read_input, read_result_labels, run_batch, write_results
 from namecensus.cache import FORMAT_VERSION, MAGIC, load_cache
 from namecensus.classifier import ClassifierConfig, predict
 from namecensus.cli import main
@@ -38,6 +41,10 @@ def mini_cache(tmp_path, mini_corpus):
     ])
     assert code == 0
     return cache
+
+
+sys.path.insert(0, str(Path(__file__).parent.parent / "perfbench"))
+import workloads  # noqa: E402 - the benchmark's input generators
 
 
 def read_rows(path):
@@ -287,6 +294,55 @@ class TestPredict:
             predict(cache.english, cache.chinese, ClassifierConfig(), name).label
             for name in names
         ]
+
+    def test_nul_in_name_written_unquoted(self, tmp_path, mini_cache):
+        infile = tmp_path / "names.txt"
+        infile.write_bytes(b"Mary\x00Ann Smith\nPhil Barker\n")
+        out = tmp_path / "results.csv"
+        assert main(["predict", "--cache", str(mini_cache), "--in", str(infile),
+                     "--out", str(out)]) == 0
+        assert out.read_bytes() == (
+            b"item,name,gender,probability,script,given_name\n"
+            b"1,Mary\x00Ann Smith,Unknown,,Latin,Mary\x00Ann\n"
+            b"2,Phil Barker,Male,1.0000,Latin,Phil\n"
+        )
+
+    def test_predict_runs_once_per_distinct_raw_name(self, tmp_path, mini_cache,
+                                                     monkeypatch):
+        calls = []
+
+        def counting_predict(english, chinese, config, raw_name):
+            calls.append(raw_name)
+            return predict(english, chinese, config, raw_name)
+
+        monkeypatch.setattr(batchio, "predict", counting_predict)
+        names = ["Hua Zhao", "王娟", "Hua Zhao", "Hua  Zhao", "1234", "王娟", "Hua Zhao",
+                 "Gray, Alasdair", "Gray, Alasdair"]
+        infile = tmp_path / "names.txt"
+        infile.write_text("\n".join(names) + "\n", encoding="utf-8")
+        out = tmp_path / "results.csv"
+        assert main(["predict", "--cache", str(mini_cache), "--in", str(infile),
+                     "--out", str(out)]) == 0
+        assert sorted(calls) == sorted(set(names))
+        assert [row["name"] for row in read_rows(out)] == names
+
+    # The benchmark's three workloads, at a small size.
+    @pytest.mark.parametrize("workload, size", [
+        ("mixed-100k", 3000), ("tail-csv-100k", 3000), ("startup-1k", 1000),
+    ])
+    def test_results_equal_write_results_of_run_batch(self, tmp_path, cache_path,
+                                                      english_dir, workload, size):
+        spec = dataclasses.replace(workloads.WORKLOADS[workload], names=size)
+        infile = tmp_path / f"names{spec.suffix}"
+        workloads.write_input(spec, infile, 7, english_dir)
+        out, expected = tmp_path / "results.csv", tmp_path / "expected.csv"
+        assert main(["predict", "--cache", str(cache_path), "--in", str(infile),
+                     "--out", str(out)]) == 0
+        cache = load_cache(cache_path)
+        write_results(run_batch(cache.english, cache.chinese, ClassifierConfig(),
+                                read_input(infile)), expected)
+        assert out.read_bytes() == expected.read_bytes()
+        assert len(read_rows(out)) == size
 
     @pytest.mark.parametrize("content, flags", [
         ("Hua Zhao\n王龘青\n", ["--alpha", "1e308"]),
