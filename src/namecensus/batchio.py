@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import csv
-import io
 import itertools
 import os
 from collections.abc import Callable, Iterable, Iterator
@@ -18,7 +16,8 @@ from namecensus.classifier import (
     predict,
 )
 from namecensus.corpus import CountModel
-from namecensus.errors import EmptyInputError, InputError, invalid_utf8
+from namecensus.errors import EmptyInputError, InputError
+from namecensus.textio import column, csv_rows, split_lines, text_blocks
 
 
 @dataclass(frozen=True, slots=True)
@@ -33,62 +32,14 @@ class AggregateStats:
     total: int
 
 
-_CHUNK = 1 << 16
-
-
-def _text_blocks(path: Path) -> Iterator[str]:
-    """The file's text, decoded one block of whole lines at a time.
-
-    Each block but the last ends at LF, CRLF or CR, and never between the
-    CR and LF of a pair; UTF-8 never puts those bytes inside a character,
-    so every block decodes on its own. A leading BOM is dropped, and a
-    decode error names its file byte offset.
-    """
-    try:
-        fh = open(path, "rb")
-    except FileNotFoundError:
-        raise InputError(f"input file not found: {path}") from None
-    with fh:
-        offset = 0  # file offset of `pending`
-        pending = b""
-        # The read size grows with a line longer than a chunk, so reading it stays linear.
-        while chunk := fh.read(max(_CHUNK, len(pending))):
-            pending += chunk
-            # A CR in the last byte may start a CRLF, so it waits for the next chunk.
-            cut = max(pending.rfind(b"\n"), pending.rfind(b"\r", 0, len(pending) - 1)) + 1
-            if cut:
-                text = _decode_block(path, pending[:cut], offset)
-                offset, pending = offset + cut, pending[cut:]
-                yield text
-        if pending:
-            yield _decode_block(path, pending, offset)
-
-
-def _decode_block(path: Path, block: bytes, offset: int) -> str:
-    """Decoded as "utf-8-sig" would be, but byte offsets stay file offsets."""
-    try:
-        text = block.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise InputError(
-            f"{path}: invalid UTF-8 at byte offset {offset + exc.start}"
-        ) from None
-    return text.removeprefix("\ufeff") if offset == 0 else text
-
-
-def _txt_names(blocks: Iterable[str]) -> Iterator[str]:
-    for block in blocks:
+def _txt_names(path: Path) -> Iterator[str]:
+    for block in text_blocks(path, InputError):
         # No name holds the line list, so it is freed before the next block is read.
-        yield from filter(
-            None, map(str.strip, block.replace("\r\n", "\n").replace("\r", "\n").split("\n"))
-        )
+        yield from filter(None, map(str.strip, split_lines(block)))
 
 
-def _csv_names(
-    blocks: Iterable[str], path: Path, name_column: str | int, has_header: bool
-) -> Iterator[str]:
-    # newline="" splits lines at LF, CRLF and CR only, and keeps their ends.
-    reader = csv.reader(line for block in blocks for line in io.StringIO(block, newline=""))
-    try:
+def _csv_names(path: Path, name_column: str | int, has_header: bool) -> Iterator[str]:
+    with csv_rows(path, InputError) as reader:
         first = next(reader, None)
         if first is None:
             raise EmptyInputError(f"{path}: empty input")
@@ -98,14 +49,8 @@ def _csv_names(
             rows = reader if has_header else itertools.chain([first], reader)
         else:
             if not has_header:
-                raise InputError(
-                    f"{path}: name column {name_column!r} needs a header row"
-                )
-            if name_column not in first:
-                raise InputError(
-                    f"{path}: no column {name_column!r} in header {first}"
-                )
-            col = first.index(name_column)
+                raise InputError(f"{path}: name column {name_column!r} needs a header row")
+            col = column(path, first, name_column, InputError)
             rows = reader
         for row in rows:
             try:
@@ -118,8 +63,6 @@ def _csv_names(
                 continue  # a blank row
             if name:
                 yield name
-    except csv.Error as exc:
-        raise InputError(f"{path}:{reader.line_num}: {exc}") from None
 
 
 def iter_names(
@@ -140,9 +83,9 @@ def iter_names(
     if format == "auto":
         format = "csv" if path.suffix.lower() == ".csv" else "txt"
     if format == "txt":
-        names = _txt_names(_text_blocks(path))
+        names = _txt_names(path)
     elif format == "csv":
-        names = _csv_names(_text_blocks(path), path, name_column, has_header)
+        names = _csv_names(path, name_column, has_header)
     else:
         raise InputError(f"unknown input format {format!r}")
     first = next(names, None)
@@ -191,15 +134,15 @@ def run_batch(
 
 RESULT_FIELDS = ["item", "name", "gender", "probability", "script", "given_name"]
 
-# (label, name field, rest): the row is f"{item},{name field}{rest}"; a
-# name field of None marks a row quoted in full, written f'"{item}{rest}'.
-_Row = tuple[str, str | None, str]
+# (label, name field, rest): the row is f"{item},{name field}{rest}".
+_Row = tuple[str, str, str]
 
 
 def _field(field: str) -> str:
-    """A field holding a comma, a quote or an LF is quoted, as csv.writer
-    quotes it; any other field, NUL included, is written as it is."""
-    if "," in field or '"' in field or "\n" in field:
+    """A field holding a comma, a quote, an LF or a CR is quoted, as
+    csv.writer's default dialect quotes it; any other field, NUL
+    included, is written as it is."""
+    if "," in field or '"' in field or "\n" in field or "\r" in field:
         return '"' + field.replace('"', '""') + '"'
     return field
 
@@ -211,13 +154,9 @@ def _row(pred: Prediction) -> _Row:
     copy it."""
     post = pred.posterior
     prob = f"{max(post.p_female, post.p_male):.4f}" if post.evidence_found else ""
-    label, script = pred.label.value, pred.script.value
-    if "\r" in pred.raw_name or "\r" in pred.given:
-        # A reader would split an unquoted CR, so such a row is quoted in
-        # full, its item included.
-        fields = (pred.raw_name, label, prob, script, pred.given)
-        return label, None, '","' + '","'.join(f.replace('"', '""') for f in fields) + '"\n'
-    return label, _field(pred.raw_name), f",{label},{prob},{script},{_field(pred.given)}\n"
+    label = pred.label.value
+    rest = f",{label},{prob},{pred.script.value},{_field(pred.given)}\n"
+    return label, _field(pred.raw_name), rest
 
 
 def predict_to_results(
@@ -261,10 +200,7 @@ def _write_rows(rows: Iterable[_Row], path: str | Path) -> AggregateStats:
             write(",".join(RESULT_FIELDS) + "\n")
             for item, (label, name, rest) in enumerate(rows, start=1):
                 counts[label] += 1
-                if name is None:
-                    write(f'"{item}{rest}')
-                else:
-                    write(f"{item},{name}{rest}")
+                write(f"{item},{name}{rest}")
         stats = _stats({label: counts[label.value] for label in GenderLabel})
         if tmp:
             os.replace(tmp, path)
@@ -278,23 +214,19 @@ def _write_rows(rows: Iterable[_Row], path: str | Path) -> AggregateStats:
 def read_result_labels(path: str | Path) -> list[GenderLabel]:
     """The gender column of a results CSV, in row order."""
     labels = []
-    try:
-        with open(path, encoding="utf-8-sig", newline="") as fh:
-            reader = csv.DictReader(fh)
-            if "gender" not in (reader.fieldnames or ()):
-                raise InputError(f"{path}: no gender column")
-            for row in reader:
-                try:
-                    labels.append(GenderLabel(row["gender"]))
-                except ValueError:
-                    raise InputError(
-                        f"{path}:{reader.line_num}: unknown gender label {row['gender']!r}"
-                    ) from None
-    except csv.Error as exc:
-        # DictReader counts only the lines of whole rows.
-        raise InputError(f"{path}:{reader.reader.line_num}: {exc}") from None
-    except UnicodeDecodeError:
-        raise InputError(invalid_utf8(path)) from None
+    with csv_rows(path, InputError) as reader:
+        col = column(path, next(reader, []), "gender", InputError)
+        for row in filter(None, reader):  # blank lines are skipped
+            try:
+                labels.append(GenderLabel(row[col]))
+            except IndexError:
+                raise InputError(
+                    f"{path}:{reader.line_num}: row has no column index {col}"
+                ) from None
+            except ValueError:
+                raise InputError(
+                    f"{path}:{reader.line_num}: unknown gender label {row[col]!r}"
+                ) from None
     if not labels:
         raise EmptyInputError(f"no result rows in {path}")
     return labels

@@ -27,6 +27,7 @@ from namecensus.corpus import (
 )
 from namecensus.errors import CacheError, NamecensusError
 from namecensus.report import emit_chart, evaluate, load_gold_labels
+from namecensus.textio import text_blocks
 
 
 def _add_model_flags(parser: argparse.ArgumentParser) -> None:
@@ -53,8 +54,8 @@ _CONFIG_FIELDS = {"threshold": "decisive_threshold", "alpha": "smoothing_alpha",
 
 def _read_config(path: str) -> dict:
     try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8-sig"))
-    except ValueError as exc:  # JSON syntax or invalid UTF-8
+        doc = json.loads("".join(text_blocks(path, NamecensusError)))
+    except ValueError as exc:  # JSON syntax
         raise NamecensusError(f"{path}: {exc}") from None
     if not isinstance(doc, dict):
         raise NamecensusError(f"{path}: config must be a JSON object")

@@ -8,14 +8,14 @@ ignored in both.
 
 from __future__ import annotations
 
-import csv
 import re
 import unicodedata
 from dataclasses import dataclass
 from pathlib import Path
 
-from namecensus.errors import CorpusError, invalid_utf8
+from namecensus.errors import CorpusError
 from namecensus.scriptdetect import is_han
+from namecensus.textio import csv_rows, split_lines, text_blocks
 
 YEAR_FILE_RE = re.compile(r"^yob(\d{4})\.txt$")
 
@@ -81,59 +81,43 @@ def load_english_year_files(directory: str | Path) -> CountModel:
     """
     entries: dict[str, list[int]] = {}
     for path in find_year_files(directory):
-        try:
-            with open(path, encoding="utf-8-sig", newline="") as fh:
-                for lineno, raw in enumerate(fh, start=1):
-                    line = raw.rstrip("\r\n")
-                    if not line:
-                        continue
-                    name, sex, count = _parse_year_line(line, path, lineno)
-                    key = normalize_name_key(name)
-                    pair = entries.setdefault(key, [0, 0])
-                    pair[0 if sex == "F" else 1] += count
-        except UnicodeDecodeError:
-            raise CorpusError(invalid_utf8(path)) from None
+        lineno = 1  # of the block's first line
+        for block in text_blocks(path, CorpusError):
+            lines = split_lines(block)
+            for i, line in enumerate(lines, lineno):
+                if not line:
+                    continue
+                name, sex, count = _parse_year_line(line, path, i)
+                key = normalize_name_key(name)
+                pair = entries.setdefault(key, [0, 0])
+                pair[0 if sex == "F" else 1] += count
+            lineno += len(lines) - 1
     return CountModel.from_entries({k: (f, m) for k, (f, m) in entries.items()})
 
 
 def load_chinese_charfreq(file_path: str | Path) -> CountModel:
     """Load the single-character frequency table ``char,female,male``."""
-    file_path = Path(file_path)
-    if not file_path.is_file():
-        raise CorpusError(f"character corpus not found: {file_path}")
     entries: dict[str, tuple[int, int]] = {}
-    try:
-        with open(file_path, encoding="utf-8-sig", newline="") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, None)
-            if header != ["char", "female", "male"]:
+    with csv_rows(file_path, CorpusError) as reader:
+        header = next(reader, None)
+        if header != ["char", "female", "male"]:
+            raise CorpusError(f"{file_path}:1: expected header char,female,male, got {header}")
+        for row in filter(None, reader):  # blank lines are skipped
+            lineno = reader.line_num
+            if len(row) != 3:
+                raise CorpusError(f"{file_path}:{lineno}: expected 3 columns, got {len(row)}")
+            char, female_text, male_text = row
+            if len(char) != 1 or not is_han(char):
                 raise CorpusError(
-                    f"{file_path}:1: expected header char,female,male, got {header}"
+                    f"{file_path}:{lineno}: key must be one Han character, got {char!r}"
                 )
-            for row in reader:
-                lineno = reader.line_num
-                if not row:
-                    continue
-                if len(row) != 3:
-                    raise CorpusError(
-                        f"{file_path}:{lineno}: expected 3 columns, got {len(row)}"
-                    )
-                char, female_text, male_text = row
-                if len(char) != 1 or not is_han(char):
-                    raise CorpusError(
-                        f"{file_path}:{lineno}: key must be one Han character, got {char!r}"
-                    )
-                if char in entries:
-                    raise CorpusError(f"{file_path}:{lineno}: duplicate character {char!r}")
-                try:
-                    female, male = int(female_text), int(male_text)
-                except ValueError:
-                    raise CorpusError(f"{file_path}:{lineno}: non-integer count")
-                if female < 0 or male < 0:
-                    raise CorpusError(f"{file_path}:{lineno}: negative count")
-                entries[char] = (female, male)
-    except csv.Error as exc:
-        raise CorpusError(f"{file_path}:{reader.line_num}: {exc}") from None
-    except UnicodeDecodeError:
-        raise CorpusError(invalid_utf8(file_path)) from None
+            if char in entries:
+                raise CorpusError(f"{file_path}:{lineno}: duplicate character {char!r}")
+            try:
+                female, male = int(female_text), int(male_text)
+            except ValueError:
+                raise CorpusError(f"{file_path}:{lineno}: non-integer count")
+            if female < 0 or male < 0:
+                raise CorpusError(f"{file_path}:{lineno}: negative count")
+            entries[char] = (female, male)
     return CountModel.from_entries(entries)

@@ -1,7 +1,4 @@
-"""Exception classes shared across the package, and the message for a
-file that is not UTF-8."""
-
-from pathlib import Path
+"""Exception classes shared across the package."""
 
 
 class NamecensusError(Exception):
@@ -42,17 +39,3 @@ class EmptyInputError(InputError):
 
 class GoldLabelError(NamecensusError):
     """Gold-label file is empty, malformed, or conflicting."""
-
-
-def invalid_utf8(path: str | Path) -> str:
-    """`FILE:LINE: invalid UTF-8 at byte offset N` for the first invalid
-    byte of `path`. Lines end at LF, CRLF or CR, as in the text-mode
-    readers, whose own decode errors count from an unknown buffer start."""
-    data = Path(path).read_bytes()
-    try:
-        data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        head = data[: exc.start]
-        line = 1 + head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n")
-        return f"{path}:{line}: invalid UTF-8 at byte offset {exc.start}"
-    return f"{path}: invalid UTF-8"  # the file changed since the failed read

@@ -2,14 +2,14 @@
 
 from __future__ import annotations
 
-import csv
 import json
 from dataclasses import dataclass
 from pathlib import Path
 
 from namecensus.batchio import AggregateStats
 from namecensus.classifier import GenderLabel, Prediction
-from namecensus.errors import GoldLabelError, invalid_utf8
+from namecensus.errors import GoldLabelError
+from namecensus.textio import column, csv_rows
 
 SVG_BAR_SCALE = 400  # px for a 100% bar
 _BAR_WIDTH = 80
@@ -82,32 +82,24 @@ class EvalResult:
 def load_gold_labels(path: str | Path) -> dict[str, GenderLabel]:
     """Gold CSV `name,gender` with header; gender is Female or Male."""
     gold: dict[str, GenderLabel] = {}
-    try:
-        with open(path, encoding="utf-8-sig", newline="") as fh:
-            reader = csv.DictReader(fh)
-            if reader.fieldnames is None or not {"name", "gender"} <= set(reader.fieldnames):
-                raise GoldLabelError(f"{path}: expected columns name,gender")
-            for row in reader:
-                where = f"{path}:{reader.line_num}"
-                if row["name"] is None or row["gender"] is None:
-                    raise GoldLabelError(f"{where}: row has too few cells for name,gender")
-                name = row["name"].strip()
-                gender = row["gender"].strip()
-                if not name:
-                    raise GoldLabelError(f"{where}: blank gold name")
-                if gender not in ("Female", "Male"):
-                    raise GoldLabelError(
-                        f"{where}: gold gender must be Female or Male: {gender!r}"
-                    )
-                label = GenderLabel(gender)
-                if name in gold and gold[name] is not label:
-                    raise GoldLabelError(f"{where}: conflicting gold labels for {name!r}")
-                gold[name] = label
-    except csv.Error as exc:
-        # DictReader counts only the lines of whole rows.
-        raise GoldLabelError(f"{path}:{reader.reader.line_num}: {exc}") from None
-    except UnicodeDecodeError:
-        raise GoldLabelError(invalid_utf8(path)) from None
+    with csv_rows(path, GoldLabelError) as reader:
+        header = next(reader, [])
+        name_col = column(path, header, "name", GoldLabelError)
+        gender_col = column(path, header, "gender", GoldLabelError)
+        for row in filter(None, reader):  # blank lines are skipped
+            where = f"{path}:{reader.line_num}"
+            try:
+                name, gender = row[name_col].strip(), row[gender_col].strip()
+            except IndexError:
+                raise GoldLabelError(f"{where}: row has too few cells for name,gender") from None
+            if not name:
+                raise GoldLabelError(f"{where}: blank gold name")
+            if gender not in ("Female", "Male"):
+                raise GoldLabelError(f"{where}: gold gender must be Female or Male: {gender!r}")
+            label = GenderLabel(gender)
+            if name in gold and gold[name] is not label:
+                raise GoldLabelError(f"{where}: conflicting gold labels for {name!r}")
+            gold[name] = label
     if not gold:
         raise GoldLabelError(f"{path}: empty gold set")
     return gold

@@ -56,16 +56,13 @@ def english_ratio_oracle(
 
 
 def results_csv_oracle(rows: list[list[object]]) -> bytes:
-    """A results CSV as csv.writer writes it, LF line ends, except that a
-    row with a CR in any field is quoted in full (csv.writer leaves a
-    bare CR unquoted, and a reader would split the row there)."""
-    out = io.StringIO(newline="")
-    minimal = csv.writer(out, lineterminator="\n")
-    quote_all = csv.writer(out, lineterminator="\n", quoting=csv.QUOTE_ALL)
-    minimal.writerow(["item", "name", "gender", "probability", "script", "given_name"])
-    for row in rows:
-        if any("\r" in str(field) for field in row):
-            quote_all.writerow(row)
-        else:
-            minimal.writerow(row)
-    return out.getvalue().encode("utf-8")
+    """A results CSV, each row exactly as csv.writer's default dialect
+    writes it, with that row's final CRLF written as LF."""
+
+    def line(row: list[object]) -> str:
+        out = io.StringIO(newline="")
+        csv.writer(out).writerow(row)
+        return out.getvalue().removesuffix("\r\n") + "\n"
+
+    header = ["item", "name", "gender", "probability", "script", "given_name"]
+    return "".join(map(line, [header, *rows])).encode("utf-8")

@@ -8,7 +8,7 @@ import tracemalloc
 
 import pytest
 
-from namecensus import batchio
+from namecensus import batchio, textio
 from namecensus.batchio import (
     NameRecord,
     aggregate,
@@ -136,7 +136,7 @@ class TestReadInput:
     # A 5-byte chunk ends the first read between the CR and the LF of "name\r\n".
     @pytest.mark.parametrize("chunk", [5, 1 << 16])
     def test_csv_field_over_limit_names_file_and_line(self, tmp_path, monkeypatch, chunk):
-        monkeypatch.setattr(batchio, "_CHUNK", chunk)
+        monkeypatch.setattr(textio, "_CHUNK", chunk)
         path = tmp_path / "names.csv"
         path.write_bytes(b"name\r\nHua Zhao\r\n" + b"x" * 200_000 + b"\r\n")
         with pytest.raises(InputError) as exc:
@@ -168,7 +168,7 @@ class TestIterNames:
     @pytest.mark.parametrize("chunk", [1, 2, 3, 7, 1 << 16])
     @pytest.mark.parametrize("filename", CONTENTS)
     def test_same_names_as_whole_file_read(self, tmp_path, monkeypatch, filename, chunk):
-        monkeypatch.setattr(batchio, "_CHUNK", chunk)
+        monkeypatch.setattr(textio, "_CHUNK", chunk)
         path = tmp_path / filename
         path.write_bytes(self.CONTENTS[filename].encode("utf-8"))
         expected = whole_file_names(path)
@@ -180,7 +180,7 @@ class TestIterNames:
     def test_invalid_utf8_after_bom_and_lines_reports_file_offset(
         self, tmp_path, monkeypatch, chunk
     ):
-        monkeypatch.setattr(batchio, "_CHUNK", chunk)
+        monkeypatch.setattr(textio, "_CHUNK", chunk)
         path = tmp_path / "names.txt"
         data = "\ufeffMary Smith\r\n王青\rJohn\n".encode("utf-8") + b"Br\xffown\n"
         path.write_bytes(data)
@@ -303,7 +303,7 @@ class TestWriteResults:
         with open(path, encoding="utf-8", newline="") as fh:
             rows = list(csv.DictReader(fh))
         assert [row["name"] for row in rows] == names
-        assert path.read_bytes().split(b"\n")[1] == b'"1","Mary\rSmith","Unknown","","Latin","Mary"'
+        assert path.read_bytes().split(b"\n")[1] == b'1,"Mary\rSmith",Unknown,,Latin,Mary'
 
     # csv.writer on Python 3.10 refuses a NUL, so the reference drops it there.
     POOL = ',"\r\n \t\ufeff王青娟Иванa' + ("\x00" if sys.version_info >= (3, 11) else "")

@@ -307,6 +307,30 @@ class TestPredict:
             b"2,Phil Barker,Male,1.0000,Latin,Phil\n"
         )
 
+    def test_nul_in_csv_by_python_version(self, tmp_path, mini_cache, capsys):
+        # csv.reader reads a NUL from Python 3.11 on; 3.10's refuses it.
+        txt, csv_in = tmp_path / "names.txt", tmp_path / "names.csv"
+        txt.write_bytes(b"Mary\x00Ann Smith\nPhil Barker\n")
+        csv_in.write_bytes(b"name\nMary\x00Ann Smith\nPhil Barker\n")
+        results, csv_results = tmp_path / "results.csv", tmp_path / "csv_results.csv"
+        assert main(["predict", "--cache", str(mini_cache), "--in", str(txt),
+                     "--out", str(results)]) == 0
+        capsys.readouterr()
+        predict_csv = ["predict", "--cache", str(mini_cache), "--in", str(csv_in),
+                       "--out", str(csv_results)]
+        chart = ["chart", "--results", str(results), "--json", str(tmp_path / "c.json"),
+                 "--svg", str(tmp_path / "c.svg")]
+        if sys.version_info >= (3, 11):
+            assert main(predict_csv) == 0
+            assert csv_results.read_bytes() == results.read_bytes()
+            capsys.readouterr()
+            assert main(chart) == 0
+            assert "total names: 2" in capsys.readouterr().out
+        else:
+            for argv, path in ((predict_csv, csv_in), (chart, results)):
+                assert main(argv) == 1
+                assert capsys.readouterr().err == f"error: {path}:2: line contains NUL\n"
+
     def test_predict_runs_once_per_distinct_raw_name(self, tmp_path, mini_cache,
                                                      monkeypatch):
         calls = []
@@ -435,7 +459,7 @@ class TestChartCommand:
         assert "total names: 1" in capsys.readouterr().out
 
     @pytest.mark.parametrize("content, named", [
-        ("item,name,label\n1,Hua Zhao,Female\n", "gender column"),
+        ("item,name,label\n1,Hua Zhao,Female\n", "gender' in header ['item', 'name', 'label']"),
         ("item,name,gender\n1,Hua Zhao,Female\n2,Wang,female\n",
          "results.csv:3: unknown gender label 'female'"),
     ])

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from namecensus import textio
 from namecensus.corpus import (
     CountModel,
     load_chinese_charfreq,
@@ -84,6 +85,16 @@ class TestEnglishCorpus:
         with pytest.raises(CorpusError, match=message) as exc:
             load_english_year_files(tmp_path)
         assert "yob2015.txt:2" in str(exc.value)
+
+    # A 1- or 3-byte chunk reads about one line per block, so the count runs across blocks.
+    @pytest.mark.parametrize("chunk", [1, 3, 1 << 16])
+    def test_cr_line_ends_number_the_bad_line(self, tmp_path, monkeypatch, chunk):
+        monkeypatch.setattr(textio, "_CHUNK", chunk)
+        path = tmp_path / "yob2000.txt"
+        path.write_bytes(b"Mary,F,5\rJohn,M,3\r\rAnne,F\rJo,M,2\r")
+        with pytest.raises(CorpusError) as exc:
+            load_english_year_files(tmp_path)
+        assert str(exc.value) == f"{path}:4: expected 3 comma-separated fields, got 2"
 
     def test_invalid_utf8_names_file_and_line(self, tmp_path):
         path = tmp_path / "yob2000.txt"
