@@ -16,7 +16,7 @@ from namecensus.classifier import (
     predict,
 )
 from namecensus.corpus import CountModel
-from namecensus.errors import EmptyInputError, InputError
+from namecensus.errors import NamecensusError
 from namecensus.textio import column, csv_rows, split_lines, text_blocks
 
 
@@ -33,31 +33,31 @@ class AggregateStats:
 
 
 def _txt_names(path: Path) -> Iterator[str]:
-    for block in text_blocks(path, InputError):
+    for block in text_blocks(path):
         # No name holds the line list, so it is freed before the next block is read.
         yield from filter(None, map(str.strip, split_lines(block)))
 
 
 def _csv_names(path: Path, name_column: str | int, has_header: bool) -> Iterator[str]:
-    with csv_rows(path, InputError) as reader:
+    with csv_rows(path) as reader:
         first = next(reader, None)
         if first is None:
-            raise EmptyInputError(f"{path}: empty input")
+            raise NamecensusError(f"{path}: empty input")
         col: int
         if isinstance(name_column, int) or str(name_column).isdigit():
             col = int(name_column)
             rows = reader if has_header else itertools.chain([first], reader)
         else:
             if not has_header:
-                raise InputError(f"{path}: name column {name_column!r} needs a header row")
-            col = column(path, first, name_column, InputError)
+                raise NamecensusError(f"{path}: name column {name_column!r} needs a header row")
+            col = column(path, first, name_column)
             rows = reader
         for row in rows:
             try:
                 name = row[col].strip()
             except IndexError:
                 if any(cell.strip() for cell in row):
-                    raise InputError(
+                    raise NamecensusError(
                         f"{path}:{reader.line_num}: row has no column index {col}"
                     ) from None
                 continue  # a blank row
@@ -87,10 +87,10 @@ def iter_names(
     elif format == "csv":
         names = _csv_names(path, name_column, has_header)
     else:
-        raise InputError(f"unknown input format {format!r}")
+        raise NamecensusError(f"unknown input format {format!r}")
     first = next(names, None)
     if first is None:
-        raise EmptyInputError(f"{path}: no name records found")
+        raise NamecensusError(f"{path}: no name records found")
     yield first
     yield from names
 
@@ -214,28 +214,28 @@ def _write_rows(rows: Iterable[_Row], path: str | Path) -> AggregateStats:
 def read_result_labels(path: str | Path) -> list[GenderLabel]:
     """The gender column of a results CSV, in row order."""
     labels = []
-    with csv_rows(path, InputError) as reader:
-        col = column(path, next(reader, []), "gender", InputError)
+    with csv_rows(path) as reader:
+        col = column(path, next(reader, []), "gender")
         for row in filter(None, reader):  # blank lines are skipped
             try:
                 labels.append(GenderLabel(row[col]))
             except IndexError:
-                raise InputError(
+                raise NamecensusError(
                     f"{path}:{reader.line_num}: row has no column index {col}"
                 ) from None
             except ValueError:
-                raise InputError(
+                raise NamecensusError(
                     f"{path}:{reader.line_num}: unknown gender label {row[col]!r}"
                 ) from None
     if not labels:
-        raise EmptyInputError(f"no result rows in {path}")
+        raise NamecensusError(f"no result rows in {path}")
     return labels
 
 
 def _stats(counts: dict[GenderLabel, int]) -> AggregateStats:
     total = sum(counts.values())
     if not total:
-        raise EmptyInputError("cannot aggregate zero predictions")
+        raise NamecensusError("cannot aggregate zero predictions")
     percentages = {label: 100.0 * n / total for label, n in counts.items()}
     return AggregateStats(counts=counts, percentages=percentages, total=total)
 

@@ -25,12 +25,8 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from namecensus.corpus import CountModel
-from namecensus.errors import (
-    CacheDigestError,
-    CacheFormatError,
-    CacheTruncatedError,
-    CacheVersionError,
-)
+from namecensus.errors import CacheError
+from namecensus.textio import open_bytes
 
 MAGIC = b"NCMC"
 FORMAT_VERSION = 3
@@ -50,7 +46,8 @@ def digest_corpus_files(paths: list[Path]) -> str:
     for path in sorted(paths, key=lambda p: p.name):
         h.update(path.name.encode("utf-8"))
         h.update(b"\x00")
-        h.update(path.read_bytes())
+        with open_bytes(path) as fh:
+            h.update(fh.read())
         h.update(b"\x00")
     return h.hexdigest()
 
@@ -59,13 +56,13 @@ def _encode(model: CountModel) -> bytes:
     keys = sorted(model.entries)
     bad = next((k for k in keys if "\n" in k), None)
     if bad is not None:
-        raise CacheFormatError(f"cannot cache model key {bad!r}: it contains a newline")
+        raise CacheError(f"cannot cache model key {bad!r}: it contains a newline")
     key_bytes = "\n".join(keys).encode("utf-8")
     try:
         counts = array("q", [c for k in keys for c in model.entries[k]])
         header = _SECTION.pack(len(keys), len(key_bytes), model.total_female, model.total_male)
     except (OverflowError, struct.error):
-        raise CacheFormatError("cannot cache model: a count is outside the int64 range") from None
+        raise CacheError("cannot cache model: a count is outside the int64 range") from None
     if sys.byteorder == "big":
         counts.byteswap()
     return header + key_bytes + counts.tobytes()
@@ -74,24 +71,24 @@ def _encode(model: CountModel) -> bytes:
 def _decode(payload: bytes, pos: int) -> tuple[CountModel, int]:
     """Decode the section at `pos`; return the model and the section's end."""
     if len(payload) - pos < _SECTION.size:
-        raise CacheFormatError("model section ends inside its header")
+        raise CacheError("model section ends inside its header")
     count, keys_len, total_female, total_male = _SECTION.unpack_from(payload, pos)
     keys_start = pos + _SECTION.size
     counts_start = keys_start + keys_len
     end = counts_start + 16 * count
     if end > len(payload):
-        raise CacheFormatError(
+        raise CacheError(
             f"model section promises {count} entries in {end - pos} bytes, "
             f"{len(payload) - pos} remain"
         )
     try:
         key_text = payload[keys_start:counts_start].decode("utf-8")
     except UnicodeDecodeError:
-        raise CacheFormatError("model section keys are not valid UTF-8") from None
+        raise CacheError("model section keys are not valid UTF-8") from None
     # An empty model has no key bytes, and neither has a lone empty key.
     keys = key_text.split("\n") if count or key_text else []
     if len(keys) != count:
-        raise CacheFormatError(
+        raise CacheError(
             f"model section header promises {count} keys, found {len(keys)}"
         )
     counts = array("q")
@@ -128,39 +125,40 @@ def save_cache(
 
 def read_source_digest(path: str | Path) -> str:
     """Source digest from the header alone, for staleness checks."""
-    with open(path, "rb") as fh:
+    with open_bytes(path) as fh:
         source_digest, _ = _read_header(fh.read(_HEADER.size))
     return source_digest.hex()
 
 
 def _read_header(blob: bytes) -> tuple[bytes, bytes]:
     if len(blob) < _HEADER.size:
-        raise CacheTruncatedError("cache file shorter than its header")
+        raise CacheError("cache file shorter than its header")
     magic, version, source_digest, payload_digest = _HEADER.unpack(blob[: _HEADER.size])
     if magic != MAGIC:
-        raise CacheFormatError(f"not a model cache (magic {magic!r})")
+        raise CacheError(f"not a model cache (magic {magic!r})")
     if version != FORMAT_VERSION:
-        raise CacheVersionError(
+        raise CacheError(
             f"cache format version {version}, this build supports {FORMAT_VERSION}"
         )
     return source_digest, payload_digest
 
 
 def load_cache(path: str | Path) -> ModelCache:
-    blob = Path(path).read_bytes()
+    with open_bytes(path) as fh:
+        blob = fh.read()
     _, payload_digest = _read_header(blob)
     offset = _HEADER.size
     if len(blob) < offset + 8:
-        raise CacheTruncatedError("cache file ends before payload length")
+        raise CacheError("cache file ends before payload length")
     (payload_len,) = struct.unpack_from("<Q", blob, offset)
     offset += 8
     payload = blob[offset : offset + payload_len]
     if len(payload) != payload_len:
-        raise CacheTruncatedError(
+        raise CacheError(
             f"payload is {len(payload)} bytes, header promised {payload_len}"
         )
     if hashlib.sha256(payload).digest() != payload_digest:
-        raise CacheDigestError("cache payload digest mismatch (corrupted file)")
+        raise CacheError("cache payload digest mismatch (corrupted file)")
     # The count tuples set off collections that find no garbage.
     gc_was_enabled = gc.isenabled()
     gc.disable()
@@ -171,5 +169,5 @@ def load_cache(path: str | Path) -> ModelCache:
         if gc_was_enabled:
             gc.enable()
     if pos != len(payload):
-        raise CacheFormatError(f"{len(payload) - pos} bytes follow the model sections")
+        raise CacheError(f"{len(payload) - pos} bytes follow the model sections")
     return ModelCache(english=english, chinese=chinese)

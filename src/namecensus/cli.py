@@ -54,7 +54,7 @@ _CONFIG_FIELDS = {"threshold": "decisive_threshold", "alpha": "smoothing_alpha",
 
 def _read_config(path: str) -> dict:
     try:
-        doc = json.loads("".join(text_blocks(path, NamecensusError)))
+        doc = json.loads("".join(text_blocks(path)))
     except ValueError as exc:  # JSON syntax
         raise NamecensusError(f"{path}: {exc}") from None
     if not isinstance(doc, dict):

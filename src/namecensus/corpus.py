@@ -13,7 +13,7 @@ import unicodedata
 from dataclasses import dataclass
 from pathlib import Path
 
-from namecensus.errors import CorpusError
+from namecensus.errors import NamecensusError
 from namecensus.scriptdetect import is_han
 from namecensus.textio import csv_rows, split_lines, text_blocks
 
@@ -46,30 +46,30 @@ def normalize_name_key(name: str) -> str:
 def _parse_year_line(line: str, path: Path, lineno: int) -> tuple[str, str, int]:
     parts = line.split(",")
     if len(parts) != 3:
-        raise CorpusError(
+        raise NamecensusError(
             f"{path}:{lineno}: expected 3 comma-separated fields, got {len(parts)}"
         )
     name, sex, count_text = parts
     if sex not in ("F", "M"):
-        raise CorpusError(f"{path}:{lineno}: sex must be F or M, got {sex!r}")
+        raise NamecensusError(f"{path}:{lineno}: sex must be F or M, got {sex!r}")
     if not name or any(ch.isdigit() for ch in name):
-        raise CorpusError(f"{path}:{lineno}: bad name field {name!r}")
+        raise NamecensusError(f"{path}:{lineno}: bad name field {name!r}")
     try:
         count = int(count_text)
     except ValueError:
-        raise CorpusError(f"{path}:{lineno}: count is not an integer: {count_text!r}")
+        raise NamecensusError(f"{path}:{lineno}: count is not an integer: {count_text!r}")
     if count < 1:
-        raise CorpusError(f"{path}:{lineno}: count must be >= 1, got {count}")
+        raise NamecensusError(f"{path}:{lineno}: count must be >= 1, got {count}")
     return name, sex, count
 
 
 def find_year_files(directory: str | Path) -> list[Path]:
     directory = Path(directory)
     if not directory.is_dir():
-        raise CorpusError(f"corpus directory not found: {directory}")
+        raise NamecensusError(f"corpus directory not found: {directory}")
     files = sorted(p for p in directory.iterdir() if YEAR_FILE_RE.match(p.name))
     if not files:
-        raise CorpusError(f"no yob<YYYY>.txt files in {directory}")
+        raise NamecensusError(f"no yob<YYYY>.txt files in {directory}")
     return files
 
 
@@ -82,7 +82,7 @@ def load_english_year_files(directory: str | Path) -> CountModel:
     entries: dict[str, list[int]] = {}
     for path in find_year_files(directory):
         lineno = 1  # of the block's first line
-        for block in text_blocks(path, CorpusError):
+        for block in text_blocks(path):
             lines = split_lines(block)
             for i, line in enumerate(lines, lineno):
                 if not line:
@@ -98,26 +98,26 @@ def load_english_year_files(directory: str | Path) -> CountModel:
 def load_chinese_charfreq(file_path: str | Path) -> CountModel:
     """Load the single-character frequency table ``char,female,male``."""
     entries: dict[str, tuple[int, int]] = {}
-    with csv_rows(file_path, CorpusError) as reader:
+    with csv_rows(file_path) as reader:
         header = next(reader, None)
         if header != ["char", "female", "male"]:
-            raise CorpusError(f"{file_path}:1: expected header char,female,male, got {header}")
+            raise NamecensusError(f"{file_path}:1: expected header char,female,male, got {header}")
         for row in filter(None, reader):  # blank lines are skipped
             lineno = reader.line_num
             if len(row) != 3:
-                raise CorpusError(f"{file_path}:{lineno}: expected 3 columns, got {len(row)}")
+                raise NamecensusError(f"{file_path}:{lineno}: expected 3 columns, got {len(row)}")
             char, female_text, male_text = row
             if len(char) != 1 or not is_han(char):
-                raise CorpusError(
+                raise NamecensusError(
                     f"{file_path}:{lineno}: key must be one Han character, got {char!r}"
                 )
             if char in entries:
-                raise CorpusError(f"{file_path}:{lineno}: duplicate character {char!r}")
+                raise NamecensusError(f"{file_path}:{lineno}: duplicate character {char!r}")
             try:
                 female, male = int(female_text), int(male_text)
             except ValueError:
-                raise CorpusError(f"{file_path}:{lineno}: non-integer count")
+                raise NamecensusError(f"{file_path}:{lineno}: non-integer count")
             if female < 0 or male < 0:
-                raise CorpusError(f"{file_path}:{lineno}: negative count")
+                raise NamecensusError(f"{file_path}:{lineno}: negative count")
             entries[char] = (female, male)
     return CountModel.from_entries(entries)

@@ -2,40 +2,9 @@
 
 
 class NamecensusError(Exception):
-    """Base class for all errors raised by this package."""
-
-
-class CorpusError(NamecensusError):
-    """A training-corpus file is missing or malformed."""
+    """A fault in a file or an option, reported as one line; the CLI exits 1."""
 
 
 class CacheError(NamecensusError):
-    """Base class for model-cache problems."""
-
-
-class CacheFormatError(CacheError):
-    """File is not a well-formed model cache, or a model cannot be written as one."""
-
-
-class CacheVersionError(CacheError):
-    """Cache was written with an unsupported format version."""
-
-
-class CacheDigestError(CacheError):
-    """Cache payload does not match its recorded digest."""
-
-
-class CacheTruncatedError(CacheError):
-    """Cache file ends before the recorded payload length."""
-
-
-class InputError(NamecensusError):
-    """A batch input file cannot be read as requested."""
-
-
-class EmptyInputError(InputError):
-    """Input file yielded zero name records."""
-
-
-class GoldLabelError(NamecensusError):
-    """Gold-label file is empty, malformed, or conflicting."""
+    """A model cache that cannot be read or written; build-cache rebuilds an
+    unreadable one."""

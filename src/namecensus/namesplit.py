@@ -5,9 +5,9 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from importlib import resources
-from pathlib import Path
 
 from namecensus.scriptdetect import is_latin_letter
+from namecensus.textio import split_lines
 
 
 @dataclass(frozen=True)
@@ -16,27 +16,13 @@ class SplitName:
     given: str
 
 
-def load_compound_surnames(path: str | Path | None = None) -> frozenset[str]:
-    """Two-character surname list; one per line, `#` comments allowed."""
-    if path is None:
-        text = (
-            resources.files("namecensus")
-            .joinpath("data/compound_surnames.txt")
-            .read_text(encoding="utf-8")
-        )
-    else:
-        text = Path(path).read_text(encoding="utf-8")
-    out = set()
-    for line in text.splitlines():
-        entry = line.split("#", 1)[0].strip()
-        if entry:
-            out.add(entry)
-    return frozenset(out)
-
-
 @functools.lru_cache(maxsize=1)
 def default_compound_surnames() -> frozenset[str]:
-    return load_compound_surnames()
+    """The shipped two-character surname list; one per line, `#` comments allowed."""
+    text = resources.files("namecensus").joinpath("data/compound_surnames.txt").read_text(
+        encoding="utf-8")
+    entries = (line.split("#", 1)[0].strip() for line in split_lines(text))
+    return frozenset(filter(None, entries))
 
 
 def split_chinese(han_text: str, compound_surnames: frozenset[str]) -> SplitName:

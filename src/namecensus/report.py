@@ -8,7 +8,7 @@ from pathlib import Path
 
 from namecensus.batchio import AggregateStats
 from namecensus.classifier import GenderLabel, Prediction
-from namecensus.errors import GoldLabelError
+from namecensus.errors import NamecensusError
 from namecensus.textio import column, csv_rows
 
 SVG_BAR_SCALE = 400  # px for a 100% bar
@@ -82,26 +82,26 @@ class EvalResult:
 def load_gold_labels(path: str | Path) -> dict[str, GenderLabel]:
     """Gold CSV `name,gender` with header; gender is Female or Male."""
     gold: dict[str, GenderLabel] = {}
-    with csv_rows(path, GoldLabelError) as reader:
+    with csv_rows(path) as reader:
         header = next(reader, [])
-        name_col = column(path, header, "name", GoldLabelError)
-        gender_col = column(path, header, "gender", GoldLabelError)
+        name_col = column(path, header, "name")
+        gender_col = column(path, header, "gender")
         for row in filter(None, reader):  # blank lines are skipped
             where = f"{path}:{reader.line_num}"
             try:
                 name, gender = row[name_col].strip(), row[gender_col].strip()
             except IndexError:
-                raise GoldLabelError(f"{where}: row has too few cells for name,gender") from None
+                raise NamecensusError(f"{where}: row has too few cells for name,gender") from None
             if not name:
-                raise GoldLabelError(f"{where}: blank gold name")
+                raise NamecensusError(f"{where}: blank gold name")
             if gender not in ("Female", "Male"):
-                raise GoldLabelError(f"{where}: gold gender must be Female or Male: {gender!r}")
+                raise NamecensusError(f"{where}: gold gender must be Female or Male: {gender!r}")
             label = GenderLabel(gender)
             if name in gold and gold[name] is not label:
-                raise GoldLabelError(f"{where}: conflicting gold labels for {name!r}")
+                raise NamecensusError(f"{where}: conflicting gold labels for {name!r}")
             gold[name] = label
     if not gold:
-        raise GoldLabelError(f"{path}: empty gold set")
+        raise NamecensusError(f"{path}: empty gold set")
     return gold
 
 
@@ -112,7 +112,7 @@ def evaluate(
     Unisex and Unknown are always wrong against binary gold. Every gold
     name must have a prediction."""
     if not gold:
-        raise GoldLabelError("empty gold set")
+        raise NamecensusError("empty gold set")
     by_name = {p.raw_name: p for p in predictions}
     confusion = {(p, g): 0 for p in GenderLabel for g in (GenderLabel.FEMALE, GenderLabel.MALE)}
     mismatches = []

@@ -1,6 +1,7 @@
-"""Read every file the CLI takes: UTF-8, a leading byte-order mark
-dropped, records ending only at LF, CRLF or CR. A fault is raised as the
-caller's error class with one line, `FILE:LINE: message`."""
+"""Open and read every file the CLI takes. A text file is UTF-8, a
+leading byte-order mark dropped, records ending only at LF, CRLF or CR.
+A fault is raised as a NamecensusError with one line, `FILE:LINE: message`,
+or `FILE: message` for a path that cannot be opened."""
 
 from __future__ import annotations
 
@@ -9,11 +10,25 @@ import io
 from collections.abc import Iterator
 from contextlib import contextmanager
 from pathlib import Path
+from typing import BinaryIO
+
+from namecensus.errors import NamecensusError
 
 _CHUNK = 1 << 16
 
 
-def text_blocks(path: str | Path, error: type[Exception]) -> Iterator[str]:
+def open_bytes(path: str | Path) -> BinaryIO:
+    """`path` opened for reading bytes. A missing path is raised as
+    `FILE: file not found`, a directory as `FILE: is a directory`."""
+    try:
+        return open(path, "rb")
+    except FileNotFoundError:
+        raise NamecensusError(f"{path}: file not found") from None
+    except IsADirectoryError:
+        raise NamecensusError(f"{path}: is a directory") from None
+
+
+def text_blocks(path: str | Path) -> Iterator[str]:
     """The file's text, decoded one block of whole lines at a time.
 
     Each block but the last ends at LF, CRLF or CR, and never between the
@@ -22,11 +37,7 @@ def text_blocks(path: str | Path, error: type[Exception]) -> Iterator[str]:
     `FILE:LINE: invalid UTF-8 at byte offset N`, N counted from the start
     of the file, BOM included.
     """
-    try:
-        fh = open(path, "rb")
-    except FileNotFoundError:
-        raise error(f"{path}: file not found") from None
-    with fh:
+    with open_bytes(path) as fh:
         offset, line = 0, 1  # file offset and line number of `pending`
         pending = b""
         # The read size grows with a line longer than a chunk, so reading it stays linear.
@@ -36,23 +47,21 @@ def text_blocks(path: str | Path, error: type[Exception]) -> Iterator[str]:
             cut = max(pending.rfind(b"\n"), pending.rfind(b"\r", 0, len(pending) - 1)) + 1
             if cut:
                 block, pending = pending[:cut], pending[cut:]
-                text = _decode(block, offset, line, path, error)
+                text = _decode(block, offset, line, path)
                 offset, line = offset + cut, line + _line_ends(block)
                 yield text
         if pending:
-            yield _decode(pending, offset, line, path, error)
+            yield _decode(pending, offset, line, path)
 
 
-def _decode(
-    block: bytes, offset: int, line: int, path: str | Path, error: type[Exception]
-) -> str:
+def _decode(block: bytes, offset: int, line: int, path: str | Path) -> str:
     """`block`, read at file `offset` and `line`, decoded as "utf-8-sig" would
     decode it, but a fault names its file offset and line."""
     try:
         text = block.decode("utf-8")
     except UnicodeDecodeError as exc:
         line += _line_ends(block[: exc.start])
-        raise error(
+        raise NamecensusError(
             f"{path}:{line}: invalid UTF-8 at byte offset {offset + exc.start}"
         ) from None
     return text.removeprefix("\ufeff") if offset == 0 else text
@@ -71,26 +80,26 @@ def split_lines(block: str) -> list[str]:
 
 
 @contextmanager
-def csv_rows(path: str | Path, error: type[Exception]) -> Iterator[Iterator[list[str]]]:
+def csv_rows(path: str | Path) -> Iterator[Iterator[list[str]]]:
     """A csv.reader over the file's rows, for use in a `with` block. A row
     ends only at LF, CRLF or CR, and a quoted field may span lines. A
     malformed row raises `FILE:LINE: <csv message>` from the block; the
     reader's `line_num` is the last line of the row last read."""
     # newline="" splits lines at LF, CRLF and CR only, and keeps their ends.
     reader = csv.reader(
-        line for block in text_blocks(path, error) for line in io.StringIO(block, newline="")
+        line for block in text_blocks(path) for line in io.StringIO(block, newline="")
     )
     try:
         yield reader
     except csv.Error as exc:
-        raise error(f"{path}:{reader.line_num}: {exc}") from None
+        raise NamecensusError(f"{path}:{reader.line_num}: {exc}") from None
 
 
-def column(path: str | Path, header: list[str], name: str, error: type[Exception]) -> int:
+def column(path: str | Path, header: list[str], name: str) -> int:
     """The index of column `name` in the header, the file's first row; it
     must appear there exactly once."""
     if name not in header:
-        raise error(f"{path}:1: no column {name!r} in header {header}")
+        raise NamecensusError(f"{path}:1: no column {name!r} in header {header}")
     if header.count(name) > 1:
-        raise error(f"{path}:1: column {name!r} appears more than once in the header")
+        raise NamecensusError(f"{path}:1: column {name!r} appears more than once in the header")
     return header.index(name)

@@ -27,7 +27,7 @@ from namecensus.classifier import (
     predict,
 )
 from namecensus.corpus import CountModel
-from namecensus.errors import EmptyInputError, InputError
+from namecensus.errors import NamecensusError
 from namecensus.scriptdetect import Script
 from oracles import results_csv_oracle
 
@@ -61,13 +61,13 @@ class TestReadInput:
         assert [r.raw_name for r in records] == ["Hua Zhao", "王青"]
 
     def test_missing_file(self, tmp_path):
-        with pytest.raises(InputError, match="not found"):
+        with pytest.raises(NamecensusError, match="not found"):
             read_input(tmp_path / "nope.txt")
 
     def test_invalid_utf8_reports_byte_offset(self, tmp_path):
         path = tmp_path / "names.txt"
         path.write_bytes(b"abc\n\xffdef\n")
-        with pytest.raises(InputError, match="byte offset 4"):
+        with pytest.raises(NamecensusError, match="byte offset 4"):
             read_input(path)
 
     @pytest.mark.parametrize("filename, content", [
@@ -98,13 +98,13 @@ class TestReadInput:
     def test_invalid_utf8_offset_counts_bom(self, tmp_path):
         path = tmp_path / "names.txt"
         path.write_bytes(b"\xef\xbb\xbfabc\n\xffdef\n")
-        with pytest.raises(InputError, match="byte offset 7"):
+        with pytest.raises(NamecensusError, match="byte offset 7"):
             read_input(path)
 
     def test_missing_column(self, tmp_path):
         path = tmp_path / "names.csv"
         path.write_text("id,author\n1,x\n", encoding="utf-8")
-        with pytest.raises(InputError, match="no column 'name'"):
+        with pytest.raises(NamecensusError, match="no column 'name'"):
             read_input(path)
 
     @pytest.mark.parametrize("content, line", [
@@ -114,14 +114,14 @@ class TestReadInput:
     def test_short_csv_row_names_file_and_line(self, tmp_path, content, line):
         path = tmp_path / "names.csv"
         path.write_bytes(content.encode("utf-8"))
-        with pytest.raises(InputError) as exc:
+        with pytest.raises(NamecensusError) as exc:
             read_input(path)
         assert str(exc.value) == f"{path}:{line}: row has no column index 1"
 
     def test_empty_input_distinct_error(self, tmp_path):
         path = tmp_path / "names.txt"
         path.write_text("\n\n", encoding="utf-8")
-        with pytest.raises(EmptyInputError):
+        with pytest.raises(NamecensusError, match="no name records found$"):
             read_input(path)
 
     def test_auto_format_by_extension(self, tmp_path):
@@ -139,7 +139,7 @@ class TestReadInput:
         monkeypatch.setattr(textio, "_CHUNK", chunk)
         path = tmp_path / "names.csv"
         path.write_bytes(b"name\r\nHua Zhao\r\n" + b"x" * 200_000 + b"\r\n")
-        with pytest.raises(InputError) as exc:
+        with pytest.raises(NamecensusError) as exc:
             read_input(path)
         assert str(exc.value) == f"{path}:3: field larger than field limit (131072)"
 
@@ -185,7 +185,7 @@ class TestIterNames:
         data = "\ufeffMary Smith\r\n王青\rJohn\n".encode("utf-8") + b"Br\xffown\n"
         path.write_bytes(data)
         offset = data.index(b"\xff")
-        with pytest.raises(InputError, match=f"byte offset {offset}$"):
+        with pytest.raises(NamecensusError, match=f"byte offset {offset}$"):
             list(iter_names(path))
 
     def test_peak_memory_follows_distinct_names_not_rows(self, tmp_path):
@@ -342,7 +342,7 @@ class TestWriteResults:
 
         with pytest.raises(ValueError, match="mid-batch"):
             write_results(failing(), path)
-        with pytest.raises(EmptyInputError):
+        with pytest.raises(NamecensusError, match="^cannot aggregate zero predictions$"):
             write_results([], path)
         assert path.read_bytes() == b"old\n"
         assert list(tmp_path.iterdir()) == [path]
@@ -371,7 +371,7 @@ class TestReadResultLabels:
     def test_bad_file_names_file_and_line(self, tmp_path, data, message):
         path = tmp_path / "results.csv"
         path.write_bytes(data)
-        with pytest.raises(InputError) as exc:
+        with pytest.raises(NamecensusError) as exc:
             read_result_labels(path)
         assert str(exc.value) == f"{path}:{message}"
 
@@ -394,7 +394,7 @@ class TestAggregate:
         assert stats.percentages[GenderLabel.UNKNOWN] == pytest.approx(100.0)
 
     def test_empty_rejected(self):
-        with pytest.raises(EmptyInputError):
+        with pytest.raises(NamecensusError, match="^cannot aggregate zero predictions$"):
             aggregate([])
 
     def test_percentages_sum_property(self):

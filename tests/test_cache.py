@@ -16,12 +16,7 @@ from namecensus.cache import (
     save_cache,
 )
 from namecensus.corpus import CountModel
-from namecensus.errors import (
-    CacheDigestError,
-    CacheFormatError,
-    CacheTruncatedError,
-    CacheVersionError,
-)
+from namecensus.errors import CacheError
 
 HAN_POOL = "娟刚青金标骅明丽伟芳"
 HEADER_SIZE = len(MAGIC) + 4 + 32 + 32  # magic, version, source and payload digests
@@ -72,7 +67,8 @@ def test_version_mismatch(tmp_path):
     blob = bytearray(path.read_bytes())
     struct.pack_into("<I", blob, len(MAGIC), FORMAT_VERSION + 1)
     path.write_bytes(bytes(blob))
-    with pytest.raises(CacheVersionError):
+    with pytest.raises(CacheError, match=f"^cache format version {FORMAT_VERSION + 1}, "
+                                         f"this build supports {FORMAT_VERSION}$"):
         load_cache(path)
 
 
@@ -85,7 +81,8 @@ def test_old_format_rejected(tmp_path, old_version):
     blob = bytearray(path.read_bytes())
     struct.pack_into("<I", blob, len(MAGIC), old_version)
     path.write_bytes(bytes(blob))
-    with pytest.raises(CacheVersionError):
+    with pytest.raises(CacheError, match=f"^cache format version {old_version}, "
+                                         f"this build supports {FORMAT_VERSION}$"):
         load_cache(path)
 
 
@@ -112,7 +109,7 @@ def test_failed_write_keeps_old_cache(tmp_path, monkeypatch):
 def test_bad_magic(tmp_path):
     path = tmp_path / "m.ncm"
     path.write_bytes(b"JUNK" + b"\x00" * 100)
-    with pytest.raises(CacheFormatError):
+    with pytest.raises(CacheError, match=r"^not a model cache \(magic b'JUNK'\)$"):
         load_cache(path)
 
 
@@ -123,7 +120,7 @@ def test_corrupted_payload(tmp_path):
     blob = bytearray(path.read_bytes())
     blob[-1] ^= 0xFF
     path.write_bytes(bytes(blob))
-    with pytest.raises(CacheDigestError):
+    with pytest.raises(CacheError, match=r"^cache payload digest mismatch \(corrupted file\)$"):
         load_cache(path)
 
 
@@ -132,9 +129,15 @@ def test_truncated_file(tmp_path):
     path = tmp_path / "m.ncm"
     save_cache(english, chinese, path)
     blob = path.read_bytes()
-    for cut in (10, 70, len(blob) - 5):
+    for cut, message in [
+        (10, "cache file shorter than its header"),
+        (70, "cache file shorter than its header"),
+        (HEADER_SIZE + 3, "cache file ends before payload length"),
+        (len(blob) - 5, f"payload is {len(blob) - 5 - HEADER_SIZE - 8} bytes, header promised "
+                        f"{len(blob) - HEADER_SIZE - 8}"),
+    ]:
         path.write_bytes(blob[:cut])
-        with pytest.raises(CacheTruncatedError):
+        with pytest.raises(CacheError, match=f"^{message}$"):
             load_cache(path)
 
 
@@ -157,7 +160,7 @@ def test_read_source_digest_header_only(tmp_path):
     path.write_bytes(path.read_bytes()[:HEADER_SIZE])
     assert read_source_digest(path) == "cd" * 32
     path.write_bytes(path.read_bytes()[: HEADER_SIZE - 1])
-    with pytest.raises(CacheTruncatedError):
+    with pytest.raises(CacheError, match="^cache file shorter than its header$"):
         read_source_digest(path)
 
 
@@ -220,21 +223,21 @@ def bad_utf8_key(payload):
     return payload
 
 
-@pytest.mark.parametrize("edit", [
-    bump_entry_count,
-    grow_last_key_bytes,
-    split_first_key,
-    bad_utf8_key,
-    lambda p: p[:-16],
-    lambda p: p + b"\x00" * 16,
-    lambda p: p[: SECTION.size - 1],
+@pytest.mark.parametrize("edit, message", [
+    (bump_entry_count, r"model section header promises \d+ keys, found \d+"),
+    (grow_last_key_bytes, r"model section promises \d+ entries in \d+ bytes, \d+ remain"),
+    (split_first_key, r"model section header promises \d+ keys, found \d+"),
+    (bad_utf8_key, "model section keys are not valid UTF-8"),
+    (lambda p: p[:-16], r"model section promises \d+ entries in \d+ bytes, \d+ remain"),
+    (lambda p: p + b"\x00" * 16, "16 bytes follow the model sections"),
+    (lambda p: p[: SECTION.size - 1], "model section ends inside its header"),
 ], ids=["count", "key-bytes", "split-key", "utf8", "cut", "trailing", "short-header"])
-def test_inconsistent_section_is_format_error(tmp_path, edit):
+def test_inconsistent_section_is_format_error(tmp_path, edit, message):
     english, chinese = small_models()
     path = tmp_path / "m.ncm"
     save_cache(english, chinese, path)
     rewrite_payload(path, edit)
-    with pytest.raises(CacheFormatError):
+    with pytest.raises(CacheError, match=f"^{message}$"):
         load_cache(path)
 
 
@@ -250,7 +253,7 @@ def test_load_restores_gc_state(tmp_path):
             (gc.enable if enabled else gc.disable)()
             assert load_cache(good) == ModelCache(english, chinese)
             assert gc.isenabled() is enabled
-            with pytest.raises(CacheFormatError):
+            with pytest.raises(CacheError, match="^model section header promises"):
                 load_cache(bad)
             assert gc.isenabled() is enabled
     finally:
@@ -265,7 +268,7 @@ def test_load_restores_gc_state(tmp_path):
 def test_unencodable_model_is_one_line_error(tmp_path, entries, named):
     model = CountModel.from_entries(entries)
     path = tmp_path / "m.ncm"
-    with pytest.raises(CacheFormatError, match=named) as info:
+    with pytest.raises(CacheError, match=named) as info:
         save_cache(model, model, path)
     assert "\n" not in str(info.value)
     assert list(tmp_path.iterdir()) == []

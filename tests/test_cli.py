@@ -436,6 +436,39 @@ def test_undecodable_gold_or_results_names_file(tmp_path, mini_cache, capsys, co
     assert capsys.readouterr().err == f"error: {path}:3: invalid UTF-8 at byte offset 37\n"
 
 
+# Every file read, model cache and corpora included, reports a bad path as one line.
+@pytest.mark.parametrize("command, flag, fault", [
+    ("build-cache", "--chinese-csv", "file not found"),
+    ("build-cache", "--out", "is a directory"),
+    ("predict", "--cache", "file not found"),
+    ("eval", "--cache", "file not found"),
+    ("predict", "--cache", "is a directory"),
+    ("predict", "--in", "is a directory"),
+    ("chart", "--results", "is a directory"),
+], ids=["chinese-csv-missing", "out-directory", "predict-cache-missing",
+        "eval-cache-missing", "cache-directory", "in-directory", "results-directory"])
+def test_missing_path_or_directory_exit_1(tmp_path, mini_corpus, mini_cache, capsys,
+                                          command, flag, fault):
+    english, chinese = mini_corpus
+    names = tmp_path / "names.txt"
+    names.write_text("Hua Zhao\n", encoding="utf-8")
+    gold = tmp_path / "gold.csv"
+    gold.write_text("name,gender\nHua Zhao,Female\n", encoding="utf-8")
+    flags = {
+        "build-cache": {"--english-dir": english, "--chinese-csv": chinese,
+                        "--out": tmp_path / "new.ncm"},
+        "predict": {"--cache": mini_cache, "--in": names, "--out": tmp_path / "o.csv"},
+        "eval": {"--cache": mini_cache, "--gold": gold},
+        "chart": {"--results": None, "--json": tmp_path / "c.json",
+                  "--svg": tmp_path / "c.svg"},
+    }[command]
+    bad = flags[flag] = tmp_path / "bad"
+    if fault == "is a directory":
+        bad.mkdir()
+    assert main([command, *(str(arg) for item in flags.items() for arg in item)]) == 1
+    assert capsys.readouterr().err == f"error: {bad}: {fault}\n"
+
+
 class TestChartCommand:
     def test_from_results_csv(self, tmp_path, mini_cache):
         infile = tmp_path / "names.txt"

@@ -9,7 +9,7 @@ from namecensus.corpus import (
     load_english_year_files,
     normalize_name_key,
 )
-from namecensus.errors import CorpusError
+from namecensus.errors import NamecensusError
 
 
 def write_years(tmp_path, files):
@@ -65,12 +65,12 @@ class TestEnglishCorpus:
         assert load_english_year_files(a_dir) == load_english_year_files(b_dir)
 
     def test_missing_directory(self, tmp_path):
-        with pytest.raises(CorpusError, match="not found"):
+        with pytest.raises(NamecensusError, match="not found"):
             load_english_year_files(tmp_path / "nope")
 
     def test_no_matching_files(self, tmp_path):
         (tmp_path / "names.txt").write_text("Mary,F,10\n")
-        with pytest.raises(CorpusError, match="no yob"):
+        with pytest.raises(NamecensusError, match="no yob"):
             load_english_year_files(tmp_path)
 
     @pytest.mark.parametrize("bad_line,message", [
@@ -82,7 +82,7 @@ class TestEnglishCorpus:
     ])
     def test_malformed_rows_name_file_and_line(self, tmp_path, bad_line, message):
         write_years(tmp_path, {"yob2015.txt": ["Anne,F,2", bad_line]})
-        with pytest.raises(CorpusError, match=message) as exc:
+        with pytest.raises(NamecensusError, match=message) as exc:
             load_english_year_files(tmp_path)
         assert "yob2015.txt:2" in str(exc.value)
 
@@ -92,14 +92,14 @@ class TestEnglishCorpus:
         monkeypatch.setattr(textio, "_CHUNK", chunk)
         path = tmp_path / "yob2000.txt"
         path.write_bytes(b"Mary,F,5\rJohn,M,3\r\rAnne,F\rJo,M,2\r")
-        with pytest.raises(CorpusError) as exc:
+        with pytest.raises(NamecensusError) as exc:
             load_english_year_files(tmp_path)
         assert str(exc.value) == f"{path}:4: expected 3 comma-separated fields, got 2"
 
     def test_invalid_utf8_names_file_and_line(self, tmp_path):
         path = tmp_path / "yob2000.txt"
         path.write_bytes(b"Mary,F,5\r\nJos\xe9,M,3\n")
-        with pytest.raises(CorpusError) as exc:
+        with pytest.raises(NamecensusError) as exc:
             load_english_year_files(tmp_path)
         assert str(exc.value) == f"{path}:2: invalid UTF-8 at byte offset 13"
 
@@ -137,21 +137,21 @@ class TestChineseCorpus:
         assert len(model.entries) == 0
 
     def test_duplicate_character(self, tmp_path):
-        with pytest.raises(CorpusError, match="duplicate"):
+        with pytest.raises(NamecensusError, match="duplicate"):
             load_chinese_charfreq(self.write(tmp_path, ["娟,3,1", "娟,1,1"]))
 
     def test_non_han_key(self, tmp_path):
-        with pytest.raises(CorpusError, match="Han character"):
+        with pytest.raises(NamecensusError, match="Han character"):
             load_chinese_charfreq(self.write(tmp_path, ["a,3,1"]))
 
     def test_negative_count(self, tmp_path):
-        with pytest.raises(CorpusError, match="negative"):
+        with pytest.raises(NamecensusError, match="negative"):
             load_chinese_charfreq(self.write(tmp_path, ["娟,-3,1"]))
 
     def test_bad_header(self, tmp_path):
         path = tmp_path / "chars.csv"
         path.write_text("character,f,m\n娟,3,1\n", encoding="utf-8")
-        with pytest.raises(CorpusError, match="header"):
+        with pytest.raises(NamecensusError, match="header"):
             load_chinese_charfreq(path)
 
     def test_leading_bom_ignored(self, tmp_path):
@@ -161,14 +161,14 @@ class TestChineseCorpus:
 
     def test_field_over_limit_names_file_and_line(self, tmp_path):
         path = self.write(tmp_path, ["娟,3,1", "x" * 200_000 + ",1,2"])
-        with pytest.raises(CorpusError) as exc:
+        with pytest.raises(NamecensusError) as exc:
             load_chinese_charfreq(path)
         assert str(exc.value) == f"{path}:3: field larger than field limit (131072)"
 
     def test_invalid_utf8(self, tmp_path):
         path = tmp_path / "chars.csv"
         path.write_bytes(b"char,female,male\n\xff\xfe,1,2\n")
-        with pytest.raises(CorpusError, match="UTF-8"):
+        with pytest.raises(NamecensusError, match="UTF-8"):
             load_chinese_charfreq(path)
 
 

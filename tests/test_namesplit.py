@@ -1,11 +1,8 @@
+from importlib import resources
+
 import pytest
 
-from namecensus.namesplit import (
-    default_compound_surnames,
-    load_compound_surnames,
-    split_chinese,
-    split_english,
-)
+from namecensus.namesplit import default_compound_surnames, split_chinese, split_english
 
 COMPOUND = default_compound_surnames()
 
@@ -68,10 +65,14 @@ class TestSplitEnglish:
         assert split_english(given).given == given
 
 
-def test_compound_surname_file_parsing(tmp_path):
-    path = tmp_path / "compound.txt"
-    path.write_text("# comment\n欧阳\n司马  # inline\n\n", encoding="utf-8")
-    assert load_compound_surnames(path) == frozenset({"欧阳", "司马"})
+def test_shipped_compound_list_drops_comments_and_whitespace():
+    entries = default_compound_surnames()
+    assert not any("#" in e or any(ch.isspace() for ch in e) for e in entries)
+    text = resources.files("namecensus").joinpath("data/compound_surnames.txt").read_text(
+        encoding="utf-8")
+    comment = text.split("\n", 1)[0]
+    assert comment.startswith("# ")
+    assert comment not in entries and comment[2:] not in entries
 
 
 def test_shipped_compound_list_is_two_char_entries():

@@ -6,7 +6,7 @@ import pytest
 
 from namecensus.batchio import AggregateStats
 from namecensus.classifier import GenderLabel, Posterior, Prediction
-from namecensus.errors import GoldLabelError
+from namecensus.errors import NamecensusError
 from namecensus.report import (
     SVG_BAR_SCALE,
     chart_payload,
@@ -125,7 +125,7 @@ class TestEvaluate:
         assert len(result.mismatches) == result.total - result.correct
 
     def test_empty_gold_error(self):
-        with pytest.raises(GoldLabelError, match="empty"):
+        with pytest.raises(NamecensusError, match="empty"):
             evaluate([_pred("a", GenderLabel.MALE)], {})
 
 
@@ -147,13 +147,13 @@ class TestGoldFile:
     def test_conflicting_duplicates(self, tmp_path):
         path = tmp_path / "gold.csv"
         path.write_text("name,gender\nA,Female\nA,Male\n", encoding="utf-8")
-        with pytest.raises(GoldLabelError, match="conflicting"):
+        with pytest.raises(NamecensusError, match="conflicting"):
             load_gold_labels(path)
 
     def test_bad_gender_value(self, tmp_path):
         path = tmp_path / "gold.csv"
         path.write_text("name,gender\nA,Unisex\n", encoding="utf-8")
-        with pytest.raises(GoldLabelError, match="Female or Male"):
+        with pytest.raises(NamecensusError, match="Female or Male"):
             load_gold_labels(path)
 
     @pytest.mark.parametrize("row, message", [
@@ -163,7 +163,7 @@ class TestGoldFile:
     def test_bad_row_names_file_and_line(self, tmp_path, row, message):
         path = tmp_path / "gold.csv"
         path.write_text(f"name,gender\nAlan Turing,Male\n{row}\n", encoding="utf-8")
-        with pytest.raises(GoldLabelError) as exc:
+        with pytest.raises(NamecensusError) as exc:
             load_gold_labels(path)
         assert str(exc.value) == f"{path}:3: {message}"
 
@@ -175,12 +175,12 @@ class TestGoldFile:
     def test_bad_file_names_file_and_line(self, tmp_path, data, message):
         path = tmp_path / "gold.csv"
         path.write_bytes(data)
-        with pytest.raises(GoldLabelError) as exc:
+        with pytest.raises(NamecensusError) as exc:
             load_gold_labels(path)
         assert str(exc.value) == f"{path}:{message}"
 
     def test_empty_gold_file(self, tmp_path):
         path = tmp_path / "gold.csv"
         path.write_text("name,gender\n", encoding="utf-8")
-        with pytest.raises(GoldLabelError, match="empty"):
+        with pytest.raises(NamecensusError, match="empty"):
             load_gold_labels(path)
