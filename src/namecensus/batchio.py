@@ -2,8 +2,8 @@
 
 from __future__ import annotations
 
+import io
 import itertools
-import os
 from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass
 from pathlib import Path
@@ -17,7 +17,7 @@ from namecensus.classifier import (
 )
 from namecensus.corpus import CountModel
 from namecensus.errors import NamecensusError
-from namecensus.textio import column, csv_rows, split_lines, text_blocks
+from namecensus.textio import column, csv_rows, replace_file, split_lines, text_blocks
 
 
 @dataclass(frozen=True, slots=True)
@@ -180,35 +180,18 @@ def write_results(predictions: Iterable[Prediction], path: str | Path) -> Aggreg
 
 
 def _write_rows(rows: Iterable[_Row], path: str | Path) -> AggregateStats:
-    """The results CSV of `rows`; returns its label counts. item is the
-    1-based row position.
-
-    The rows go to a temp file beside `path`, which replaces `path` only
-    once every row is written, so a failed batch leaves `path` as it was.
-    A pipe or a device, such as /dev/stdout, cannot be renamed over and
-    is written in place.
-    """
-    path = Path(path)
-    tmp = None
-    if path.is_file() or not path.exists():
-        tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    """The results CSV of `rows`, written through `textio.replace_file`;
+    returns its label counts. item is the 1-based row position."""
     # Counted by label value: a str hashes in C, an Enum member in Python.
     counts = dict.fromkeys((label.value for label in GenderLabel), 0)
-    try:
-        with open(tmp or path, "w", encoding="utf-8", newline="\n") as fh:
-            write = fh.write
-            write(",".join(RESULT_FIELDS) + "\n")
-            for item, (label, name, rest) in enumerate(rows, start=1):
-                counts[label] += 1
-                write(f"{item},{name}{rest}")
-        stats = _stats({label: counts[label.value] for label in GenderLabel})
-        if tmp:
-            os.replace(tmp, path)
-    except BaseException:
-        if tmp:
-            tmp.unlink(missing_ok=True)
-        raise
-    return stats
+    with replace_file(path) as out, io.TextIOWrapper(out, encoding="utf-8", newline="\n") as fh:
+        write = fh.write
+        write(",".join(RESULT_FIELDS) + "\n")
+        for item, (label, name, rest) in enumerate(rows, start=1):
+            counts[label] += 1
+            write(f"{item},{name}{rest}")
+        # Inside the block, so a batch of zero rows leaves `path` as it was.
+        return _stats({label: counts[label.value] for label in GenderLabel})
 
 
 def read_result_labels(path: str | Path) -> list[GenderLabel]:

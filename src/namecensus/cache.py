@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import gc
 import hashlib
-import os
 import struct
 import sys
 from array import array
@@ -25,8 +24,8 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from namecensus.corpus import CountModel
-from namecensus.errors import CacheError
-from namecensus.textio import open_bytes
+from namecensus.errors import CacheError, NamecensusError
+from namecensus.textio import open_bytes, replace_file
 
 MAGIC = b"NCMC"
 FORMAT_VERSION = 3
@@ -105,7 +104,7 @@ def save_cache(
     path: str | Path,
     source_digest: str = "",
 ) -> None:
-    """Write atomically (temp file beside `path`, then os.replace)."""
+    """Write through `textio.replace_file`, so a failed write leaves `path` as it was."""
     payload = _encode(english) + _encode(chinese)
     header = _HEADER.pack(
         MAGIC,
@@ -113,20 +112,19 @@ def save_cache(
         bytes.fromhex(source_digest) if source_digest else b"\x00" * 32,
         hashlib.sha256(payload).digest(),
     )
-    path = Path(path)
-    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-    try:
-        tmp.write_bytes(header + struct.pack("<Q", len(payload)) + payload)
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
+    with replace_file(path) as fh:
+        fh.write(header + struct.pack("<Q", len(payload)) + payload)
 
 
 def read_source_digest(path: str | Path) -> str:
-    """Source digest from the header alone, for staleness checks."""
+    """Source digest from the header alone, for staleness checks. A file
+    that does not begin with the magic is no cache at all: it is raised as
+    a NamecensusError, not a CacheError, so build-cache never replaces it."""
     with open_bytes(path) as fh:
-        source_digest, _ = _read_header(fh.read(_HEADER.size))
+        blob = fh.read(_HEADER.size)
+    if blob[: len(MAGIC)] != MAGIC:
+        raise NamecensusError(f"{path}: not a model cache (magic {blob[: len(MAGIC)]!r})")
+    source_digest, _ = _read_header(blob)
     return source_digest.hex()
 
 

@@ -100,7 +100,7 @@ def cmd_build_cache(args: argparse.Namespace) -> int:
                 print(f"cache up to date: {out}")
                 return 0
         except CacheError:
-            pass  # unreadable cache: rebuild
+            pass  # a cache this build cannot read: rebuild
     english = load_english_year_files(args.english_dir)
     chinese = load_chinese_charfreq(chinese_path)
     save_cache(english, chinese, out, source_digest=digest)

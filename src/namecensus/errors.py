@@ -6,5 +6,6 @@ class NamecensusError(Exception):
 
 
 class CacheError(NamecensusError):
-    """A model cache that cannot be read or written; build-cache rebuilds an
-    unreadable one."""
+    """A model cache that this build cannot read, such as an older format or
+    a cut or corrupt file; build-cache rebuilds one. A file that does not
+    begin with the cache magic is no cache: build-cache leaves it as it is."""

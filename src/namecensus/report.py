@@ -9,7 +9,7 @@ from pathlib import Path
 from namecensus.batchio import AggregateStats
 from namecensus.classifier import GenderLabel, Prediction
 from namecensus.errors import NamecensusError
-from namecensus.textio import column, csv_rows
+from namecensus.textio import column, csv_rows, replace_file
 
 SVG_BAR_SCALE = 400  # px for a 100% bar
 _BAR_WIDTH = 80
@@ -63,11 +63,12 @@ def render_svg(stats: AggregateStats) -> str:
 
 
 def emit_chart(stats: AggregateStats, json_path: str | Path, svg_path: str | Path) -> None:
-    """Write the aggregate as machine-readable JSON and a static bar chart."""
-    Path(json_path).write_text(
-        json.dumps(chart_payload(stats), indent=2) + "\n", encoding="utf-8"
-    )
-    Path(svg_path).write_text(render_svg(stats) + "\n", encoding="utf-8")
+    """Write the aggregate as machine-readable JSON and a static bar chart;
+    a fault on either file leaves both as they were."""
+    with replace_file(json_path) as json_fh, replace_file(svg_path) as svg_fh:
+        json_fh.write(f"{json.dumps(chart_payload(stats), indent=2)}\n".encode())
+        json_fh.flush()  # a fault on the JSON is raised before the SVG replaces its file
+        svg_fh.write(f"{render_svg(stats)}\n".encode())
 
 
 @dataclass(frozen=True)

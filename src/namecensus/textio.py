@@ -1,12 +1,13 @@
-"""Open and read every file the CLI takes. A text file is UTF-8, a
-leading byte-order mark dropped, records ending only at LF, CRLF or CR.
-A fault is raised as a NamecensusError with one line, `FILE:LINE: message`,
-or `FILE: message` for a path that cannot be opened."""
+"""Open, read and write every file the CLI takes or writes. A text file is
+UTF-8, a leading byte-order mark dropped, records ending only at LF, CRLF
+or CR. A fault is raised as a NamecensusError with one line, `FILE:LINE:
+message`, or `FILE: message` for a path that cannot be opened or written."""
 
 from __future__ import annotations
 
 import csv
 import io
+import os
 from collections.abc import Iterator
 from contextlib import contextmanager
 from pathlib import Path
@@ -26,6 +27,48 @@ def open_bytes(path: str | Path) -> BinaryIO:
         raise NamecensusError(f"{path}: file not found") from None
     except IsADirectoryError:
         raise NamecensusError(f"{path}: is a directory") from None
+
+
+class _Output(io.FileIO):
+    """The file `replace_file` writes. A write fault is raised where it happens,
+    naming the user's `path`, so a fault inside a block nested in another
+    file's names its own file."""
+
+    def write(self, data) -> int:
+        try:
+            return super().write(data)
+        except OSError as exc:
+            raise NamecensusError(f"{self.path}: {exc.strerror or exc}") from None
+
+
+@contextmanager
+def replace_file(path: str | Path) -> Iterator[BinaryIO]:
+    """`path` opened for writing bytes, for use in a `with` block. The bytes
+    go to a temp file beside `path`, which replaces `path` when the block
+    ends cleanly; on any fault the temp file is removed and `path` is left
+    as it was. A pipe or a device, such as /dev/stdout, is written in place.
+    A missing parent directory is raised as `FILE: directory not found`, a
+    directory as `FILE: is a directory`, a write fault as `FILE: message`."""
+    target = Path(path)
+    tmp = None
+    if target.is_file() or not target.exists():  # a pipe or a device cannot be renamed over
+        tmp = target.with_name(f".{target.name}.{os.getpid()}.tmp")
+    try:
+        raw = _Output(tmp or target, "w")
+    except IsADirectoryError:
+        raise NamecensusError(f"{path}: is a directory") from None
+    except (FileNotFoundError, NotADirectoryError):
+        raise NamecensusError(f"{path}: directory not found") from None
+    raw.path = path
+    try:
+        with io.BufferedWriter(raw) as fh:
+            yield fh
+        if tmp:
+            os.replace(tmp, target)
+    except BaseException:
+        if tmp:
+            tmp.unlink(missing_ok=True)
+        raise
 
 
 def text_blocks(path: str | Path) -> Iterator[str]:

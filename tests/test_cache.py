@@ -1,11 +1,11 @@
 import gc
 import hashlib
-import pathlib
 import random
 import struct
 
 import pytest
 
+from namecensus import textio
 from namecensus.cache import (
     FORMAT_VERSION,
     MAGIC,
@@ -91,13 +91,13 @@ def test_failed_write_keeps_old_cache(tmp_path, monkeypatch):
     path = tmp_path / "m.ncm"
     save_cache(english, chinese, path, source_digest="ab" * 32)
     before = path.read_bytes()
-    real_write_bytes = pathlib.Path.write_bytes
+    real_write = textio._Output.write
 
     def write_half_then_fail(self, data):
-        real_write_bytes(self, data[: len(data) // 2])
+        real_write(self, bytes(data)[: len(data) // 2])
         raise OSError("disk full")
 
-    monkeypatch.setattr(pathlib.Path, "write_bytes", write_half_then_fail)
+    monkeypatch.setattr(textio._Output, "write", write_half_then_fail)
     other_english, other_chinese = small_models(random.Random(1))
     with pytest.raises(OSError, match="disk full"):
         save_cache(other_english, other_chinese, path, source_digest="cd" * 32)

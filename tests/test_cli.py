@@ -1,5 +1,8 @@
 import csv
 import dataclasses
+import errno
+import os
+import resource
 import struct
 import subprocess
 import sys
@@ -87,6 +90,26 @@ class TestBuildCache:
         assert "wrote cache" in capsys.readouterr().out
         load_cache(mini_cache)
         assert FORMAT_VERSION == 3
+
+    @pytest.mark.parametrize("content", [b"Hua Zhao\nPhil Barker\n", b"", b"NCM"],
+                             ids=["name-list", "empty", "short"])
+    def test_out_that_is_not_a_cache_is_kept(self, tmp_path, mini_corpus, capsys, content):
+        english, chinese = mini_corpus
+        out = tmp_path / "keep.txt"
+        out.write_bytes(content)
+        assert main(["build-cache", "--english-dir", str(english),
+                     "--chinese-csv", str(chinese), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {out}: not a model cache (magic {content[:4]!r})\n")
+        assert out.read_bytes() == content
+
+    def test_rebuilds_cache_cut_inside_its_header(self, mini_corpus, mini_cache, capsys):
+        english, chinese = mini_corpus
+        mini_cache.write_bytes(mini_cache.read_bytes()[:10])
+        assert main(["build-cache", "--english-dir", str(english),
+                     "--chinese-csv", str(chinese), "--out", str(mini_cache)]) == 0
+        assert "wrote cache" in capsys.readouterr().out
+        load_cache(mini_cache)
 
     def test_missing_directory_exit_1(self, tmp_path, capsys):
         code = main(["build-cache", "--english-dir", str(tmp_path / "nope"),
@@ -467,6 +490,65 @@ def test_missing_path_or_directory_exit_1(tmp_path, mini_corpus, mini_cache, cap
         bad.mkdir()
     assert main([command, *(str(arg) for item in flags.items() for arg in item)]) == 1
     assert capsys.readouterr().err == f"error: {bad}: {fault}\n"
+
+
+def _tree(root):
+    """Every path under `root`, with a file's bytes or None for a directory."""
+    return {path: path.read_bytes() if path.is_file() else None for path in root.rglob("*")}
+
+
+# Every output file goes through one writer: each fault is one line naming the
+# user's path, leaves no temp file and leaves every old file as it was.
+@pytest.mark.parametrize("fault", ["missing-parent", "directory", "mid-write"])
+@pytest.mark.parametrize("writer", ["results", "cache", "chart"])
+def test_output_fault_keeps_old_files(tmp_path, mini_corpus, mini_cache, writer, fault):
+    english, chinese = mini_corpus
+    names = tmp_path / "names.txt"
+    names.write_text("Hua Zhao\n王娟\n", encoding="utf-8")
+    results = tmp_path / "results.csv"
+    results.write_text("item,name,gender\n1,Hua Zhao,Female\n", encoding="utf-8")
+    chart_json, chart_svg = tmp_path / "chart.json", tmp_path / "chart.svg"
+    # The JSON is written before the SVG; a fault on the SVG must keep the old JSON too.
+    chart_json.write_bytes(b"old json\n")
+    target = {"results": tmp_path / "out.csv", "cache": tmp_path / "out.ncm",
+              "chart": chart_svg}[writer]
+    limit = 64  # bytes of a mid-write file: every output but the chart JSON is longer
+    if fault == "missing-parent":
+        target = tmp_path / "nodir" / target.name
+        message = "directory not found"
+    elif fault == "directory":
+        target.mkdir()
+        message = "is a directory"
+    else:
+        old = bytearray(b"old output\n" if writer != "cache" else mini_cache.read_bytes())
+        if writer == "cache":
+            old[8:40] = bytes(32)  # another source digest, so build-cache rebuilds it
+        target.write_bytes(old)
+        message = os.strerror(errno.EFBIG)
+        if writer == "chart":  # the JSON fits and the SVG does not
+            assert main(["chart", "--results", str(results), "--json", str(tmp_path / "j"),
+                         "--svg", str(tmp_path / "s")]) == 0
+            limit = (tmp_path / "j").stat().st_size
+            assert (tmp_path / "s").stat().st_size > limit
+            (tmp_path / "j").unlink()
+            (tmp_path / "s").unlink()
+    argv = {
+        "results": ["predict", "--cache", mini_cache, "--in", names, "--out", target],
+        "cache": ["build-cache", "--english-dir", english, "--chinese-csv", chinese,
+                  "--out", target],
+        "chart": ["chart", "--results", results, "--json", chart_json, "--svg", target],
+    }[writer]
+
+    def cap_file_size():  # in the child only: a write past `limit` fails with EFBIG
+        resource.setrlimit(resource.RLIMIT_FSIZE, (limit, limit))
+
+    before = _tree(tmp_path)
+    result = subprocess.run([sys.executable, "-m", "namecensus", *map(str, argv)],
+                            capture_output=True, text=True,
+                            preexec_fn=cap_file_size if fault == "mid-write" else None)
+    assert result.returncode == 1
+    assert result.stderr == f"error: {target}: {message}\n"
+    assert _tree(tmp_path) == before
 
 
 class TestChartCommand:

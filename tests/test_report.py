@@ -1,9 +1,11 @@
 import json
 import random
 import re
+from pathlib import Path
 
 import pytest
 
+from namecensus import textio
 from namecensus.batchio import AggregateStats
 from namecensus.classifier import GenderLabel, Posterior, Prediction
 from namecensus.errors import NamecensusError
@@ -54,6 +56,25 @@ class TestChart:
             label = GenderLabel(entry["name"])
             assert entry["count"] == stats.counts[label]
             assert entry["percent"] == stats.percentages[label]  # no re-rounding
+
+    @pytest.mark.parametrize("failing", ["c.json", "c.svg"])
+    def test_write_fault_on_either_file_keeps_both(self, tmp_path, monkeypatch, failing):
+        json_path, svg_path = tmp_path / "c.json", tmp_path / "c.svg"
+        json_path.write_bytes(b"old json\n")
+        svg_path.write_bytes(b"old svg\n")
+        real_write = textio._Output.write
+
+        def write(self, data):
+            if Path(self.path).name == failing:
+                raise OSError("disk full")
+            return real_write(self, data)
+
+        monkeypatch.setattr(textio._Output, "write", write)
+        with pytest.raises(OSError, match="^disk full$"):
+            emit_chart(stats_from_counts(3, 6, 1, 0), json_path, svg_path)
+        assert json_path.read_bytes() == b"old json\n"
+        assert svg_path.read_bytes() == b"old svg\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["c.json", "c.svg"]
 
     def test_bar_heights_proportional(self):
         stats = stats_from_counts(3, 6, 1, 0)
