@@ -1,9 +1,8 @@
 """Versioned binary cache for the two trained models (.ncm files).
 
-Layout: magic, format version, source-corpus digest and payload digest
-(`_HEADER`), then the payload length as a little-endian uint64, then the
-payload. The payload digest catches corruption; the source digest
-catches staleness.
+Layout: magic, format version, source-corpus digest, payload digest and
+payload length (`_HEADER`), then the payload. The payload digest catches
+corruption; the source digest catches staleness.
 
 The payload is two columnar model sections, english then chinese. Each
 section is a fixed `_SECTION` header (entry count, key-bytes length,
@@ -29,7 +28,7 @@ from namecensus.textio import open_bytes, replace_file
 
 MAGIC = b"NCMC"
 FORMAT_VERSION = 3
-_HEADER = struct.Struct("<4sI32s32s")
+_HEADER = struct.Struct("<4sI32s32sQ")
 _SECTION = struct.Struct("<QQqq")
 
 
@@ -111,61 +110,55 @@ def save_cache(
         FORMAT_VERSION,
         bytes.fromhex(source_digest) if source_digest else b"\x00" * 32,
         hashlib.sha256(payload).digest(),
+        len(payload),
     )
     with replace_file(path) as fh:
-        fh.write(header + struct.pack("<Q", len(payload)) + payload)
+        fh.write(header + payload)
+
+
+def _read(path: str | Path) -> tuple[bytes, bytes]:
+    """The source digest and the payload of the cache at `path`, checked
+    whole but not decoded. A file that does not begin with the magic is no
+    cache at all: it is raised as a NamecensusError, not a CacheError, so
+    build-cache never replaces it. Every fault begins `FILE: `."""
+    with open_bytes(path) as fh:
+        header = fh.read(_HEADER.size)
+        if header[: len(MAGIC)] != MAGIC:
+            raise NamecensusError(f"{path}: not a model cache (magic {header[: len(MAGIC)]!r})")
+        if len(header) < _HEADER.size:
+            raise CacheError(f"{path}: cache file shorter than its header")
+        payload = fh.read()
+    _, version, source_digest, payload_digest, payload_len = _HEADER.unpack(header)
+    if version != FORMAT_VERSION:
+        raise CacheError(
+            f"{path}: cache format version {version}, this build supports {FORMAT_VERSION}"
+        )
+    if len(payload) != payload_len:
+        raise CacheError(f"{path}: payload is {len(payload)} bytes, header promised {payload_len}")
+    if hashlib.sha256(payload).digest() != payload_digest:
+        raise CacheError(f"{path}: cache payload digest mismatch (corrupted file)")
+    return source_digest, payload
 
 
 def read_source_digest(path: str | Path) -> str:
-    """Source digest from the header alone, for staleness checks. A file
-    that does not begin with the magic is no cache at all: it is raised as
-    a NamecensusError, not a CacheError, so build-cache never replaces it."""
-    with open_bytes(path) as fh:
-        blob = fh.read(_HEADER.size)
-    if blob[: len(MAGIC)] != MAGIC:
-        raise NamecensusError(f"{path}: not a model cache (magic {blob[: len(MAGIC)]!r})")
-    source_digest, _ = _read_header(blob)
-    return source_digest.hex()
-
-
-def _read_header(blob: bytes) -> tuple[bytes, bytes]:
-    if len(blob) < _HEADER.size:
-        raise CacheError("cache file shorter than its header")
-    magic, version, source_digest, payload_digest = _HEADER.unpack(blob[: _HEADER.size])
-    if magic != MAGIC:
-        raise CacheError(f"not a model cache (magic {magic!r})")
-    if version != FORMAT_VERSION:
-        raise CacheError(
-            f"cache format version {version}, this build supports {FORMAT_VERSION}"
-        )
-    return source_digest, payload_digest
+    """Source digest of a cache that passes every check but the decode, for
+    staleness checks."""
+    return _read(path)[0].hex()
 
 
 def load_cache(path: str | Path) -> ModelCache:
-    with open_bytes(path) as fh:
-        blob = fh.read()
-    _, payload_digest = _read_header(blob)
-    offset = _HEADER.size
-    if len(blob) < offset + 8:
-        raise CacheError("cache file ends before payload length")
-    (payload_len,) = struct.unpack_from("<Q", blob, offset)
-    offset += 8
-    payload = blob[offset : offset + payload_len]
-    if len(payload) != payload_len:
-        raise CacheError(
-            f"payload is {len(payload)} bytes, header promised {payload_len}"
-        )
-    if hashlib.sha256(payload).digest() != payload_digest:
-        raise CacheError("cache payload digest mismatch (corrupted file)")
+    _, payload = _read(path)
     # The count tuples set off collections that find no garbage.
     gc_was_enabled = gc.isenabled()
     gc.disable()
     try:
         english, pos = _decode(payload, 0)
         chinese, pos = _decode(payload, pos)
+        if pos != len(payload):
+            raise CacheError(f"{len(payload) - pos} bytes follow the model sections")
+    except CacheError as exc:
+        raise CacheError(f"{path}: {exc}") from None
     finally:
         if gc_was_enabled:
             gc.enable()
-    if pos != len(payload):
-        raise CacheError(f"{len(payload) - pos} bytes follow the model sections")
     return ModelCache(english=english, chinese=chinese)

@@ -1,6 +1,7 @@
 import gc
 import hashlib
 import random
+import re
 import struct
 
 import pytest
@@ -16,10 +17,10 @@ from namecensus.cache import (
     save_cache,
 )
 from namecensus.corpus import CountModel
-from namecensus.errors import CacheError
+from namecensus.errors import CacheError, NamecensusError
 
 HAN_POOL = "娟刚青金标骅明丽伟芳"
-HEADER_SIZE = len(MAGIC) + 4 + 32 + 32  # magic, version, source and payload digests
+HEADER_SIZE = len(MAGIC) + 4 + 32 + 32 + 8  # magic, version, both digests, payload length
 SECTION = struct.Struct("<QQqq")  # entries, key bytes, total_female, total_male
 
 
@@ -67,8 +68,9 @@ def test_version_mismatch(tmp_path):
     blob = bytearray(path.read_bytes())
     struct.pack_into("<I", blob, len(MAGIC), FORMAT_VERSION + 1)
     path.write_bytes(bytes(blob))
-    with pytest.raises(CacheError, match=f"^cache format version {FORMAT_VERSION + 1}, "
-                                         f"this build supports {FORMAT_VERSION}$"):
+    with pytest.raises(CacheError, match=f"^{re.escape(str(path))}: cache format version "
+                                         f"{FORMAT_VERSION + 1}, this build supports "
+                                         f"{FORMAT_VERSION}$"):
         load_cache(path)
 
 
@@ -81,8 +83,8 @@ def test_old_format_rejected(tmp_path, old_version):
     blob = bytearray(path.read_bytes())
     struct.pack_into("<I", blob, len(MAGIC), old_version)
     path.write_bytes(bytes(blob))
-    with pytest.raises(CacheError, match=f"^cache format version {old_version}, "
-                                         f"this build supports {FORMAT_VERSION}$"):
+    with pytest.raises(CacheError, match=f"^{re.escape(str(path))}: cache format version "
+                                         f"{old_version}, this build supports {FORMAT_VERSION}$"):
         load_cache(path)
 
 
@@ -109,8 +111,12 @@ def test_failed_write_keeps_old_cache(tmp_path, monkeypatch):
 def test_bad_magic(tmp_path):
     path = tmp_path / "m.ncm"
     path.write_bytes(b"JUNK" + b"\x00" * 100)
-    with pytest.raises(CacheError, match=r"^not a model cache \(magic b'JUNK'\)$"):
-        load_cache(path)
+    for read in (load_cache, read_source_digest):
+        with pytest.raises(NamecensusError,
+                           match=rf"^{re.escape(str(path))}: not a model cache \(magic b'JUNK'\)$"
+                           ) as info:
+            read(path)
+        assert not isinstance(info.value, CacheError)  # build-cache must not replace it
 
 
 def test_corrupted_payload(tmp_path):
@@ -120,8 +126,10 @@ def test_corrupted_payload(tmp_path):
     blob = bytearray(path.read_bytes())
     blob[-1] ^= 0xFF
     path.write_bytes(bytes(blob))
-    with pytest.raises(CacheError, match=r"^cache payload digest mismatch \(corrupted file\)$"):
-        load_cache(path)
+    for read in (load_cache, read_source_digest):
+        with pytest.raises(CacheError, match=rf"^{re.escape(str(path))}: cache payload digest "
+                                             r"mismatch \(corrupted file\)$"):
+            read(path)
 
 
 def test_truncated_file(tmp_path):
@@ -129,16 +137,19 @@ def test_truncated_file(tmp_path):
     path = tmp_path / "m.ncm"
     save_cache(english, chinese, path)
     blob = path.read_bytes()
-    for cut, message in [
-        (10, "cache file shorter than its header"),
-        (70, "cache file shorter than its header"),
-        (HEADER_SIZE + 3, "cache file ends before payload length"),
-        (len(blob) - 5, f"payload is {len(blob) - 5 - HEADER_SIZE - 8} bytes, header promised "
-                        f"{len(blob) - HEADER_SIZE - 8}"),
+    promised = len(blob) - HEADER_SIZE
+    for damaged, message in [
+        (blob[:10], "cache file shorter than its header"),
+        (blob[:70], "cache file shorter than its header"),
+        (blob[: HEADER_SIZE - 5], "cache file shorter than its header"),  # in the payload length
+        (blob[:HEADER_SIZE], f"payload is 0 bytes, header promised {promised}"),
+        (blob[:-5], f"payload is {promised - 5} bytes, header promised {promised}"),
+        (blob + b"\x00", f"payload is {promised + 1} bytes, header promised {promised}"),
     ]:
-        path.write_bytes(blob[:cut])
-        with pytest.raises(CacheError, match=f"^{message}$"):
-            load_cache(path)
+        path.write_bytes(damaged)
+        for read in (load_cache, read_source_digest):
+            with pytest.raises(CacheError, match=f"^{re.escape(str(path))}: {message}$"):
+                read(path)
 
 
 def test_source_digest_detects_staleness(tmp_path):
@@ -150,18 +161,6 @@ def test_source_digest_detects_staleness(tmp_path):
     assert digest_corpus_files([b, a]) == first  # order-independent
     b.write_text("John,M,5\n")
     assert digest_corpus_files([a, b]) != first
-
-
-def test_read_source_digest_header_only(tmp_path):
-    english, chinese = small_models()
-    path = tmp_path / "m.ncm"
-    save_cache(english, chinese, path, source_digest="cd" * 32)
-    assert read_source_digest(path) == "cd" * 32
-    path.write_bytes(path.read_bytes()[:HEADER_SIZE])
-    assert read_source_digest(path) == "cd" * 32
-    path.write_bytes(path.read_bytes()[: HEADER_SIZE - 1])
-    with pytest.raises(CacheError, match="^cache file shorter than its header$"):
-        read_source_digest(path)
 
 
 @pytest.mark.parametrize("entries", [
@@ -180,6 +179,32 @@ def test_round_trip_edge_models(tmp_path, entries):
     assert cache.chinese == model
 
 
+# A fixed model's v3 file, byte for byte: any change to it needs a new FORMAT_VERSION.
+V3_BYTES = bytes.fromhex(
+    "4e434d43" "03000000"  # magic, version 3
+    + "ab" * 32  # source digest
+    + "1a29c00abcb747a6dc1786b279f32e589338b0680462cf477041019e7eee3306"  # payload digest
+    + "7b00000000000000"  # payload length 123
+    # english: 2 entries, 8 key bytes, totals 10 and 1; "ann\nzoë"; (7, 1), (3, 0)
+    + "0200000000000000" "0800000000000000" "0a00000000000000" "0100000000000000"
+    + "616e6e0a7a6fc3ab"
+    + "0700000000000000" "0100000000000000" "0300000000000000" "0000000000000000"
+    # chinese: 1 entry, 3 key bytes, totals 30 and 1; "娟"; (30, 1)
+    + "0100000000000000" "0300000000000000" "1e00000000000000" "0100000000000000"
+    + "e5a89f"
+    + "1e00000000000000" "0100000000000000"
+)
+
+
+def test_v3_bytes_are_pinned(tmp_path):
+    english = CountModel.from_entries({"zoë": (3, 0), "ann": (7, 1)})
+    chinese = CountModel.from_entries({"娟": (30, 1)})
+    path = tmp_path / "m.ncm"
+    save_cache(english, chinese, path, source_digest="ab" * 32)
+    assert path.read_bytes() == V3_BYTES
+    assert load_cache(path) == ModelCache(english, chinese)
+
+
 def test_insertion_order_does_not_change_bytes(tmp_path):
     english, chinese = small_models()
     reordered = [
@@ -194,8 +219,8 @@ def test_insertion_order_does_not_change_bytes(tmp_path):
 def rewrite_payload(path, edit):
     """Apply `edit` to the payload and record its new length and digest."""
     blob = path.read_bytes()
-    payload = edit(bytearray(blob[HEADER_SIZE + 8:]))
-    header = blob[: HEADER_SIZE - 32] + hashlib.sha256(payload).digest()
+    payload = edit(bytearray(blob[HEADER_SIZE:]))
+    header = blob[: HEADER_SIZE - 40] + hashlib.sha256(payload).digest()
     path.write_bytes(header + struct.pack("<Q", len(payload)) + bytes(payload))
 
 
@@ -237,7 +262,7 @@ def test_inconsistent_section_is_format_error(tmp_path, edit, message):
     path = tmp_path / "m.ncm"
     save_cache(english, chinese, path)
     rewrite_payload(path, edit)
-    with pytest.raises(CacheError, match=f"^{message}$"):
+    with pytest.raises(CacheError, match=f"^{re.escape(str(path))}: {message}$"):
         load_cache(path)
 
 
@@ -253,7 +278,8 @@ def test_load_restores_gc_state(tmp_path):
             (gc.enable if enabled else gc.disable)()
             assert load_cache(good) == ModelCache(english, chinese)
             assert gc.isenabled() is enabled
-            with pytest.raises(CacheError, match="^model section header promises"):
+            with pytest.raises(CacheError,
+                               match=f"^{re.escape(str(bad))}: model section header promises"):
                 load_cache(bad)
             assert gc.isenabled() is enabled
     finally:

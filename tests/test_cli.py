@@ -16,6 +16,8 @@ from namecensus.cache import FORMAT_VERSION, MAGIC, load_cache
 from namecensus.classifier import ClassifierConfig, predict
 from namecensus.cli import main
 
+CACHE_HEADER_SIZE = len(MAGIC) + 4 + 32 + 32 + 8  # magic, version, both digests, payload length
+
 
 @pytest.fixture()
 def mini_corpus(tmp_path):
@@ -109,6 +111,20 @@ class TestBuildCache:
         assert main(["build-cache", "--english-dir", str(english),
                      "--chinese-csv", str(chinese), "--out", str(mini_cache)]) == 0
         assert "wrote cache" in capsys.readouterr().out
+        load_cache(mini_cache)
+
+    @pytest.mark.parametrize("corrupt", [
+        lambda blob: blob[:-1] + bytes([blob[-1] ^ 0xFF]),
+        lambda blob: blob[:CACHE_HEADER_SIZE],
+    ], ids=["flipped-last-byte", "cut-to-header"])
+    def test_rebuilds_cache_that_fails_a_check(self, mini_corpus, mini_cache, capsys, corrupt):
+        english, chinese = mini_corpus
+        good = mini_cache.read_bytes()
+        mini_cache.write_bytes(corrupt(good))
+        assert main(["build-cache", "--english-dir", str(english),
+                     "--chinese-csv", str(chinese), "--out", str(mini_cache)]) == 0
+        assert "wrote cache" in capsys.readouterr().out
+        assert mini_cache.read_bytes() == good
         load_cache(mini_cache)
 
     def test_missing_directory_exit_1(self, tmp_path, capsys):
@@ -490,6 +506,27 @@ def test_missing_path_or_directory_exit_1(tmp_path, mini_corpus, mini_cache, cap
         bad.mkdir()
     assert main([command, *(str(arg) for item in flags.items() for arg in item)]) == 1
     assert capsys.readouterr().err == f"error: {bad}: {fault}\n"
+
+
+# predict and eval name the cache in every cache fault, as build-cache --out does.
+@pytest.mark.parametrize("command", ["predict", "eval"])
+@pytest.mark.parametrize("corrupt, message", [
+    (lambda blob: b"Hua Zhao\n", "not a model cache (magic b'Hua ')"),
+    (lambda blob: blob[:-1] + bytes([blob[-1] ^ 0xFF]),
+     "cache payload digest mismatch (corrupted file)"),
+    (lambda blob: blob[:10], "cache file shorter than its header"),
+], ids=["name-list", "flipped-last-byte", "cut-in-header"])
+def test_cache_fault_names_the_file(tmp_path, mini_cache, capsys, command, corrupt, message):
+    bad = tmp_path / "bad.ncm"
+    bad.write_bytes(corrupt(mini_cache.read_bytes()))
+    names = tmp_path / "names.txt"
+    names.write_text("Hua Zhao\n", encoding="utf-8")
+    gold = tmp_path / "gold.csv"
+    gold.write_text("name,gender\nHua Zhao,Female\n", encoding="utf-8")
+    flags = {"predict": ["--in", names, "--out", tmp_path / "o.csv"],
+             "eval": ["--gold", gold]}[command]
+    assert main([command, "--cache", str(bad), *map(str, flags)]) == 1
+    assert capsys.readouterr().err == f"error: {bad}: {message}\n"
 
 
 def _tree(root):
