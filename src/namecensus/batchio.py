@@ -14,6 +14,7 @@ from namecensus.classifier import (
     GenderLabel,
     Prediction,
     predict,
+    printed_probability,
 )
 from namecensus.corpus import CountModel
 from namecensus.errors import NamecensusError
@@ -65,6 +66,13 @@ def _csv_names(path: Path, name_column: str | int, has_header: bool) -> Iterator
                 yield name
 
 
+def input_format(path: str | Path, format: str = "auto") -> str:
+    """`format`, with auto read as csv for a `.csv` file name and txt otherwise."""
+    if format == "auto":
+        return "csv" if Path(path).suffix.lower() == ".csv" else "txt"
+    return format
+
+
 def iter_names(
     path: str | Path,
     format: str = "auto",
@@ -80,8 +88,7 @@ def iter_names(
     U+2028, stay inside the name.
     """
     path = Path(path)
-    if format == "auto":
-        format = "csv" if path.suffix.lower() == ".csv" else "txt"
+    format = input_format(path, format)
     if format == "txt":
         names = _txt_names(path)
     elif format == "csv":
@@ -152,8 +159,7 @@ def _row(pred: Prediction) -> _Row:
     posterior, blank for Unknown. The name field of a plain name is
     `pred.raw_name` itself, so a memo entry keyed by the name does not
     copy it."""
-    post = pred.posterior
-    prob = f"{max(post.p_female, post.p_male):.4f}" if post.evidence_found else ""
+    prob = printed_probability(pred.posterior)
     label = pred.label.value
     rest = f",{label},{prob},{pred.script.value},{_field(pred.given)}\n"
     return label, _field(pred.raw_name), rest

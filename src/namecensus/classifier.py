@@ -5,6 +5,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from namecensus.corpus import CountModel, normalize_name_key
 from namecensus.namesplit import (
@@ -13,6 +14,9 @@ from namecensus.namesplit import (
     split_english,
 )
 from namecensus.scriptdetect import Script, detect_script, han_substring
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 
 class GenderLabel(enum.Enum):
@@ -29,6 +33,10 @@ class Posterior:
     evidence_found: bool
     p_female: float = 0.0
     p_male: float = 0.0
+    # The exact p_female, set only when the larger posterior is near a
+    # printed boundary of the config it was computed under (see
+    # _near_boundary); it then decides the label and the printed probability.
+    exact: Fraction | None = None
 
 
 _NO_EVIDENCE = Posterior(evidence_found=False)  # shared by every no-evidence path
@@ -75,65 +83,173 @@ def posterior_english(
         female = female / model.total_female if model.total_female else 0.0
         male = male / model.total_male if model.total_male else 0.0
     total = female + male
-    return Posterior(evidence_found=True, p_female=female / total, p_male=male / total)
+    p_female, p_male = female / total, male / total
+    if _near_boundary(p_female if p_female >= p_male else p_male, config):
+        return Posterior(True, p_female, p_male, _exact_english(model, pair, config))
+    return Posterior(True, p_female, p_male)
+
+
+@dataclass(frozen=True, slots=True)
+class _HanTable:
+    """Two-class naive Bayes as a sum of log-odds, female over male."""
+
+    llr: dict[str, float]  # per corpus character
+    unseen: float  # any character missing from the corpus
+    prior: float
+    error: str | None = None  # raised for a name with a corpus character
+
+
+_han_cache: tuple[CountModel, ClassifierConfig, _HanTable] | None = None
+
+
+def _han_table(model: CountModel, config: ClassifierConfig) -> _HanTable:
+    """The log-odds table of (model, config). The last one built is kept
+    with its model and config; holding the model keeps its identity from
+    passing to another object, so `is` finds no stale table."""
+    global _han_cache
+    cached = _han_cache
+    if cached is not None and cached[0] is model and (
+            cached[1] is config or cached[1] == config):
+        return cached[2]
+    n_female, n_male = model.total_female, model.total_male
+    alpha = config.smoothing_alpha
+    vocab = len(model.entries)
+    if n_female + n_male == 0:
+        table = _HanTable({}, 0.0, 0.0)  # all-zero corpus: no character is evidence
+    elif not alpha / (max(n_female, n_male) + alpha * vocab) > 0:
+        # The smallest factor, an unseen character against the larger class,
+        # must stay a positive finite float, or its log fails.
+        table = _HanTable(dict.fromkeys(model.entries, 0.0), 0.0, 0.0,
+                          f"smoothing alpha {alpha} is out of range "
+                          f"for {vocab} corpus characters")
+    else:
+        den_female, den_male = n_female + alpha * vocab, n_male + alpha * vocab
+
+        def llr(female: int, male: int) -> float:
+            return (math.log((female + alpha) / den_female)
+                    - math.log((male + alpha) / den_male))
+
+        if config.priors_mode == "uniform":
+            prior = 0.0
+        else:
+            prior = (math.log(n_female / n_male) if n_female and n_male
+                     else math.inf if n_female else -math.inf)
+        table = _HanTable({ch: llr(*pair) for ch, pair in model.entries.items()},
+                          llr(0, 0), prior)
+    _han_cache = (model, config, table)
+    return table
 
 
 def posterior_chinese(model: CountModel, given: str, config: ClassifierConfig) -> Posterior:
-    """Per-character naive Bayes with add-alpha smoothing, in log space.
+    """Per-character naive Bayes with add-alpha smoothing: the prior
+    log-odds plus each character's log-odds, through the logistic.
 
     Characters absent from the corpus still contribute their smoothing
     term, but a name with no known character at all is no evidence.
     """
-    if not any(ch in model.entries for ch in given):
+    table = _han_table(model, config)
+    llr, unseen = table.llr, table.unseen
+    z = table.prior
+    known = False
+    for ch in given:
+        w = llr.get(ch)
+        if w is None:
+            z += unseen
+        else:
+            z += w
+            known = True
+    if not known:
         return _NO_EVIDENCE
-    if model.total_female + model.total_male == 0:
-        return _NO_EVIDENCE  # all-zero corpus carries no signal
-    alpha = config.smoothing_alpha
+    if table.error:
+        raise ValueError(table.error)
+    if z >= 0:
+        e = math.exp(-z)
+        p_female = top = 1 / (1 + e)
+        p_male = e / (1 + e)
+    else:
+        e = math.exp(z)
+        p_female = e / (1 + e)
+        p_male = top = 1 / (1 + e)
+    if _near_boundary(top, config):
+        return Posterior(True, p_female, p_male, _exact_chinese(model, given, config))
+    return Posterior(True, p_female, p_male)
+
+
+# A float posterior is within ~1e-15 of the exact one, so outside this
+# margin of a boundary it decides and rounds as the exact value does.
+_MARGIN = 1e-9
+_HALF_LOW, _HALF_HIGH = 0.5 - _MARGIN * 10_000, 0.5 + _MARGIN * 10_000
+
+
+def _near_boundary(p: float, config: ClassifierConfig) -> bool:
+    """Whether `p`, the larger posterior, is within _MARGIN of the
+    threshold or of a half-way point between two 4-decimal values."""
+    return (-_MARGIN <= p - config.decisive_threshold <= _MARGIN
+            or _HALF_LOW <= p * 10_000 % 1 <= _HALF_HIGH)
+
+
+def _exact_english(
+    model: CountModel, pair: tuple[int, int], config: ClassifierConfig
+) -> Fraction:
+    """p_female of posterior_english for the counts `pair`, exactly."""
+    from fractions import Fraction
+
+    female, male = map(Fraction, pair)
+    if config.priors_mode == "uniform":
+        female = female / model.total_female if model.total_female else Fraction(0)
+        male = male / model.total_male if model.total_male else Fraction(0)
+    return female / (female + male)
+
+
+def _exact_chinese(model: CountModel, given: str, config: ClassifierConfig) -> Fraction:
+    """p_female of posterior_chinese, exactly: the product form of the
+    smoothed likelihoods, with the alpha float's exact value."""
+    from fractions import Fraction
+
+    alpha = Fraction(config.smoothing_alpha)
     vocab = len(model.entries)
     n_female, n_male = model.total_female, model.total_male
-    # The smallest factor, an unseen character against the larger class, must
-    # stay a positive finite float, or its log fails.
-    if not alpha / (max(n_female, n_male) + alpha * vocab) > 0:
-        raise ValueError(
-            f"smoothing alpha {alpha} is out of range for {vocab} corpus characters"
-        )
     if config.priors_mode == "uniform":
-        prior_female = prior_male = 0.5
-    else:
-        prior_female = n_female / (n_female + n_male)
-        prior_male = n_male / (n_female + n_male)
-
-    def score(prior: float, n_gender: int, idx: int) -> float:
-        if prior == 0.0:
-            return -math.inf
-        s = math.log(prior)
-        denom = n_gender + alpha * vocab
-        for ch in given:
-            count = model.entries.get(ch, (0, 0))[idx]
-            s += math.log((count + alpha) / denom)
-        return s
-
-    s_female = score(prior_female, n_female, 0)
-    s_male = score(prior_male, n_male, 1)
-    top = max(s_female, s_male)
-    w_female = math.exp(s_female - top)
-    w_male = math.exp(s_male - top)
-    total = w_female + w_male
-    return Posterior(
-        evidence_found=True, p_female=w_female / total, p_male=w_male / total
-    )
+        w_female = w_male = Fraction(1)
+    else:  # the priors' common denominator cancels
+        w_female, w_male = Fraction(n_female), Fraction(n_male)
+    for ch in given:
+        female, male = model.entries.get(ch, (0, 0))
+        w_female *= (female + alpha) / (n_female + alpha * vocab)
+        w_male *= (male + alpha) / (n_male + alpha * vocab)
+    return w_female / (w_female + w_male)
 
 
 def classify(post: Posterior, config: ClassifierConfig) -> GenderLabel:
     """Strictly-above-threshold posteriors are decisive; evidence at or
-    below the threshold is Unisex; no evidence is Unknown."""
+    below the threshold is Unisex; no evidence is Unknown. An exact
+    posterior is compared with the threshold's decimal value."""
     if not post.evidence_found:
         return GenderLabel.UNKNOWN
-    if post.p_female > config.decisive_threshold:
+    if post.exact is not None:
+        from fractions import Fraction
+
+        threshold = Fraction(repr(config.decisive_threshold))
+        p_female, p_male = post.exact, 1 - post.exact
+    else:
+        threshold = config.decisive_threshold
+        p_female, p_male = post.p_female, post.p_male
+    if p_female > threshold:
         return GenderLabel.FEMALE
-    if post.p_male > config.decisive_threshold:
+    if p_male > threshold:
         return GenderLabel.MALE
     return GenderLabel.UNISEX
+
+
+def printed_probability(post: Posterior) -> str:
+    """The larger posterior to 4 decimals, blank without evidence; an
+    exact posterior is rounded half-even."""
+    if not post.evidence_found:
+        return ""
+    if post.exact is None:
+        return f"{max(post.p_female, post.p_male):.4f}"
+    digits = round(max(post.exact, 1 - post.exact) * 10_000)
+    return f"{digits // 10_000}.{digits % 10_000:04d}"
 
 
 def predict(

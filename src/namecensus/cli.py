@@ -11,7 +11,7 @@ from pathlib import Path
 
 from namecensus import __version__
 from namecensus.batchio import (
-    aggregate_labels, iter_names, predict_to_results, read_result_labels,
+    aggregate_labels, input_format, iter_names, predict_to_results, read_result_labels,
 )
 from namecensus.cache import (
     digest_corpus_files,
@@ -130,10 +130,17 @@ def _load_model(args: argparse.Namespace):
 def cmd_predict(args: argparse.Namespace) -> int:
     if bool(args.chart_json) != bool(args.chart_svg):
         raise NamecensusError("--chart-json and --chart-svg go together")
+    if input_format(args.infile, args.format) == "txt":
+        for flag, given in (("--name-column", args.name_column is not None),
+                            ("--no-header", args.no_header)):
+            if given:
+                raise NamecensusError(f"{flag} applies to CSV input only; "
+                                      f"{args.infile} is read as txt")
     config, cache = _load_model(args)
     start = time.perf_counter()
-    names = iter_names(args.infile, format=args.format,
-                       name_column=args.name_column, has_header=not args.no_header)
+    name_column = "name" if args.name_column is None else args.name_column
+    names = iter_names(args.infile, format=args.format, name_column=name_column,
+                       has_header=not args.no_header)
     stats = predict_to_results(cache.english, cache.chinese, config, names, args.out)
     elapsed = time.perf_counter() - start
     _print_stats(stats)
@@ -195,8 +202,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_model_flags(p)
     p.add_argument("--in", dest="infile", required=True, metavar="NAMES")
     p.add_argument("--format", choices=["txt", "csv", "auto"], default="auto")
-    p.add_argument("--name-column", default="name",
-                   help="CSV column holding names (name or 0-based index)")
+    p.add_argument("--name-column", default=None,
+                   help="CSV column holding names (name or 0-based index; default name)")
     p.add_argument("--no-header", action="store_true",
                    help="CSV input has no header row")
     p.add_argument("--out", required=True, metavar="RESULTS.csv")

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import csv
 import io
+import unicodedata
+from decimal import Decimal
 from fractions import Fraction
 
 
@@ -44,6 +46,15 @@ def english_ratio_oracle(
     Uniform priors divide each count by its class total over all entries;
     a class whose total is 0 contributes nothing.
     """
+    p_female = _english_fraction(entries, key, priors_mode)
+    if p_female is None:
+        return None
+    return float(p_female), float(1 - p_female)
+
+
+def _english_fraction(
+    entries: dict[str, tuple[int, int]], key: str, priors_mode: str
+) -> Fraction | None:
     if key not in entries:
         return None
     female, male = map(Fraction, entries[key])
@@ -52,7 +63,67 @@ def english_ratio_oracle(
         n_male = sum(v[1] for v in entries.values())
         female = female / n_female if n_female else Fraction(0)
         male = male / n_male if n_male else Fraction(0)
-    return float(female / (female + male)), float(male / (female + male))
+    return female / (female + male)
+
+
+def _chinese_fraction(
+    entries: dict[str, tuple[int, int]], given: str, alpha: float, priors_mode: str
+) -> Fraction | None:
+    """The product form of bayes_product_oracle, in Fractions."""
+    if not any(ch in entries for ch in given):
+        return None
+    n_female = sum(v[0] for v in entries.values())
+    n_male = sum(v[1] for v in entries.values())
+    if n_female + n_male == 0:
+        return None
+    alpha_q, vocab = Fraction(alpha), len(entries)
+    if priors_mode == "uniform":
+        w_female = w_male = Fraction(1, 2)
+    else:
+        w_female = Fraction(n_female, n_female + n_male)
+        w_male = Fraction(n_male, n_female + n_male)
+    for ch in given:
+        female, male = entries.get(ch, (0, 0))
+        w_female *= (female + alpha_q) / (n_female + alpha_q * vocab)
+        w_male *= (male + alpha_q) / (n_male + alpha_q * vocab)
+    return w_female / (w_female + w_male)
+
+
+def decision_oracle(
+    english: dict[str, tuple[int, int]],
+    chinese: dict[str, tuple[int, int]],
+    script: str,
+    given: str,
+    alpha: float = 1.0,
+    priors_mode: str = "empirical",
+    threshold: float = 0.60,
+) -> tuple[str, str]:
+    """The (gender, probability) fields of a results row, in exact
+    arithmetic only, from the row's script and given name.
+
+    Decisive means strictly above the threshold's shortest decimal
+    (0.6 is 3/5, not the float below it); the probability is the larger
+    exact posterior rounded half-even to 4 decimals. Without evidence
+    the row is Unknown with a blank probability.
+    """
+    if script == "Latin":
+        key = unicodedata.normalize("NFC", given).casefold()
+        p_female = _english_fraction(english, key, priors_mode)
+    elif script in ("Han", "Mixed"):
+        p_female = _chinese_fraction(chinese, given, alpha, priors_mode)
+    else:
+        p_female = None
+    if p_female is None:
+        return "Unknown", ""
+    decisive = Fraction(repr(threshold))
+    if p_female > decisive:
+        label = "Female"
+    elif 1 - p_female > decisive:
+        label = "Male"
+    else:
+        label = "Unisex"
+    digits = round(max(p_female, 1 - p_female) * 10**4)  # half-even
+    return label, str(Decimal(digits).scaleb(-4))
 
 
 def results_csv_oracle(rows: list[list[object]]) -> bytes:

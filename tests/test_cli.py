@@ -235,6 +235,16 @@ class TestPredict:
         err = capsys.readouterr().err
         assert err.startswith("error: smoothing alpha ") and err.count("\n") == 1
 
+    def test_alpha_out_of_range_without_corpus_character_exit_0(self, tmp_path, mini_cache):
+        # The range error is raised only for a name with a corpus character;
+        # 王龘's given name has none, so it is Unknown.
+        infile = tmp_path / "names.txt"
+        infile.write_text("王龘\n", encoding="utf-8")
+        out = tmp_path / "o.csv"
+        assert main(["predict", "--cache", str(mini_cache), "--in", str(infile),
+                     "--out", str(out), "--alpha=1e308"]) == 0
+        assert read_rows(out)[0]["gender"] == "Unknown"
+
     def test_config_file_with_bom(self, tmp_path, mini_cache):
         cfg = tmp_path / "cfg.json"
         cfg.write_text('\ufeff{"threshold": 0.9}', encoding="utf-8")
@@ -300,6 +310,32 @@ class TestPredict:
         out = tmp_path / "results.csv"
         main(["predict", "--cache", str(mini_cache), "--in", str(infile),
               "--out", str(out), "--name-column", "author"])
+        assert read_rows(out)[0]["gender"] == "Male"
+
+    @pytest.mark.parametrize("suffix, flags, named", [
+        (".txt", ["--name-column", "nosuch"], "--name-column"),
+        (".txt", ["--name-column", "name"], "--name-column"),
+        (".txt", ["--no-header"], "--no-header"),
+        (".csv", ["--format", "txt", "--no-header"], "--no-header"),
+    ])
+    def test_csv_flags_on_txt_input_exit_1(self, tmp_path, mini_cache, capsys, suffix, flags,
+                                           named):
+        infile = tmp_path / f"names{suffix}"
+        infile.write_text("Phil Barker\n", encoding="utf-8")
+        out = tmp_path / "results.csv"
+        code = main(["predict", "--cache", str(mini_cache), "--in", str(infile),
+                     "--out", str(out), *flags])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"error: {named} applies to CSV input only; {infile} is read as txt\n")
+        assert not out.exists()
+
+    def test_no_header_csv_by_index(self, tmp_path, mini_cache):
+        infile = tmp_path / "names.csv"
+        infile.write_text("7,Phil Barker\n", encoding="utf-8")
+        out = tmp_path / "results.csv"
+        assert main(["predict", "--cache", str(mini_cache), "--in", str(infile),
+                     "--out", str(out), "--no-header", "--name-column", "1"]) == 0
         assert read_rows(out)[0]["gender"] == "Male"
 
     def test_byte_identical_reruns(self, tmp_path, mini_cache):
