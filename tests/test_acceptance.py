@@ -145,12 +145,12 @@ def test_criterion_5_normalization_and_partition():
         else:
             ok &= pred.label is GenderLabel.UNKNOWN
     # exact threshold boundaries
-    ok &= classify(Posterior(True, 0.50, 0.50), CFG) is GenderLabel.UNISEX
-    ok &= classify(Posterior(True, 0.60, 0.40), CFG) is GenderLabel.UNISEX
-    ok &= classify(Posterior(True, 0.40, 0.60), CFG) is GenderLabel.UNISEX
-    boundary = 0.60 + 1e-9
-    ok &= classify(Posterior(True, boundary, 1 - boundary), CFG) is GenderLabel.FEMALE
-    ok &= classify(Posterior(True, 1 - boundary, boundary), CFG) is GenderLabel.MALE
+    ok &= classify(Posterior(True, 50, 50), CFG) is GenderLabel.UNISEX
+    ok &= classify(Posterior(True, 60, 40), CFG) is GenderLabel.UNISEX
+    ok &= classify(Posterior(True, 40, 60), CFG) is GenderLabel.UNISEX
+    above = (600_000_001, 399_999_999)  # 0.60 + 1e-9
+    ok &= classify(Posterior(True, *above), CFG) is GenderLabel.FEMALE
+    ok &= classify(Posterior(True, *reversed(above)), CFG) is GenderLabel.MALE
     _report("5 normalization-partition", ok)
 
 

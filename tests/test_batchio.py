@@ -5,6 +5,8 @@ import random
 import sys
 import threading
 import tracemalloc
+from decimal import Decimal
+from fractions import Fraction
 
 import pytest
 
@@ -252,9 +254,15 @@ class TestRunBatch:
         assert preds[0] is not preds[3]
 
 
-def _prediction(name, label, p_female=0.8):
+def _exact_probability(post):
+    """The larger share of the weights, rounded half-even in Fractions."""
+    share = Fraction(max(post.female, post.male), post.female + post.male)
+    return str(Decimal(round(share * 10**4)).scaleb(-4))
+
+
+def _prediction(name, label, weights=(8, 2)):
     found = label is not GenderLabel.UNKNOWN
-    post = Posterior(found, p_female, 1 - p_female) if found else Posterior(False)
+    post = Posterior(found, *weights) if found else Posterior(False)
     return Prediction(name, Script.LATIN, name.split()[0].lower() if name else "",
                       post, label)
 
@@ -262,7 +270,7 @@ def _prediction(name, label, p_female=0.8):
 class TestWriteResults:
     def test_golden_row(self, tmp_path):
         path = tmp_path / "out.csv"
-        write_results([_prediction("Hua Zhao", GenderLabel.FEMALE, 0.8)], path)
+        write_results([_prediction("Hua Zhao", GenderLabel.FEMALE, (8, 2))], path)
         lines = path.read_text(encoding="utf-8").splitlines()
         assert lines[0] == "item,name,gender,probability,script,given_name"
         assert lines[1] == "1,Hua Zhao,Female,0.8000,Latin,hua"
@@ -275,8 +283,8 @@ class TestWriteResults:
     def test_commas_are_quoted_and_round_trip(self, tmp_path):
         path = tmp_path / "out.csv"
         preds = [
-            _prediction("Gray, Alasdair", GenderLabel.MALE, 0.1),
-            _prediction("Hua Zhao", GenderLabel.FEMALE, 0.9),
+            _prediction("Gray, Alasdair", GenderLabel.MALE, (1, 9)),
+            _prediction("Hua Zhao", GenderLabel.FEMALE, (9, 1)),
         ]
         write_results(preds, path)
         with open(path, encoding="utf-8", newline="") as fh:
@@ -318,15 +326,14 @@ class TestWriteResults:
         for _ in range(3000):
             label = rng.choice(list(GenderLabel))
             found = label is not GenderLabel.UNKNOWN
-            p_female = rng.random()
-            post = Posterior(True, p_female, 1 - p_female) if found else Posterior(False)
+            weights = rng.randint(0, 10**4), rng.randint(1, 10**4)
+            post = Posterior(True, *weights) if found else Posterior(False)
             preds.append(Prediction(text(), rng.choice(list(Script)), text(), post, label))
         path = tmp_path / "out.csv"
         write_results(preds, path)
         assert path.read_bytes() == results_csv_oracle([
             [item, pred.raw_name, pred.label.value,
-             f"{max(pred.posterior.p_female, pred.posterior.p_male):.4f}"
-             if pred.posterior.evidence_found else "",
+             _exact_probability(pred.posterior) if pred.posterior.evidence_found else "",
              pred.script.value, pred.given]
             for item, pred in enumerate(preds, start=1)
         ])
@@ -381,7 +388,7 @@ class TestAggregate:
         preds = (
             [_prediction("a b", GenderLabel.MALE) for _ in range(6)]
             + [_prediction("a b", GenderLabel.FEMALE) for _ in range(3)]
-            + [_prediction("a b", GenderLabel.UNISEX, 0.55)]
+            + [_prediction("a b", GenderLabel.UNISEX, (55, 45))]
         )
         stats = aggregate(preds)
         assert stats.total == 10

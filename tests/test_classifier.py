@@ -163,7 +163,8 @@ class TestClassify:
         ],
     )
     def test_threshold_bands(self, p_female, expected):
-        post = Posterior(True, p_female, 1.0 - p_female)
+        female = round(p_female * 100)  # weights in hundredths, exactly
+        post = Posterior(True, female, 100 - female)
         assert classify(post, CFG) is expected
 
     def test_no_evidence_is_unknown(self):
@@ -172,15 +173,15 @@ class TestClassify:
     def test_monotone_in_p_female(self):
         order = [GenderLabel.MALE, GenderLabel.UNISEX, GenderLabel.FEMALE]
         last = 0
-        for p in [i / 1000 for i in range(1001)]:
-            label = classify(Posterior(True, p, 1.0 - p), CFG)
+        for female in range(1001):
+            label = classify(Posterior(True, female, 1000 - female), CFG)
             rank = order.index(label)
             assert rank >= last
             last = rank
 
     def test_custom_threshold(self):
         cfg = ClassifierConfig(decisive_threshold=0.9)
-        assert classify(Posterior(True, 0.3, 0.7), cfg) is GenderLabel.UNISEX
+        assert classify(Posterior(True, 3, 7), cfg) is GenderLabel.UNISEX
 
     # One non-default value per ClassifierConfig field; a field missing here
     # fails the knob test below until it gets a value that must take effect.

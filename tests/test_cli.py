@@ -15,6 +15,7 @@ from namecensus.batchio import read_input, read_result_labels, run_batch, write_
 from namecensus.cache import FORMAT_VERSION, MAGIC, load_cache
 from namecensus.classifier import ClassifierConfig, predict
 from namecensus.cli import main
+from oracles import decision_oracle
 
 CACHE_HEADER_SIZE = len(MAGIC) + 4 + 32 + 32 + 8  # magic, version, both digests, payload length
 
@@ -224,26 +225,29 @@ class TestPredict:
         assert not out.exists()
 
     @pytest.mark.parametrize("value", ["1e308", "5e-324"])
-    def test_alpha_out_of_range_for_model_exit_1(self, tmp_path, mini_cache, capsys, value):
-        # 龘 is not in the corpus, so its smoothed likelihood is alpha / denom:
-        # 1e308 overflows the denominator, 5e-324 underflows the quotient.
+    def test_extreme_alpha_rows_match_oracle(self, tmp_path, mini_cache, value):
+        # 龘 is not in the corpus, so its smoothed likelihood is alpha / denom,
+        # which overflows (1e308) or underflows (5e-324) as a float.
         infile = tmp_path / "names.txt"
         infile.write_text("王龘青\n", encoding="utf-8")
-        code = main(["predict", "--cache", str(mini_cache), "--in", str(infile),
-                     "--out", str(tmp_path / "o.csv"), f"--alpha={value}"])
-        assert code == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error: smoothing alpha ") and err.count("\n") == 1
+        out = tmp_path / "o.csv"
+        assert main(["predict", "--cache", str(mini_cache), "--in", str(infile),
+                     "--out", str(out), f"--alpha={value}"]) == 0
+        cache, rows = load_cache(mini_cache), read_rows(out)
+        assert [(row["gender"], row["probability"]) for row in rows] == [
+            decision_oracle(cache.english.entries, cache.chinese.entries, "Han", "龘青",
+                            alpha=float(value))]
 
     def test_alpha_out_of_range_without_corpus_character_exit_0(self, tmp_path, mini_cache):
-        # The range error is raised only for a name with a corpus character;
-        # 王龘's given name has none, so it is Unknown.
+        # 王龘's given name has no corpus character, so it is Unknown at any
+        # alpha, even one whose float likelihood would overflow or underflow.
         infile = tmp_path / "names.txt"
         infile.write_text("王龘\n", encoding="utf-8")
         out = tmp_path / "o.csv"
-        assert main(["predict", "--cache", str(mini_cache), "--in", str(infile),
-                     "--out", str(out), "--alpha=1e308"]) == 0
-        assert read_rows(out)[0]["gender"] == "Unknown"
+        for value in ("1e308", "5e-324"):
+            assert main(["predict", "--cache", str(mini_cache), "--in", str(infile),
+                         "--out", str(out), f"--alpha={value}"]) == 0
+            assert read_rows(out)[0]["gender"] == "Unknown"
 
     def test_config_file_with_bom(self, tmp_path, mini_cache):
         cfg = tmp_path / "cfg.json"
@@ -443,18 +447,19 @@ class TestPredict:
         assert out.read_bytes() == expected.read_bytes()
         assert len(read_rows(out)) == size
 
-    @pytest.mark.parametrize("content, flags", [
-        ("Hua Zhao\n王龘青\n", ["--alpha", "1e308"]),
-        ("\n \n", []),
+    @pytest.mark.parametrize("filename, content", [
+        ("names.csv", "x,name\n1,Hua Zhao\n2\n"),  # row 3 is short
+        ("names.txt", "\n \n"),
     ], ids=["fails-mid-batch", "empty-input"])
-    def test_failed_predict_leaves_old_results(self, tmp_path, mini_cache, content, flags):
-        infile = tmp_path / "names.txt"
+    def test_failed_predict_leaves_old_results(self, tmp_path, mini_cache, filename,
+                                               content):
+        infile = tmp_path / filename
         infile.write_text(content, encoding="utf-8")
         out = tmp_path / "results.csv"
         out.write_bytes(b"item,name,gender\n1,Old Name,Female\n")
         before = sorted(tmp_path.iterdir())
         assert main(["predict", "--cache", str(mini_cache), "--in", str(infile),
-                     "--out", str(out), *flags]) == 1
+                     "--out", str(out)]) == 1
         assert out.read_bytes() == b"item,name,gender\n1,Old Name,Female\n"
         assert sorted(tmp_path.iterdir()) == before
 

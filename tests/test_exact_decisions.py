@@ -1,18 +1,20 @@
 """Labels and printed probabilities are functions of the exact posterior.
 
 Every results row is checked byte for byte against `decision_oracle`,
-which works in Fractions only, on the inputs where a float decides
+which works in Fractions only, on the inputs where a float would decide
 differently: posteriors at the threshold and at half-way points of the
-4th decimal.
+4th decimal, and alphas whose smoothed likelihoods leave the float range.
 """
 
 import itertools
 import random
-from fractions import Fraction
+import subprocess
+import sys
 
 import pytest
 
 from namecensus.batchio import predict_to_results
+from namecensus.cache import save_cache
 from namecensus.classifier import (
     ClassifierConfig,
     GenderLabel,
@@ -88,7 +90,8 @@ def test_random_models_match_oracle(tmp_path, one_class):
             random_entries(rng, list(HAN_POOL), 6, one_class))
         config = ClassifierConfig(
             decisive_threshold=rng.choice([0.5, 0.55, 0.6, 0.6, 0.75]),
-            smoothing_alpha=rng.choice([1e-300, 2.0**-40, 0.5, 1.0, 1.0, 3.0, 1e9]),
+            smoothing_alpha=rng.choice(
+                [5e-324, 1e-300, 2.0**-40, 0.5, 1.0, 1.0, 3.0, 1e9, 1e308]),
             priors_mode=rng.choice(["empirical", "uniform"]),
         )
         names = [latin(key) for key in LATIN_POOL]
@@ -125,8 +128,8 @@ def test_english_half_way_point_rounds_half_even(tmp_path):
 
 
 def test_one_model_alternating_configs_gets_each_its_own_posterior():
-    """The per-character table is cached; a table kept under the wrong
-    model or config would give another pair's posterior."""
+    """Each call computes its posterior from the model and config it is
+    given; nothing kept from an earlier call may leak into a later one."""
     entries = {"娟": (30, 1), "刚": (1, 30), "青": (55, 45)}
     model = CountModel.from_entries(entries)
     other = CountModel.from_entries({"娟": (1, 30), "刚": (30, 1), "青": (45, 55)})
@@ -150,6 +153,25 @@ def test_one_model_alternating_configs_gets_each_its_own_posterior():
 
 def test_posterior_near_a_boundary_carries_the_exact_value():
     model = CountModel.from_entries({"ann": (3, 2), "bo": (7, 3)})
-    assert posterior_english(model, "ann").exact == Fraction(3, 5)  # the threshold
-    assert posterior_english(model, "bo").exact is None  # 0.7: no boundary near
-    assert classify(posterior_english(model, "ann"), ClassifierConfig()) is GenderLabel.UNISEX
+    post = posterior_english(model, "ann")  # exactly 3/5, the threshold
+    assert (post.female, post.male) == (3, 2)
+    assert classify(post, ClassifierConfig()) is GenderLabel.UNISEX
+
+
+def test_predict_imports_neither_fractions_nor_decimal(tmp_path, full_models):
+    """Boundary rows are decided in integers: the threshold tie 李浩怡,
+    and the half-way points 王军紫 (111/160) and Ann (113/160)."""
+    _, chinese = full_models
+    cache, infile, out = tmp_path / "m.ncm", tmp_path / "names.txt", tmp_path / "r.csv"
+    save_cache(CountModel.from_entries({"ann": (113, 47)}), chinese, cache)
+    infile.write_text("李浩怡\n王军紫\nAnn Smith\n", encoding="utf-8")
+    code = ("import sys; from namecensus.cli import main; "
+            f"main(['predict', '--cache', {str(cache)!r}, '--in', {str(infile)!r}, "
+            f"'--out', {str(out)!r}]); "
+            "print(sorted({'fractions', 'decimal'} & sys.modules.keys()))")
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                            check=True)
+    assert result.stdout.splitlines()[-1] == "[]"
+    assert out.read_bytes().splitlines()[1:] == [
+        "1,李浩怡,Unisex,0.6000,Han,浩怡".encode(), "2,王军紫,Male,0.6938,Han,军紫".encode(),
+        b"3,Ann Smith,Female,0.7062,Latin,Ann"]

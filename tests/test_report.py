@@ -102,7 +102,7 @@ class TestChart:
 def _pred(name, label):
     found = label is not GenderLabel.UNKNOWN
     return Prediction(name, Script.LATIN, name.lower(),
-                      Posterior(found, 0.9, 0.1) if found else Posterior(False),
+                      Posterior(found, 9, 1) if found else Posterior(False),
                       label)
 
 
