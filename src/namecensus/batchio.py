@@ -13,11 +13,14 @@ from namecensus.classifier import (
     ClassifierConfig,
     GenderLabel,
     Prediction,
+    decide,
     predict,
     printed_probability,
+    route,
 )
-from namecensus.corpus import CountModel
+from namecensus.corpus import CountModel, normalize_name_key
 from namecensus.errors import NamecensusError
+from namecensus.scriptdetect import Script
 from namecensus.textio import column, csv_rows, replace_file, split_lines, text_blocks
 
 
@@ -165,6 +168,10 @@ def _row(pred: Prediction) -> _Row:
     return label, _field(pred.raw_name), rest
 
 
+# The (label, "label,probability") text of every row without evidence.
+_UNKNOWN_TEXT = (GenderLabel.UNKNOWN.value, f"{GenderLabel.UNKNOWN.value},")
+
+
 def predict_to_results(
     english: CountModel,
     chinese: CountModel,
@@ -173,10 +180,39 @@ def predict_to_results(
     path: str | Path,
 ) -> AggregateStats:
     """Predict every name into the results CSV at `path`, as `names` is
-    iterated; returns its label counts. Each distinct name is predicted
-    and its row formatted once; the memo holds that row text."""
-    rows = _memoised(lambda name: _row(predict(english, chinese, config, name)), names)
-    return _write_rows(rows, path)
+    iterated; returns its label counts. Each distinct name is stripped,
+    routed and its row formatted once; the memo holds that row text.
+    Each distinct Han given name, and each Latin corpus entry, is decided
+    once."""
+    entries = english.entries
+    # Keyed by the evidence a decision depends on: a Han given name, or
+    # the model's own (female, male) tuple of a Latin given name, so a
+    # Latin key costs no memory and names with equal counts share it.
+    decisions: dict[str | tuple[int, int], tuple[str, str]] = {}
+    # One value per distinct decision text, shared by all keys that have it.
+    texts: dict[str, tuple[str, str]] = {}
+
+    def row(raw_name: str) -> _Row:
+        name = raw_name.strip()
+        script, given = route(name)
+        if script is Script.LATIN:
+            key = entries.get(normalize_name_key(given))
+        elif script is Script.HAN or script is Script.MIXED:
+            key = given
+        else:
+            key = None
+        if key is None:
+            label, text = _UNKNOWN_TEXT
+        else:
+            decision = decisions.get(key)
+            if decision is None:
+                post, gender = decide(english, chinese, config, script, given)
+                text = f"{gender.value},{printed_probability(post)}"
+                decision = decisions[key] = texts.setdefault(text, (gender.value, text))
+            label, text = decision
+        return label, _field(name), f",{text},{script.value},{_field(given)}\n"
+
+    return _write_rows(_memoised(row, names), path)
 
 
 def write_results(predictions: Iterable[Prediction], path: str | Path) -> AggregateStats:

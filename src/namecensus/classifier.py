@@ -161,25 +161,44 @@ def printed_probability(post: Posterior) -> str:
     return f"0.{q}" if q < 10_000 else "1.0000"
 
 
+def route(name: str) -> tuple[Script, str]:
+    """The script of a stripped name and the given name its pipeline
+    scores. Mixed-script entries go through the Chinese pipeline on their
+    Han substring; Empty and Other have no given name."""
+    script = detect_script(name)
+    if script is Script.LATIN:
+        return script, split_english(name).given
+    if script is Script.HAN or script is Script.MIXED:
+        return script, split_chinese(han_substring(name), default_compound_surnames()).given
+    return script, ""
+
+
+def decide(
+    english: CountModel,
+    chinese: CountModel,
+    config: ClassifierConfig,
+    script: Script,
+    given: str,
+) -> tuple[Posterior, GenderLabel]:
+    """The posterior and label of a routed given name; Empty and Other
+    short-circuit to Unknown."""
+    if script is Script.LATIN:
+        post = posterior_english(english, given, config)
+    elif script is Script.HAN or script is Script.MIXED:
+        post = posterior_chinese(chinese, given, config)
+    else:
+        return _NO_EVIDENCE, GenderLabel.UNKNOWN
+    return post, classify(post, config)
+
+
 def predict(
     english: CountModel,
     chinese: CountModel,
     config: ClassifierConfig,
     raw_name: str,
 ) -> Prediction:
-    """Full pipeline: script detection, name splitting, posterior, label.
-
-    Mixed-script entries are routed through the Chinese pipeline on their
-    Han substring; Other/Empty scripts short-circuit to Unknown.
-    """
+    """Full pipeline: strip, `route`, then `decide`."""
     name = raw_name.strip()
-    script = detect_script(name)
-    if script in (Script.EMPTY, Script.OTHER):
-        return Prediction(name, script, "", _NO_EVIDENCE, GenderLabel.UNKNOWN)
-    if script in (Script.HAN, Script.MIXED):
-        split = split_chinese(han_substring(name), default_compound_surnames())
-        post = posterior_chinese(chinese, split.given, config)
-    else:
-        split = split_english(name)
-        post = posterior_english(english, split.given, config)
-    return Prediction(name, script, split.given, post, classify(post, config))
+    script, given = route(name)
+    post, label = decide(english, chinese, config, script, given)
+    return Prediction(name, script, given, post, label)

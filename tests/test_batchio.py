@@ -209,6 +209,19 @@ class TestIterNames:
         assert abs(large - small) <= 0.1 * small
 
 
+class TestPredictToResults:
+    def test_names_print_stripped_with_predicts_row(self, tmp_path):
+        names = [" Mary Smith ", "\u3000王青 ", "Hua Zhao\t", "王青", " 1234"]
+        path, ref = tmp_path / "out.csv", tmp_path / "ref.csv"
+        predict_to_results(ENG, CHI, CFG, names, path)
+        write_results([predict(ENG, CHI, CFG, name) for name in names], ref)
+        assert path.read_bytes() == ref.read_bytes()
+        assert path.read_bytes().splitlines()[1:] == [
+            b"1,Mary Smith,Unknown,,Latin,Mary", "2,王青,Unisex,0.5500,Han,青".encode(),
+            b"3,Hua Zhao,Female,0.8000,Latin,Hua", "4,王青,Unisex,0.5500,Han,青".encode(),
+            b"5,1234,Unknown,,Empty,"]
+
+
 class TestRunBatch:
     def test_order_and_index_preserved(self, tmp_path):
         records = [NameRecord("Hua Zhao"), NameRecord("王青"), NameRecord("x1")]

@@ -13,7 +13,7 @@ import pytest
 from namecensus import batchio
 from namecensus.batchio import read_input, read_result_labels, run_batch, write_results
 from namecensus.cache import FORMAT_VERSION, MAGIC, load_cache
-from namecensus.classifier import ClassifierConfig, predict
+from namecensus.classifier import ClassifierConfig, decide, predict, route
 from namecensus.cli import main
 from oracles import decision_oracle
 
@@ -412,21 +412,30 @@ class TestPredict:
 
     def test_predict_runs_once_per_distinct_raw_name(self, tmp_path, mini_cache,
                                                      monkeypatch):
-        calls = []
+        routed, decided = [], []
 
-        def counting_predict(english, chinese, config, raw_name):
-            calls.append(raw_name)
-            return predict(english, chinese, config, raw_name)
+        def counting_route(name):
+            routed.append(name)
+            return route(name)
 
-        monkeypatch.setattr(batchio, "predict", counting_predict)
+        def counting_decide(english, chinese, config, script, given):
+            decided.append((script.value, given))
+            return decide(english, chinese, config, script, given)
+
+        monkeypatch.setattr(batchio, "route", counting_route)
+        monkeypatch.setattr(batchio, "decide", counting_decide)
         names = ["Hua Zhao", "王娟", "Hua Zhao", "Hua  Zhao", "1234", "王娟", "Hua Zhao",
-                 "Gray, Alasdair", "Gray, Alasdair"]
+                 "Gray, Alasdair", "Gray, Alasdair", "HUA Smith", "李娟", "王娟 (Juan Wang)"]
         infile = tmp_path / "names.txt"
         infile.write_text("\n".join(names) + "\n", encoding="utf-8")
         out = tmp_path / "results.csv"
         assert main(["predict", "--cache", str(mini_cache), "--in", str(infile),
                      "--out", str(out)]) == 0
-        assert sorted(calls) == sorted(set(names))
+        assert sorted(routed) == sorted(set(names))
+        # One decision per Han given name or Latin corpus entry: Hua and HUA
+        # share an entry, and 王娟, 李娟 and the Mixed entry share 娟; "Gray,"
+        # is in no corpus and 1234 is Empty, so neither is decided.
+        assert sorted(decided) == [("Han", "娟"), ("Latin", "Hua")]
         assert [row["name"] for row in read_rows(out)] == names
 
     # The benchmark's three workloads, at a small size.

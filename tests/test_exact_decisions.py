@@ -13,7 +13,7 @@ import sys
 
 import pytest
 
-from namecensus.batchio import predict_to_results
+from namecensus.batchio import NameRecord, predict_to_results, run_batch, write_results
 from namecensus.cache import save_cache
 from namecensus.classifier import (
     ClassifierConfig,
@@ -29,17 +29,22 @@ SURNAME = "赵"  # no compound surname starts with it, so the given name is the 
 HAN_POOL = "娟刚青金标骅明丽伟芳"
 UNSEEN = "龘"
 LATIN_POOL = ["ann", "bo", "cy", "di"]
+# alpha 0.3 comes back after other configs, so a posterior kept from an
+# earlier call shows.
+CONFIGS = [ClassifierConfig(), ClassifierConfig(smoothing_alpha=0.3),
+           ClassifierConfig(priors_mode="uniform"), ClassifierConfig(smoothing_alpha=0.3)]
 
 
 def results_and_oracle(tmp_path, english, chinese, config, names):
     """(results CSV bytes, oracle bytes) of `names`, each given as
-    (name, script, given)."""
+    (name, script, given); the oracle row holds the name stripped."""
     path = tmp_path / "results.csv"
     predict_to_results(english, chinese, config, [name for name, _, _ in names], path)
     rows = [
-        [item, name, *decision_oracle(english.entries, chinese.entries, script, given,
-                                      config.smoothing_alpha, config.priors_mode,
-                                      config.decisive_threshold), script, given]
+        [item, name.strip(),
+         *decision_oracle(english.entries, chinese.entries, script, given,
+                          config.smoothing_alpha, config.priors_mode,
+                          config.decisive_threshold), script, given]
         for item, (name, script, given) in enumerate(names, start=1)
     ]
     return path.read_bytes(), results_csv_oracle(rows)
@@ -133,11 +138,9 @@ def test_one_model_alternating_configs_gets_each_its_own_posterior():
     entries = {"娟": (30, 1), "刚": (1, 30), "青": (55, 45)}
     model = CountModel.from_entries(entries)
     other = CountModel.from_entries({"娟": (1, 30), "刚": (30, 1), "青": (45, 55)})
-    configs = [ClassifierConfig(), ClassifierConfig(smoothing_alpha=0.3),
-               ClassifierConfig(priors_mode="uniform"), ClassifierConfig(smoothing_alpha=0.3)]
     # Alternate the config with the model fixed, then the model with the config fixed.
     models = (model, other)
-    calls = [(m, c) for m in models for c in configs] + [(m, c) for c in configs for m in models]
+    calls = [(m, c) for m in models for c in CONFIGS] + [(m, c) for c in CONFIGS for m in models]
     for current, config in calls:
         for given in ("娟", "刚青", UNSEEN + "青"):
             post = posterior_chinese(current, given, config)
@@ -147,8 +150,44 @@ def test_one_model_alternating_configs_gets_each_its_own_posterior():
     # A model equal to another, but not the same object, gets the same answer.
     twin = CountModel.from_entries(dict(entries))
     assert twin == model
-    assert posterior_chinese(twin, "娟刚", configs[1]) == posterior_chinese(
-        model, "娟刚", configs[1])
+    assert posterior_chinese(twin, "娟刚", CONFIGS[1]) == posterior_chinese(
+        model, "娟刚", CONFIGS[1])
+
+
+# Every memo key collides: one Han given name under several surnames and
+# inside a Mixed entry, Latin given names that differ only in case, two
+# Latin names with equal counts (ann and jo), and Empty and Other rows.
+MEMO_POOL = [
+    ("王青", "Han", "青"), ("李青", "Han", "青"), ("王青 (Qing Wang)", "Mixed", "青"),
+    ("赵娟刚", "Han", "娟刚"), ("李娟刚", "Han", "娟刚"), ("王" + UNSEEN, "Han", UNSEEN),
+    (SURNAME + UNSEEN + "刚", "Han", UNSEEN + "刚"),
+    ("Mary Smith", "Latin", "Mary"), ("MARY Jones", "Latin", "MARY"),
+    ("mary smith", "Latin", "mary"), ("Ann Lee", "Latin", "Ann"), ("Jo Lee", "Latin", "Jo"),
+    ("Zxqv Lee", "Latin", "Zxqv"), ("1234", "Empty", ""), ("Иван Петров", "Other", ""),
+]
+MEMO_MODELS = [
+    (CountModel.from_entries({"mary": (70, 30), "ann": (3, 2), "jo": (3, 2), "bo": (1, 9)}),
+     CountModel.from_entries({"娟": (30, 1), "刚": (1, 30), "青": (55, 45)})),
+    (CountModel.from_entries({"mary": (30, 70), "ann": (2, 7), "jo": (2, 7), "bo": (9, 1)}),
+     CountModel.from_entries({"娟": (1, 30), "刚": (30, 1), "青": (45, 55)})),
+]
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_memoised_rows_match_oracle_and_run_batch(tmp_path, seed):
+    """The same names, with surrounding whitespace, under every model and
+    config in turn: each row is decided from its own call's model and
+    config, and keeps its own name, script and given name."""
+    rng = random.Random(seed)
+    names = [(rng.choice(["", " ", "\u3000"]) + name + rng.choice(["", " ", "\t"]), script, given)
+             for name, script, given in rng.choices(MEMO_POOL, k=200)]
+    records = [NameRecord(name) for name, _, _ in names]
+    for config in CONFIGS:
+        for english, chinese in MEMO_MODELS:
+            got, want = results_and_oracle(tmp_path, english, chinese, config, names)
+            assert got == want, (config, english.entries)
+            write_results(run_batch(english, chinese, config, records), tmp_path / "ref.csv")
+            assert got == (tmp_path / "ref.csv").read_bytes()
 
 
 def test_posterior_near_a_boundary_carries_the_exact_value():
