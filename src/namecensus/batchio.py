@@ -168,6 +168,10 @@ def _row(pred: Prediction) -> _Row:
     return label, _field(pred.raw_name), rest
 
 
+# The script column of each Script; a dict read costs less than `.value`,
+# a descriptor written in Python.
+_SCRIPT_TEXT = {script: script.value for script in Script}
+
 # The (label, "label,probability") text of every row without evidence.
 _UNKNOWN_TEXT = (GenderLabel.UNKNOWN.value, f"{GenderLabel.UNKNOWN.value},")
 
@@ -210,7 +214,7 @@ def predict_to_results(
                 text = f"{gender.value},{printed_probability(post)}"
                 decision = decisions[key] = texts.setdefault(text, (gender.value, text))
             label, text = decision
-        return label, _field(name), f",{text},{script.value},{_field(given)}\n"
+        return label, _field(name), f",{text},{_SCRIPT_TEXT[script]},{_field(given)}\n"
 
     return _write_rows(_memoised(row, names), path)
 

@@ -5,15 +5,12 @@ from __future__ import annotations
 import enum
 import functools
 import math
+import re
 from dataclasses import dataclass
 
 from namecensus.corpus import CountModel, normalize_name_key
-from namecensus.namesplit import (
-    default_compound_surnames,
-    split_chinese,
-    split_english,
-)
-from namecensus.scriptdetect import Script, detect_script, han_substring
+from namecensus.namesplit import default_compound_surnames, split_english
+from namecensus.scriptdetect import Script, common_script, detect_script, han_substring
 
 
 class GenderLabel(enum.Enum):
@@ -161,16 +158,43 @@ def printed_probability(post: Posterior) -> str:
     return f"0.{q}" if q < 10_000 else "1.0000"
 
 
+# split_english's rule on an ASCII name, in one match: skip the leading
+# initials ("J", "J.") and take the next token, unless it is the last.
+# No match means every token before the last is an initial, or there is
+# one token: the first token is then the given name.
+_ASCII_GIVEN_RE = re.compile(r"(?:[A-Za-z]\.?\s+)*(?![A-Za-z]\.?\s)(\S+)\s+\S")
+
+
 def route(name: str) -> tuple[Script, str]:
     """The script of a stripped name and the given name its pipeline
     scores. Mixed-script entries go through the Chinese pipeline on their
-    Han substring; Empty and Other have no given name."""
-    script = detect_script(name)
-    if script is Script.LATIN:
-        return script, split_english(name).given
-    if script is Script.HAN or script is Script.MIXED:
-        return script, split_chinese(han_substring(name), default_compound_surnames()).given
-    return script, ""
+    Han substring; Empty and Other have no given name.
+
+    ASCII and all-Han names, the common shapes, are routed by one regex
+    match each; every other name takes `detect_script`, then
+    `split_english` or the Han split of its Han substring. Both ways give
+    the same (script, given).
+    """
+    script = common_script(name)
+    han = name
+    if script is Script.LATIN:  # an ASCII name
+        match = _ASCII_GIVEN_RE.match(name)
+        return script, match[1] if match else name.split(None, 1)[0]
+    if script is None:
+        script = detect_script(name)
+        if script is Script.LATIN:
+            return script, split_english(name).given
+        han = han_substring(name)
+    if script is not Script.HAN and script is not Script.MIXED:
+        return script, ""
+    # split_chinese's rule, without building a SplitName: a listed compound
+    # surname when a given name follows it, else one surname character; a
+    # lone character is all given name.
+    if len(han) == 1:
+        return script, han
+    if len(han) > 2 and han[:2] in default_compound_surnames():
+        return script, han[2:]
+    return script, han[1:]
 
 
 def decide(

@@ -52,7 +52,9 @@ def _parse_year_line(line: str, path: Path, lineno: int) -> tuple[str, str, int]
     name, sex, count_text = parts
     if sex not in ("F", "M"):
         raise NamecensusError(f"{path}:{lineno}: sex must be F or M, got {sex!r}")
-    if not name or any(ch.isdigit() for ch in name):
+    # No code point is both alpha and a digit, so an all-alpha name,
+    # the common case, skips the per-character scan.
+    if not name or not name.isalpha() and any(map(str.isdigit, name)):
         raise NamecensusError(f"{path}:{lineno}: bad name field {name!r}")
     try:
         count = int(count_text)
@@ -107,7 +109,7 @@ def load_chinese_charfreq(file_path: str | Path) -> CountModel:
             if len(row) != 3:
                 raise NamecensusError(f"{file_path}:{lineno}: expected 3 columns, got {len(row)}")
             char, female_text, male_text = row
-            if len(char) != 1 or not is_han(char):
+            if not is_han(char):
                 raise NamecensusError(
                     f"{file_path}:{lineno}: key must be one Han character, got {char!r}"
                 )

@@ -23,9 +23,10 @@ _HAN_RANGES = (
 
 @functools.cache
 def _han_re() -> re.Pattern[str]:
-    """Compiled on first use: an up-to-date build-cache never detects a script."""
+    """A run of Han characters, compiled on first use: an up-to-date
+    build-cache never detects a script."""
     return re.compile(
-        "[" + "".join(f"\\U{lo:08X}-\\U{hi:08X}" for lo, hi in _HAN_RANGES) + "]"
+        "[" + "".join(f"\\U{lo:08X}-\\U{hi:08X}" for lo, hi in _HAN_RANGES) + "]+"
     )
 
 
@@ -41,12 +42,23 @@ class Script(enum.Enum):
 
 
 def is_han(ch: str) -> bool:
-    return _han_re().fullmatch(ch) is not None
+    """Whether `ch` is one Han character; a run of them is not."""
+    return len(ch) == 1 and _han_re().fullmatch(ch) is not None
 
 
 @functools.lru_cache(maxsize=4096)
 def is_latin_letter(ch: str) -> bool:
     return ch.isalpha() and unicodedata.name(ch, "").startswith("LATIN")
+
+
+def common_script(name: str) -> Script | None:
+    """The script of the two common shapes, by one regex match: an ASCII
+    name is Latin (Empty without a letter) and an all-Han name is Han.
+    None for any other name."""
+    if name.isascii():
+        # The only ASCII letters are A-Z and a-z, all Latin.
+        return Script.LATIN if _ASCII_LETTER_RE.search(name) else Script.EMPTY
+    return Script.HAN if _han_re().fullmatch(name) else None
 
 
 def detect_script(raw_name: str) -> Script:
@@ -56,9 +68,9 @@ def detect_script(raw_name: str) -> Script:
     means Mixed, only non-Latin non-Han letters means Other, and no
     letters at all means Empty.
     """
-    if raw_name.isascii():
-        # The only ASCII letters are A-Z and a-z, all Latin.
-        return Script.LATIN if _ASCII_LETTER_RE.search(raw_name) else Script.EMPTY
+    script = common_script(raw_name)
+    if script is not None:
+        return script
     han_re = _han_re()
     if han_re.search(raw_name):
         rest = han_re.sub("", raw_name)

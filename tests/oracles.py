@@ -7,6 +7,10 @@ import io
 import unicodedata
 from decimal import Decimal
 from fractions import Fraction
+from typing import TYPE_CHECKING
+
+if TYPE_CHECKING:
+    from namecensus.scriptdetect import Script
 
 
 def bayes_product_oracle(
@@ -87,6 +91,24 @@ def _chinese_fraction(
         w_female *= (female + alpha_q) / (n_female + alpha_q * vocab)
         w_male *= (male + alpha_q) / (n_male + alpha_q * vocab)
     return w_female / (w_female + w_male)
+
+
+def route_oracle(name: str) -> tuple[Script, str]:
+    """`classifier.route` of a stripped name by script detection and the
+    split alone, for every name: Latin takes split_english, Han and Mixed
+    split_chinese of their Han substring, and Empty and Other have no
+    given name."""
+    # Imported here: the benchmark's checks import this module without
+    # the package on the path.
+    from namecensus.namesplit import default_compound_surnames, split_chinese, split_english
+    from namecensus.scriptdetect import Script, detect_script, han_substring
+
+    script = detect_script(name)
+    if script is Script.LATIN:
+        return script, split_english(name).given
+    if script is Script.HAN or script is Script.MIXED:
+        return script, split_chinese(han_substring(name), default_compound_surnames()).given
+    return script, ""
 
 
 def decision_oracle(

@@ -12,10 +12,11 @@ from namecensus.classifier import (
     posterior_chinese,
     posterior_english,
     predict,
+    route,
 )
 from namecensus.corpus import CountModel
 from namecensus.scriptdetect import Script
-from oracles import bayes_product_oracle, english_ratio_oracle
+from oracles import bayes_product_oracle, english_ratio_oracle, route_oracle
 
 CFG = ClassifierConfig()
 
@@ -206,6 +207,42 @@ class TestClassify:
                 ClassifierConfig(smoothing_alpha=alpha)
         with pytest.raises(ValueError):
             ClassifierConfig(priors_mode="bogus")
+
+
+class TestRoute:
+    @pytest.mark.parametrize("name, script, given", [
+        ("A. B. Smith", Script.LATIN, "A."),  # all initials before the last token
+        ("J Mary Smith", Script.LATIN, "Mary"),
+        ("J. Mary", Script.LATIN, "J."),  # the last token is never the given name
+        ("Mary\x1cSmith", Script.LATIN, "Mary"),  # U+001C is whitespace
+        ("王", Script.HAN, "王"),
+        ("欧阳", Script.HAN, "阳"),  # a compound surname needs a given name after it
+        ("欧阳青", Script.HAN, "青"),
+        ("司马光", Script.HAN, "光"),
+        ("12345", Script.EMPTY, ""),
+    ])
+    def test_named_cases(self, name, script, given):
+        assert route(name) == (script, given)
+        assert route_oracle(name) == (script, given)
+
+    # Tokens of the random names: ASCII letters, initials, digits,
+    # punctuation and whitespace (U+001C and U+001F are whitespace too);
+    # Han with listed compound surnames and an extension-B character; and
+    # non-ASCII letters, fullwidth A, the ideographic space and a zero-width space.
+    ASCII_TOKENS = ["A", "a", "B", "z", ".", "1", ",", "-", "'", " ", "\t", "\x0b",
+                    "\x1c", "\x1f", "Mary", "J."]
+    HAN_TOKENS = ["王", "青", "欧阳", "司马", "龘", "\U00020000"]
+    OTHER_TOKENS = ["é", "Ж", "\uff21", "\u3000", "\u200b"]
+
+    def test_equals_oracle_on_random_names(self):
+        # One name in three is drawn from ASCII tokens only and one from Han
+        # tokens only, the two shapes `route` takes without script detection.
+        pools = [self.ASCII_TOKENS, self.HAN_TOKENS,
+                 self.ASCII_TOKENS + self.HAN_TOKENS + self.OTHER_TOKENS]
+        rng = random.Random(18)
+        for _ in range(120_000):
+            name = "".join(rng.choices(rng.choice(pools), k=rng.randint(0, 8))).strip()
+            assert route(name) == route_oracle(name), repr(name)
 
 
 class TestPredict:

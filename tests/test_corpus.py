@@ -79,6 +79,8 @@ class TestEnglishCorpus:
         ("Mary,F,three", "not an integer"),
         ("Mary,F,0", "count must be >= 1"),
         ("Mar7y,F,3", "bad name"),
+        ("Ann²,F,3", "bad name"),
+        ("Ann٣,F,3", "bad name"),
     ])
     def test_malformed_rows_name_file_and_line(self, tmp_path, bad_line, message):
         write_years(tmp_path, {"yob2015.txt": ["Anne,F,2", bad_line]})

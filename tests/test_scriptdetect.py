@@ -7,6 +7,7 @@ import pytest
 from namecensus.scriptdetect import (
     _HAN_RANGES,
     Script,
+    common_script,
     detect_script,
     han_substring,
     is_han,
@@ -72,6 +73,8 @@ def test_is_han_covers_extension_blocks():
     assert is_han("\U00020000")  # extension B
     assert not is_han("a")
     assert not is_han("ナ")  # katakana is not Han
+    assert not is_han("王青")  # one character, not a run
+    assert not is_han("")
 
 
 # Reference: the range-loop detector that the compiled Han class replaced.
@@ -128,6 +131,20 @@ EQUIVALENCE_POOLS = [
 ]
 
 
+@pytest.mark.parametrize("name,expected", [
+    ("Mary Smith", Script.LATIN),
+    ("12 .-", Script.EMPTY),
+    ("", Script.EMPTY),
+    ("欧阳青", Script.HAN),
+    ("\U00020000王", Script.HAN),
+    ("王 青", None),  # a space is not Han
+    ("王青 (Qing Wang)", None),
+    ("José", None),  # non-ASCII Latin needs detect_script
+])
+def test_common_script_knows_ascii_and_all_han_names_only(name, expected):
+    assert common_script(name) is expected
+
+
 def test_detect_script_and_han_substring_equal_range_loop():
     rng = random.Random(20240)
     for _ in range(20_000):
@@ -136,6 +153,7 @@ def test_detect_script_and_han_substring_equal_range_loop():
             rng.choice(rng.choice(pools)) for _ in range(rng.randint(0, 10))
         )
         assert detect_script(name) is reference_detect_script(name), repr(name)
+        assert common_script(name) in (None, reference_detect_script(name)), repr(name)
         assert han_substring(name) == "".join(
             ch for ch in name if reference_is_han(ch)
         ), repr(name)
