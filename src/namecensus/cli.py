@@ -127,9 +127,23 @@ def _load_model(args: argparse.Namespace):
     return config, load_cache(args.cache)
 
 
+def _distinct_outputs(*flags: tuple[str, str | None]) -> None:
+    """Two output flags naming one file, through any path or link, would
+    each replace the other's bytes."""
+    seen = {}
+    for flag, path in flags:
+        if path:
+            real = os.path.realpath(path)
+            if real in seen:
+                raise NamecensusError(f"{seen[real]} and {flag} name the same file: {path}")
+            seen[real] = flag
+
+
 def cmd_predict(args: argparse.Namespace) -> int:
     if bool(args.chart_json) != bool(args.chart_svg):
         raise NamecensusError("--chart-json and --chart-svg go together")
+    _distinct_outputs(("--out", args.out), ("--chart-json", args.chart_json),
+                      ("--chart-svg", args.chart_svg))
     if input_format(args.infile, args.format) == "txt":
         for flag, given in (("--name-column", args.name_column is not None),
                             ("--no-header", args.no_header)):
@@ -176,6 +190,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 
 def cmd_chart(args: argparse.Namespace) -> int:
+    _distinct_outputs(("--json", args.json), ("--svg", args.svg))
     stats = aggregate_labels(read_result_labels(args.results))
     emit_chart(stats, args.json, args.svg)
     _print_stats(stats)

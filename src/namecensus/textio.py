@@ -46,12 +46,17 @@ def replace_file(path: str | Path) -> Iterator[BinaryIO]:
     """`path` opened for writing bytes, for use in a `with` block. The bytes
     go to a temp file beside `path`, which replaces `path` when the block
     ends cleanly; on any fault the temp file is removed and `path` is left
-    as it was. A pipe or a device, such as /dev/stdout, is written in place.
-    A missing parent directory is raised as `FILE: directory not found`, a
-    directory as `FILE: is a directory`, a write fault as `FILE: message`."""
+    as it was. A symlink to a file is kept: the temp file goes beside the
+    file it names and replaces that file. A pipe or a device, such as
+    /dev/stdout, is written in place. A missing parent directory is raised
+    as `FILE: directory not found`, a directory as `FILE: is a directory`,
+    a write fault as `FILE: message`."""
     target = Path(path)
+    is_file = target.is_file()
+    if is_file:  # a symlink stays: the file it names is replaced
+        target = Path(os.path.realpath(target))
     tmp = None
-    if target.is_file() or not target.exists():  # a pipe or a device cannot be renamed over
+    if is_file or not target.exists():  # a pipe or a device cannot be renamed over
         tmp = target.with_name(f".{target.name}.{os.getpid()}.tmp")
     try:
         raw = _Output(tmp or target, "w")

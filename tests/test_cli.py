@@ -358,7 +358,7 @@ class TestPredict:
         out = tmp_path / "results.csv"
         assert main(["predict", "--in", str(infile), "--out", str(out)]) == 0
 
-    def test_names_with_line_breaks_read_back_in_order(self, tmp_path, mini_cache):
+    def test_names_with_line_breaks_read_back_in_order(self, tmp_path, mini_cache, capsys):
         names = ["Hua\rZhao", "Mary\rSmith", "王\r娟", "Phil\nBarker", 'Jordan "J" Q',
                  "Gray, Alasdair", "Hua\u2028Zhao", "\ufeffPhil Barker", "Hua Zhao"]
         infile = tmp_path / "names.csv"
@@ -373,6 +373,10 @@ class TestPredict:
             predict(cache.english, cache.chinese, ClassifierConfig(), name).label
             for name in names
         ]
+        capsys.readouterr()
+        assert main(["chart", "--results", str(out), "--json", str(tmp_path / "c.json"),
+                     "--svg", str(tmp_path / "c.svg")]) == 0
+        assert f"total names: {len(names)}\n" in capsys.readouterr().out
 
     def test_nul_in_name_written_unquoted(self, tmp_path, mini_cache):
         infile = tmp_path / "names.txt"
@@ -511,6 +515,84 @@ class TestEval:
         assert capsys.readouterr().err == (
             f"error: {gold}:2: row has too few cells for name,gender\n")
 
+    def test_repeated_name_column_exit_1(self, tmp_path, cache_path, capsys):
+        gold = tmp_path / "gold.csv"
+        gold.write_text("name,gender,name\nMary Smith,Female,John Brown\n", encoding="utf-8")
+        assert main(["eval", "--cache", str(cache_path), "--gold", str(gold)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {gold}:1: column 'name' appears more than once in the header\n")
+
+
+class TestFullCorpus:
+    """Rows and summaries that the counts of the full corpusgen corpus fix."""
+
+    HEADER = "item,name,gender,probability,script,given_name\n"
+
+    @pytest.mark.parametrize("flags, rows", [
+        (["--alpha", "1e308"], ["1,王龘,Unknown,,Han,龘"]),
+        ([], ["1,李浩怡,Unisex,0.6000,Han,浩怡", "2,王军紫,Male,0.6938,Han,军紫"]),
+        ([], ["1,王青,Unisex,0.5701,Han,青", "2,李青,Unisex,0.5701,Han,青",
+              "3,王青 (Qing Wang),Unisex,0.5701,Mixed,青",
+              "4,Mary Smith,Female,0.9901,Latin,Mary", "5,MARY Jones,Female,0.9901,Latin,MARY"]),
+        # 欧阳青's given name is 青 only with the shipped data/compound_surnames.txt.
+        ([], ["1,A. B. Smith,Unknown,,Latin,A.", "2,J Mary Smith,Female,0.9901,Latin,Mary",
+              "3,王,Unknown,,Han,王", "4,欧阳,Unknown,,Han,阳", "5,欧阳青,Unisex,0.5701,Han,青"]),
+    ], ids=["no-corpus-char", "exact-ties", "shared-given", "routed"])
+    def test_predict_rows(self, tmp_path, cache_path, flags, rows):
+        infile = tmp_path / "names.txt"
+        infile.write_text("".join(row.split(",")[1] + "\n" for row in rows), encoding="utf-8")
+        out = tmp_path / "results.csv"
+        assert main(["predict", "--cache", str(cache_path), "--in", str(infile),
+                     "--out", str(out), *flags]) == 0
+        assert out.read_text(encoding="utf-8") == self.HEADER + "".join(r + "\n" for r in rows)
+
+    def test_chart_from_results_equals_predict_chart(self, tmp_path, cache_path):
+        infile = tmp_path / "names.txt"
+        infile.write_text("Mary Smith\n王青\nJohn Brown\n", encoding="utf-8")
+        results = tmp_path / "results.csv"
+        assert main(["predict", "--cache", str(cache_path), "--in", str(infile),
+                     "--out", str(results), "--chart-json", str(tmp_path / "a.json"),
+                     "--chart-svg", str(tmp_path / "a.svg")]) == 0
+        assert len(read_rows(results)) == 3
+        assert main(["chart", "--results", str(results), "--json", str(tmp_path / "b.json"),
+                     "--svg", str(tmp_path / "b.svg")]) == 0
+        for suffix in (".json", ".svg"):
+            assert ((tmp_path / f"a{suffix}").read_bytes()
+                    == (tmp_path / f"b{suffix}").read_bytes())
+
+    def test_config_with_bom_equals_flag(self, tmp_path, cache_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_bytes(b'\xef\xbb\xbf{"threshold": 0.995}')
+        infile = tmp_path / "names.txt"
+        infile.write_text("Mary Smith\n王青\nJohn Brown\n", encoding="utf-8")
+        by_config, by_flag = tmp_path / "config.csv", tmp_path / "flag.csv"
+        for out, flags in ((by_config, ["--config", str(cfg)]),
+                           (by_flag, ["--threshold", "0.995"])):
+            assert main(["predict", "--cache", str(cache_path), "--in", str(infile),
+                         "--out", str(out), *flags]) == 0
+        assert by_config.read_bytes() == by_flag.read_bytes()
+        assert [row["gender"] for row in read_rows(by_config)] == ["Unisex"] * 3
+
+    def test_eval_accuracy(self, tmp_path, cache_path, capsys):
+        gold = tmp_path / "gold.csv"
+        gold.write_text("name,gender\nMary Smith,Female\nJohn Brown,Male\n", encoding="utf-8")
+        assert main(["eval", "--cache", str(cache_path), "--gold", str(gold)]) == 0
+        assert "accuracy: 1.0000\n" in capsys.readouterr().out
+
+    def test_cache_with_flipped_byte_is_rebuilt_and_predicts(self, tmp_path, cache_path,
+                                                             english_dir, chinese_csv, capsys):
+        good = cache_path.read_bytes()
+        cache = tmp_path / "flipped.ncm"
+        cache.write_bytes(good[:-1] + bytes([good[-1] ^ 0xFF]))
+        assert main(["build-cache", "--english-dir", str(english_dir),
+                     "--chinese-csv", str(chinese_csv), "--out", str(cache)]) == 0
+        assert capsys.readouterr().out.startswith(f"wrote cache: {cache}\n")
+        assert cache.read_bytes() == good
+        infile = tmp_path / "names.txt"
+        infile.write_text("Mary Smith\n王青\n", encoding="utf-8")
+        assert main(["predict", "--cache", str(cache), "--in", str(infile),
+                     "--out", str(tmp_path / "results.csv")]) == 0
+
 
 @pytest.mark.parametrize("command", ["eval", "chart"])
 def test_undecodable_gold_or_results_names_file(tmp_path, mini_cache, capsys, command):
@@ -635,6 +717,36 @@ def test_output_fault_keeps_old_files(tmp_path, mini_corpus, mini_cache, writer,
                             preexec_fn=cap_file_size if fault == "mid-write" else None)
     assert result.returncode == 1
     assert result.stderr == f"error: {target}: {message}\n"
+    assert _tree(tmp_path) == before
+
+
+# Two output flags naming one file, by any path or link to it, are refused
+# before any name is read, and no file is touched.
+@pytest.mark.parametrize("argv, flags, path", [
+    (["predict", "--out", "r.csv", "--chart-json", "c", "--chart-svg", "./c"],
+     ("--chart-json", "--chart-svg"), "./c"),
+    (["predict", "--out", "c", "--chart-json", "link", "--chart-svg", "s.svg"],
+     ("--out", "--chart-json"), "link"),
+    (["predict", "--out", "r.csv", "--chart-json", "j.json", "--chart-svg", "r.csv"],
+     ("--out", "--chart-svg"), "r.csv"),
+    (["chart", "--json", "c", "--svg", "c"], ("--json", "--svg"), "c"),
+    (["chart", "--json", "c", "--svg", "./c"], ("--json", "--svg"), "./c"),
+], ids=["predict-c-and-./c", "predict-link", "predict-out-and-svg", "chart-c-and-c",
+        "chart-c-and-./c"])
+def test_two_outputs_naming_one_file_exit_1(tmp_path, monkeypatch, mini_cache, capsys,
+                                           argv, flags, path):
+    monkeypatch.chdir(tmp_path)
+    Path("names.txt").write_text("Hua Zhao\n王娟\n", encoding="utf-8")
+    Path("results.csv").write_text("item,name,gender\n1,Hua Zhao,Female\n", encoding="utf-8")
+    Path("c").write_bytes(b"old\n")
+    Path("link").symlink_to("c")
+    inputs = {"predict": ["--cache", str(mini_cache), "--in", "names.txt"],
+              "chart": ["--results", "results.csv"]}[argv[0]]
+    before = _tree(tmp_path)
+    assert main([*argv, *inputs]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {flags[0]} and {flags[1]} name the same file: {path}\n"
+    assert captured.out == ""
     assert _tree(tmp_path) == before
 
 

@@ -1,6 +1,7 @@
 """Every file the CLI reads reports the same faults in the same form."""
 
 import codecs
+import os
 
 import pytest
 
@@ -86,3 +87,31 @@ def test_repeated_header_column_rejected(tmp_path, reader, column):
     data = f"{header},{column}\nAda Lovelace,Female,Female,Zzz Qqq\n".encode("utf-8")
     path, message = read(tmp_path, reader, data)
     assert message == f"{path}:1: column {column!r} appears more than once in the header"
+
+
+# A symlinked output is written through: the temp file goes beside the file the
+# link names, here in another directory, and replaces that file; the link stays.
+@pytest.mark.parametrize("fault", [False, True], ids=["clean", "mid-write"])
+def test_symlinked_output_replaces_its_target(tmp_path, fault):
+    (tmp_path / "data").mkdir()
+    (tmp_path / "links").mkdir()
+    target = tmp_path / "data" / "results.csv"
+    target.write_bytes(b"old\n")
+    link = tmp_path / "links" / "results.csv"
+    link.symlink_to("../data/results.csv")
+
+    def write():
+        with textio.replace_file(link) as fh:
+            fh.write(b"new\n")
+            if fault:
+                raise OSError("disk full")
+
+    if fault:
+        with pytest.raises(OSError, match="^disk full$"):
+            write()
+    else:
+        write()
+    assert link.is_symlink() and os.readlink(link) == "../data/results.csv"
+    assert target.read_bytes() == (b"old\n" if fault else b"new\n")
+    assert list((tmp_path / "data").iterdir()) == [target]
+    assert list((tmp_path / "links").iterdir()) == [link]
