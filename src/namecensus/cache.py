@@ -19,8 +19,8 @@ import hashlib
 import struct
 import sys
 from array import array
-from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 from namecensus.corpus import CountModel
 from namecensus.errors import CacheError, NamecensusError
@@ -32,8 +32,7 @@ _HEADER = struct.Struct("<4sI32s32sQ")
 _SECTION = struct.Struct("<QQqq")
 
 
-@dataclass(frozen=True)
-class ModelCache:
+class ModelCache(NamedTuple):
     english: CountModel
     chinese: CountModel
 

@@ -1,33 +1,18 @@
-"""Command-line entry point: build-cache, predict, eval, chart."""
+"""Command-line entry point: build-cache, predict, eval, chart.
+
+Each command imports the modules it runs when it starts, so an up-to-date
+build-cache, the call made before every batch, loads no classifier, batch
+or chart code."""
 
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 import time
-from pathlib import Path
 
 from namecensus import __version__
-from namecensus.batchio import (
-    aggregate_labels, input_format, iter_names, predict_to_results, read_result_labels,
-)
-from namecensus.cache import (
-    digest_corpus_files,
-    load_cache,
-    read_source_digest,
-    save_cache,
-)
-from namecensus.classifier import ClassifierConfig, GenderLabel, predict
-from namecensus.corpus import (
-    find_year_files,
-    load_chinese_charfreq,
-    load_english_year_files,
-)
 from namecensus.errors import CacheError, NamecensusError
-from namecensus.report import emit_chart, evaluate, load_gold_labels
-from namecensus.textio import text_blocks
 
 
 def _add_model_flags(parser: argparse.ArgumentParser) -> None:
@@ -53,6 +38,11 @@ _CONFIG_FIELDS = {"threshold": "decisive_threshold", "alpha": "smoothing_alpha",
 
 
 def _read_config(path: str) -> dict:
+    import json
+
+    from namecensus.classifier import ClassifierConfig
+    from namecensus.textio import text_blocks
+
     try:
         doc = json.loads("".join(text_blocks(path)))
     except ValueError as exc:  # JSON syntax
@@ -73,6 +63,8 @@ def _read_config(path: str) -> dict:
 def _resolve_config(args: argparse.Namespace) -> ClassifierConfig:
     """Flags override the --config file, which overrides the defaults. The first
     value that makes the config invalid is reported by its flag or key."""
+    from namecensus.classifier import ClassifierConfig
+
     base = _read_config(args.config) if args.config else {}
     values = {}
     for key, field in _CONFIG_FIELDS.items():
@@ -90,6 +82,11 @@ def _resolve_config(args: argparse.Namespace) -> ClassifierConfig:
 
 
 def cmd_build_cache(args: argparse.Namespace) -> int:
+    from pathlib import Path
+
+    from namecensus.cache import digest_corpus_files, read_source_digest, save_cache
+    from namecensus.corpus import find_year_files, load_chinese_charfreq, load_english_year_files
+
     out = Path(args.out)
     year_files = find_year_files(args.english_dir)
     chinese_path = Path(args.chinese_csv)
@@ -111,6 +108,8 @@ def cmd_build_cache(args: argparse.Namespace) -> int:
 
 
 def _print_stats(stats) -> None:
+    from namecensus.classifier import GenderLabel
+
     print(f"total names: {stats.total}")
     for label in GenderLabel:
         print(
@@ -121,6 +120,8 @@ def _print_stats(stats) -> None:
 
 def _load_model(args: argparse.Namespace):
     """The config and the model cache of predict/eval."""
+    from namecensus.cache import load_cache
+
     config = _resolve_config(args)
     if not args.cache:
         raise NamecensusError("missing required flag --cache")
@@ -140,6 +141,8 @@ def _distinct_outputs(*flags: tuple[str, str | None]) -> None:
 
 
 def cmd_predict(args: argparse.Namespace) -> int:
+    from namecensus.batchio import input_format, iter_names, predict_to_results
+
     if bool(args.chart_json) != bool(args.chart_svg):
         raise NamecensusError("--chart-json and --chart-svg go together")
     _distinct_outputs(("--out", args.out), ("--chart-json", args.chart_json),
@@ -161,12 +164,17 @@ def cmd_predict(args: argparse.Namespace) -> int:
     rate = stats.total / elapsed if elapsed > 0 else float("inf")
     print(f"predicted {stats.total} names in {elapsed:.3f}s ({rate:.0f} names/s)")
     if args.chart_json:
+        from namecensus.report import emit_chart
+
         emit_chart(stats, args.chart_json, args.chart_svg)
         print(f"wrote chart: {args.chart_json}, {args.chart_svg}")
     return 0
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
+    from namecensus.classifier import GenderLabel, predict
+    from namecensus.report import evaluate, load_gold_labels
+
     config, cache = _load_model(args)
     gold = load_gold_labels(args.gold)
     predictions = [predict(cache.english, cache.chinese, config, name) for name in gold]
@@ -190,6 +198,9 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 
 def cmd_chart(args: argparse.Namespace) -> int:
+    from namecensus.batchio import aggregate_labels, read_result_labels
+    from namecensus.report import emit_chart
+
     _distinct_outputs(("--json", args.json), ("--svg", args.svg))
     stats = aggregate_labels(read_result_labels(args.results))
     emit_chart(stats, args.json, args.svg)

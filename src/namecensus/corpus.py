@@ -10,8 +10,8 @@ from __future__ import annotations
 
 import re
 import unicodedata
-from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 from namecensus.errors import NamecensusError
 from namecensus.scriptdetect import is_han
@@ -20,10 +20,11 @@ from namecensus.textio import csv_rows, split_lines, text_blocks
 YEAR_FILE_RE = re.compile(r"^yob(\d{4})\.txt$")
 
 
-@dataclass(frozen=True)
-class CountModel:
+class CountModel(NamedTuple):
     """Per-key gender counts: a Latin given name (case-folded, NFC) or
-    one Han character, mapped to its (female_count, male_count) pair."""
+    one Han character, mapped to its (female_count, male_count) pair.
+    A NamedTuple, not a dataclass: an up-to-date build-cache then never
+    imports `dataclasses`."""
 
     entries: dict[str, tuple[int, int]]
     total_female: int

@@ -41,29 +41,54 @@ class _Output(io.FileIO):
             raise NamecensusError(f"{self.path}: {exc.strerror or exc}") from None
 
 
+def _descriptor(path: str | Path) -> int | None:
+    """The open descriptor that `path` names, as /dev/stdout, /dev/fd/N and
+    /proc/self/fd/N do, or None: its links are followed, one at a time, to
+    the process's descriptor directory."""
+    fd_dirs = (os.path.realpath("/proc/self/fd"), "/dev/fd")
+    path = os.path.abspath(path)
+    for _ in range(40):  # the kernel's limit on links in one lookup
+        head, name = os.path.split(path)
+        head = os.path.realpath(head)
+        if head in fd_dirs and name.isdigit():
+            return int(name)
+        path = os.path.join(head, name)
+        if not os.path.islink(path):
+            return None
+        path = os.path.join(head, os.readlink(path))
+    return None
+
+
 @contextmanager
 def replace_file(path: str | Path) -> Iterator[BinaryIO]:
     """`path` opened for writing bytes, for use in a `with` block. The bytes
     go to a temp file beside `path`, which replaces `path` when the block
     ends cleanly; on any fault the temp file is removed and `path` is left
-    as it was. A symlink to a file is kept: the temp file goes beside the
-    file it names and replaces that file. A pipe or a device, such as
-    /dev/stdout, is written in place. A missing parent directory is raised
-    as `FILE: directory not found`, a directory as `FILE: is a directory`,
-    a write fault as `FILE: message`."""
-    target = Path(path)
-    is_file = target.is_file()
-    if is_file:  # a symlink stays: the file it names is replaced
-        target = Path(os.path.realpath(target))
+    as it was. A symlink is kept, even one whose target does not exist yet:
+    the temp file goes beside the file it names and replaces that file. A
+    path naming an open descriptor, such as /dev/stdout, is written through
+    a copy of that descriptor: renaming over it would replace the file
+    behind it, and reopening it would truncate that file. A pipe or a
+    device is written in place. A missing parent directory is raised as
+    `FILE: directory not found`, a directory as `FILE: is a directory`, a
+    write fault as `FILE: message`."""
     tmp = None
-    if is_file or not target.exists():  # a pipe or a device cannot be renamed over
-        tmp = target.with_name(f".{target.name}.{os.getpid()}.tmp")
-    try:
-        raw = _Output(tmp or target, "w")
-    except IsADirectoryError:
-        raise NamecensusError(f"{path}: is a directory") from None
-    except (FileNotFoundError, NotADirectoryError):
-        raise NamecensusError(f"{path}: directory not found") from None
+    fd = _descriptor(path)
+    if fd is not None:
+        try:
+            raw = _Output(os.dup(fd), "w")
+        except OSError as exc:
+            raise NamecensusError(f"{path}: {exc.strerror or exc}") from None
+    else:
+        target = Path(os.path.realpath(path))  # a symlink stays: the file it names is replaced
+        if target.is_file() or not target.exists():  # a pipe or a device cannot be renamed over
+            tmp = target.with_name(f".{target.name}.{os.getpid()}.tmp")
+        try:
+            raw = _Output(tmp or target, "w")
+        except IsADirectoryError:
+            raise NamecensusError(f"{path}: is a directory") from None
+        except (FileNotFoundError, NotADirectoryError):
+            raise NamecensusError(f"{path}: directory not found") from None
     raw.path = path
     try:
         with io.BufferedWriter(raw) as fh:

@@ -668,7 +668,8 @@ def _tree(root):
 
 # Every output file goes through one writer: each fault is one line naming the
 # user's path, leaves no temp file and leaves every old file as it was.
-@pytest.mark.parametrize("fault", ["missing-parent", "directory", "mid-write"])
+@pytest.mark.parametrize("fault", ["missing-parent", "directory", "mid-write",
+                                   "dangling-link"])
 @pytest.mark.parametrize("writer", ["results", "cache", "chart"])
 def test_output_fault_keeps_old_files(tmp_path, mini_corpus, mini_cache, writer, fault):
     english, chinese = mini_corpus
@@ -684,6 +685,9 @@ def test_output_fault_keeps_old_files(tmp_path, mini_corpus, mini_cache, writer,
     limit = 64  # bytes of a mid-write file: every output but the chart JSON is longer
     if fault == "missing-parent":
         target = tmp_path / "nodir" / target.name
+        message = "directory not found"
+    elif fault == "dangling-link":  # a link into a missing directory
+        target.symlink_to(Path("nodir") / target.name)
         message = "directory not found"
     elif fault == "directory":
         target.mkdir()
@@ -718,6 +722,34 @@ def test_output_fault_keeps_old_files(tmp_path, mini_corpus, mini_cache, writer,
     assert result.returncode == 1
     assert result.stderr == f"error: {target}: {message}\n"
     assert _tree(tmp_path) == before
+
+
+# `--out /dev/stdout` with stdout appended to a file writes the results through
+# the descriptor: the file keeps its old line, then holds the CSV, then the
+# summary lines; it is neither renamed over nor reopened.
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+def test_results_to_stdout_appended_to_a_file(tmp_path, mini_cache, capsys):
+    names = tmp_path / "names.txt"
+    names.write_text("Hua Zhao\n王娟\n", encoding="utf-8")
+    expected = tmp_path / "expected.csv"
+    assert main(["predict", "--cache", str(mini_cache), "--in", str(names),
+                 "--out", str(expected)]) == 0
+    summary = capsys.readouterr().out.splitlines(keepends=True)[:-1]  # not the timing line
+    log = tmp_path / "x.log"
+    log.write_bytes(b"old line\n")
+    before = sorted(tmp_path.iterdir())
+    with open(log, "ab") as out:
+        result = subprocess.run(
+            [sys.executable, "-m", "namecensus", "predict", "--cache", str(mini_cache),
+             "--in", str(names), "--out", "/dev/stdout"],
+            stdout=out, stderr=subprocess.PIPE,
+        )
+    assert result.returncode == 0 and result.stderr == b""
+    head = b"old line\n" + expected.read_bytes() + "".join(summary).encode()
+    data = log.read_bytes()
+    assert data.startswith(head)
+    assert data[len(head):].startswith(b"predicted 2 names in ")
+    assert sorted(tmp_path.iterdir()) == before
 
 
 # Two output flags naming one file, by any path or link to it, are refused

@@ -1,0 +1,106 @@
+"""Each command imports only the modules it runs, and `import namecensus`
+loads no submodule: the re-exported names are resolved on first access."""
+
+import subprocess
+import sys
+
+import pytest
+
+import namecensus
+from namecensus import batchio, cache, classifier, corpus, scriptdetect
+
+# Runs the CLI as `python -m namecensus ARGS` does, then prints its exit code
+# and every module loaded, one line.
+RUN_CLI = """
+import runpy, sys
+try:
+    runpy.run_module("namecensus", run_name="__main__", alter_sys=True)
+except SystemExit as exc:
+    print(exc.code, *sys.modules)
+"""
+
+# Modules an up-to-date build-cache and --version never need.
+NOT_ON_THE_CHECK_PATH = {"dataclasses", "json", "namecensus.classifier", "namecensus.batchio",
+                         "namecensus.report", "namecensus.namesplit"}
+
+
+def _python(*argv):
+    result = subprocess.run([sys.executable, *argv], capture_output=True, text=True)
+    assert result.stderr == ""
+    return result.stdout
+
+
+@pytest.fixture(scope="module")
+def bare_modules():
+    """What the interpreter on this host loads before any code runs."""
+    return set(_python("-c", "import sys; print(*sys.modules)").split())
+
+
+def loaded_modules(*args):
+    """The exit code of `namecensus ARGS` and the modules it loaded."""
+    code, *modules = _python("-c", RUN_CLI, *map(str, args)).splitlines()[-1].split()
+    return code, set(modules)
+
+
+def test_version_loads_no_command_code(bare_modules):
+    code, modules = loaded_modules("--version")
+    assert code == "0"
+    assert modules & (NOT_ON_THE_CHECK_PATH - bare_modules) == set()
+
+
+def test_up_to_date_build_cache_loads_no_command_code(english_dir, chinese_csv, cache_path,
+                                                       bare_modules):
+    code, modules = loaded_modules("build-cache", "--english-dir", english_dir,
+                                   "--chinese-csv", chinese_csv, "--out", cache_path)
+    assert code == "0"
+    assert {"namecensus.cache", "namecensus.corpus"} <= modules
+    assert modules & (NOT_ON_THE_CHECK_PATH - bare_modules) == set()
+
+
+def test_predict_without_chart_loads_no_chart_code(tmp_path, cache_path):
+    names = tmp_path / "names.txt"
+    names.write_text("Hua Zhao\n王娟\n", encoding="utf-8")
+    code, modules = loaded_modules("predict", "--cache", cache_path, "--in", names,
+                                   "--out", tmp_path / "results.csv")
+    assert code == "0"
+    assert {"namecensus.batchio", "namecensus.classifier"} <= modules
+    assert "namecensus.report" not in modules
+
+
+def test_import_loads_no_submodule():
+    out = _python("-c", "import sys, namecensus; print(*sorted(sys.modules))")
+    assert [m for m in out.split() if m.startswith("namecensus.")] == []
+
+
+def test_reexports_are_the_defining_modules_objects(monkeypatch):
+    for name in namecensus.__all__:  # drop what an earlier access cached
+        monkeypatch.delattr(namecensus, name, raising=False)
+    from namecensus import (
+        ClassifierConfig, CountModel, GenderLabel, Posterior, Script, detect_script, predict,
+    )
+
+    defined = {
+        "ClassifierConfig": classifier.ClassifierConfig,
+        "CountModel": corpus.CountModel,
+        "GenderLabel": classifier.GenderLabel,
+        "Posterior": classifier.Posterior,
+        "Script": scriptdetect.Script,
+        "detect_script": scriptdetect.detect_script,
+        "predict": classifier.predict,
+    }
+    assert sorted(namecensus.__all__) == sorted(defined)
+    imported = [ClassifierConfig, CountModel, GenderLabel, Posterior, Script, detect_script,
+                predict]
+    for name, value in zip(defined, imported):
+        assert value is defined[name]
+        assert getattr(namecensus, name) is defined[name]
+    # Submodules still import through the package.
+    assert namecensus.batchio is batchio and namecensus.cache is cache
+
+
+def test_unknown_name_raises_attribute_error():
+    with pytest.raises(AttributeError, match="^module 'namecensus' has no attribute 'nope'$"):
+        namecensus.nope
+    assert not hasattr(namecensus, "nope")
+    with pytest.raises(ImportError):
+        from namecensus import nope  # noqa: F401

@@ -91,12 +91,16 @@ def test_repeated_header_column_rejected(tmp_path, reader, column):
 
 # A symlinked output is written through: the temp file goes beside the file the
 # link names, here in another directory, and replaces that file; the link stays.
-@pytest.mark.parametrize("fault", [False, True], ids=["clean", "mid-write"])
-def test_symlinked_output_replaces_its_target(tmp_path, fault):
+# A dangling link is written through the same way: its target is created.
+@pytest.mark.parametrize("fault, old", [(False, b"old\n"), (True, b"old\n"),
+                                        (False, None), (True, None)],
+                         ids=["clean", "mid-write", "dangling", "dangling-mid-write"])
+def test_symlinked_output_replaces_its_target(tmp_path, fault, old):
     (tmp_path / "data").mkdir()
     (tmp_path / "links").mkdir()
     target = tmp_path / "data" / "results.csv"
-    target.write_bytes(b"old\n")
+    if old is not None:
+        target.write_bytes(old)
     link = tmp_path / "links" / "results.csv"
     link.symlink_to("../data/results.csv")
 
@@ -112,6 +116,34 @@ def test_symlinked_output_replaces_its_target(tmp_path, fault):
     else:
         write()
     assert link.is_symlink() and os.readlink(link) == "../data/results.csv"
-    assert target.read_bytes() == (b"old\n" if fault else b"new\n")
-    assert list((tmp_path / "data").iterdir()) == [target]
+    after = old if fault else b"new\n"
+    assert list((tmp_path / "data").iterdir()) == ([target] if after else [])
+    assert after is None or target.read_bytes() == after
     assert list((tmp_path / "links").iterdir()) == [link]
+
+
+# A path naming an open descriptor is written through a copy of it: a file
+# opened for appending keeps its bytes and gets the new ones after them, and it
+# is neither renamed over nor reopened, which would truncate it.
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+@pytest.mark.parametrize("spelling", ["/dev/fd/{fd}", "/proc/self/fd/{fd}", "link"],
+                         ids=["dev-fd", "proc-self-fd", "link"])
+def test_descriptor_path_is_written_through_the_descriptor(tmp_path, spelling):
+    log = tmp_path / "x.log"
+    log.write_bytes(b"old\n")
+    fd = os.open(log, os.O_WRONLY | os.O_APPEND)
+    try:
+        path = spelling.format(fd=fd)
+        if spelling == "link":  # followed link by link to the descriptor
+            path = tmp_path / "out.csv"
+            path.symlink_to(f"/dev/fd/{fd}")
+        inode = log.stat().st_ino
+        with textio.replace_file(path) as fh:
+            fh.write(b"new\n")
+        os.write(fd, b"after\n")  # the descriptor itself stays open
+    finally:
+        os.close(fd)
+    assert log.read_bytes() == b"old\nnew\nafter\n"
+    assert log.stat().st_ino == inode
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+        ["x.log"] + (["out.csv"] if spelling == "link" else []))
