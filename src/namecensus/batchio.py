@@ -5,9 +5,8 @@ from __future__ import annotations
 import io
 import itertools
 from collections.abc import Callable, Iterable, Iterator
-from dataclasses import dataclass
 from pathlib import Path
-from typing import TypeVar
+from typing import NamedTuple, TypeVar
 
 from namecensus.classifier import (
     ClassifierConfig,
@@ -24,13 +23,11 @@ from namecensus.scriptdetect import Script
 from namecensus.textio import column, csv_rows, replace_file, split_lines, text_blocks
 
 
-@dataclass(frozen=True, slots=True)
-class NameRecord:
+class NameRecord(NamedTuple):
     raw_name: str
 
 
-@dataclass(frozen=True)
-class AggregateStats:
+class AggregateStats(NamedTuple):
     counts: dict[GenderLabel, int]
     percentages: dict[GenderLabel, float]
     total: int

@@ -6,10 +6,13 @@ corruption; the source digest catches staleness.
 
 The payload is two columnar model sections, english then chinese. Each
 section is a fixed `_SECTION` header (entry count, key-bytes length,
-total_female, total_male), then the keys in sorted order as UTF-8
-joined by "\n", then every (female, male) pair as little-endian int64
-in key order. Sorting makes the file a function of the model alone, and
-decoding is one split and one array read instead of a JSON parse.
+pair count, total_female, total_male); then the keys in sorted order as
+UTF-8 joined by "\n"; then each distinct (female, male) pair once, as
+little-endian int64, numbered in the order it is first seen along the
+sorted keys; then one 4-byte little-endian pair index per key, in key
+order. Sorting and first-seen numbering make the file a function of the
+model alone. Decoding is one split and two array reads instead of a JSON
+parse, and keys with equal counts share one tuple.
 """
 
 from __future__ import annotations
@@ -27,9 +30,12 @@ from namecensus.errors import CacheError, NamecensusError
 from namecensus.textio import open_bytes, replace_file
 
 MAGIC = b"NCMC"
-FORMAT_VERSION = 3
+FORMAT_VERSION = 4
 _HEADER = struct.Struct("<4sI32s32sQ")
-_SECTION = struct.Struct("<QQqq")
+_SECTION = struct.Struct("<QQQqq")
+# The array typecode of a 4-byte unsigned int: "I" on every common ABI,
+# but C promises it only 2 bytes.
+_INDEX = next(code for code in "IL" if array(code).itemsize == 4)
 
 
 class ModelCache(NamedTuple):
@@ -51,35 +57,43 @@ def digest_corpus_files(paths: list[Path]) -> str:
 
 def _encode(model: CountModel) -> bytes:
     keys = sorted(model.entries)
-    bad = next((k for k in keys if "\n" in k), None)
-    if bad is not None:
+    key_text = "\n".join(keys)
+    # Joined keys hold one newline fewer than there are keys, unless a key has its own.
+    if keys and key_text.count("\n") != len(keys) - 1:
+        bad = next(k for k in keys if "\n" in k)
         raise CacheError(f"cannot cache model key {bad!r}: it contains a newline")
-    key_bytes = "\n".join(keys).encode("utf-8")
+    key_bytes = key_text.encode("utf-8")
+    numbers: dict[tuple[int, int], int] = {}  # pair -> its number, in first-seen order
+    index = array(_INDEX, [numbers.setdefault(pair, len(numbers))
+                           for pair in map(model.entries.__getitem__, keys)])
     try:
-        counts = array("q", [c for k in keys for c in model.entries[k]])
-        header = _SECTION.pack(len(keys), len(key_bytes), model.total_female, model.total_male)
+        counts = array("q", [c for pair in numbers for c in pair])
+        header = _SECTION.pack(len(keys), len(key_bytes), len(numbers),
+                               model.total_female, model.total_male)
     except (OverflowError, struct.error):
         raise CacheError("cannot cache model: a count is outside the int64 range") from None
     if sys.byteorder == "big":
         counts.byteswap()
-    return header + key_bytes + counts.tobytes()
+        index.byteswap()
+    return header + key_bytes + counts.tobytes() + index.tobytes()
 
 
 def _decode(payload: bytes, pos: int) -> tuple[CountModel, int]:
     """Decode the section at `pos`; return the model and the section's end."""
     if len(payload) - pos < _SECTION.size:
         raise CacheError("model section ends inside its header")
-    count, keys_len, total_female, total_male = _SECTION.unpack_from(payload, pos)
+    count, keys_len, pair_count, total_female, total_male = _SECTION.unpack_from(payload, pos)
     keys_start = pos + _SECTION.size
-    counts_start = keys_start + keys_len
-    end = counts_start + 16 * count
+    pairs_start = keys_start + keys_len
+    index_start = pairs_start + 16 * pair_count
+    end = index_start + 4 * count
     if end > len(payload):
         raise CacheError(
-            f"model section promises {count} entries in {end - pos} bytes, "
-            f"{len(payload) - pos} remain"
+            f"model section promises {count} entries and {pair_count} pairs "
+            f"in {end - pos} bytes, {len(payload) - pos} remain"
         )
     try:
-        key_text = payload[keys_start:counts_start].decode("utf-8")
+        key_text = payload[keys_start:pairs_start].decode("utf-8")
     except UnicodeDecodeError:
         raise CacheError("model section keys are not valid UTF-8") from None
     # An empty model has no key bytes, and neither has a lone empty key.
@@ -88,12 +102,21 @@ def _decode(payload: bytes, pos: int) -> tuple[CountModel, int]:
         raise CacheError(
             f"model section header promises {count} keys, found {len(keys)}"
         )
-    counts = array("q")
-    counts.frombytes(payload[counts_start:end])
+    counts, index = array("q"), array(_INDEX)
+    counts.frombytes(payload[pairs_start:index_start])
+    index.frombytes(payload[index_start:end])
     if sys.byteorder == "big":
         counts.byteswap()
+        index.byteswap()
     it = iter(counts)
-    return CountModel(dict(zip(keys, zip(it, it))), total_female, total_male), end
+    pairs = list(zip(it, it))
+    try:
+        entries = dict(zip(keys, map(pairs.__getitem__, index)))
+    except IndexError:
+        raise CacheError(
+            f"model section has a pair index past its {pair_count} pairs"
+        ) from None
+    return CountModel(entries, total_female, total_male), end
 
 
 def save_cache(
@@ -147,7 +170,7 @@ def read_source_digest(path: str | Path) -> str:
 
 def load_cache(path: str | Path) -> ModelCache:
     _, payload = _read(path)
-    # The count tuples set off collections that find no garbage.
+    # The pair tuples set off collections that find no garbage.
     gc_was_enabled = gc.isenabled()
     gc.disable()
     try:

@@ -6,7 +6,7 @@ import enum
 import functools
 import math
 import re
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from namecensus.corpus import CountModel, normalize_name_key
 from namecensus.namesplit import default_compound_surnames, split_english
@@ -22,8 +22,7 @@ class GenderLabel(enum.Enum):
     UNKNOWN = "Unknown"
 
 
-@dataclass(frozen=True, slots=True)
-class Posterior:
+class Posterior(NamedTuple):
     """Exact integer class weights; p_female is female / (female + male).
     Labels and printed probabilities are decided from the integers."""
 
@@ -46,13 +45,21 @@ class Posterior:
 _NO_EVIDENCE = Posterior(evidence_found=False)  # shared by every no-evidence path
 
 
-@dataclass(frozen=True)
-class ClassifierConfig:
+class _ConfigFields(NamedTuple):
     decisive_threshold: float = 0.60
     smoothing_alpha: float = 1.0
     priors_mode: str = "empirical"  # or "uniform"
 
-    def __post_init__(self) -> None:
+
+class ClassifierConfig(_ConfigFields):
+    """The classifier's knobs, checked however the config is built: a
+    NamedTuple's `_make` and `_replace` would skip a checking `__new__`,
+    so `_make` goes through it too."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs) -> ClassifierConfig:
+        self = super().__new__(cls, *args, **kwargs)
         if not (0.5 <= self.decisive_threshold < 1.0):
             raise ValueError(
                 f"need 0.5 <= decisive_threshold < 1, got {self.decisive_threshold}"
@@ -63,10 +70,14 @@ class ClassifierConfig:
             )
         if self.priors_mode not in ("empirical", "uniform"):
             raise ValueError(f"priors_mode must be empirical or uniform: {self.priors_mode}")
+        return self
+
+    @classmethod
+    def _make(cls, iterable) -> ClassifierConfig:
+        return cls(*iterable)
 
 
-@dataclass(frozen=True, slots=True)
-class Prediction:
+class Prediction(NamedTuple):
     raw_name: str
     script: Script
     given: str

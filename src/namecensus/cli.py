@@ -14,6 +14,10 @@ import time
 from namecensus import __version__
 from namecensus.errors import CacheError, NamecensusError
 
+# The status a shell reports for a program that SIGPIPE ends: the reader of
+# stdout closed it early, as `| head` does.
+EXIT_BROKEN_PIPE = 128 + 13
+
 
 def _add_model_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
@@ -52,7 +56,7 @@ def _read_config(path: str) -> dict:
     for key, value in doc.items():
         if key not in _CONFIG_FIELDS:
             raise NamecensusError(f"{path}: unknown config key {key!r}")
-        want = type(getattr(ClassifierConfig, _CONFIG_FIELDS[key]))
+        want = type(ClassifierConfig._field_defaults[_CONFIG_FIELDS[key]])
         if not (type(value) is want or (want is float and type(value) is int)):
             raise NamecensusError(
                 f"{path}: config key {key!r} must be {want.__name__}, got {value!r}"
@@ -107,14 +111,15 @@ def cmd_build_cache(args: argparse.Namespace) -> int:
     return 0
 
 
-def _print_stats(stats) -> None:
+def _print_stats(stats, file=None) -> None:
     from namecensus.classifier import GenderLabel
 
-    print(f"total names: {stats.total}")
+    print(f"total names: {stats.total}", file=file)
     for label in GenderLabel:
         print(
             f"  {label.value:<8} {stats.counts[label]:>8} "
-            f"({stats.percentages[label]:.1f}%)"
+            f"({stats.percentages[label]:.1f}%)",
+            file=file,
         )
 
 
@@ -142,6 +147,7 @@ def _distinct_outputs(*flags: tuple[str, str | None]) -> None:
 
 def cmd_predict(args: argparse.Namespace) -> int:
     from namecensus.batchio import input_format, iter_names, predict_to_results
+    from namecensus.textio import names_stdout
 
     if bool(args.chart_json) != bool(args.chart_svg):
         raise NamecensusError("--chart-json and --chart-svg go together")
@@ -160,14 +166,17 @@ def cmd_predict(args: argparse.Namespace) -> int:
                        has_header=not args.no_header)
     stats = predict_to_results(cache.english, cache.chinese, config, names, args.out)
     elapsed = time.perf_counter() - start
-    _print_stats(stats)
+    # Results written to stdout are kept free of the summary, so they can be piped.
+    summary = sys.stderr if names_stdout(args.out) else sys.stdout
+    _print_stats(stats, summary)
     rate = stats.total / elapsed if elapsed > 0 else float("inf")
-    print(f"predicted {stats.total} names in {elapsed:.3f}s ({rate:.0f} names/s)")
+    print(f"predicted {stats.total} names in {elapsed:.3f}s ({rate:.0f} names/s)",
+          file=summary)
     if args.chart_json:
         from namecensus.report import emit_chart
 
         emit_chart(stats, args.chart_json, args.chart_svg)
-        print(f"wrote chart: {args.chart_json}, {args.chart_svg}")
+        print(f"wrote chart: {args.chart_json}, {args.chart_svg}", file=summary)
     return 0
 
 
@@ -254,7 +263,18 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        if sys.stdout is not None:  # None when the process starts with stdout closed
+            sys.stdout.flush()  # a closed pipe on stdout is raised here, not at exit
+        return code
+    except BrokenPipeError:
+        # Point stdout at /dev/null, so the interpreter's flush at exit cannot
+        # raise again (the "Note on SIGPIPE" of the signal module's docs).
+        if sys.stdout is not None:
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+        return EXIT_BROKEN_PIPE
     except (NamecensusError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

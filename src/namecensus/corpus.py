@@ -23,8 +23,8 @@ YEAR_FILE_RE = re.compile(r"^yob(\d{4})\.txt$")
 class CountModel(NamedTuple):
     """Per-key gender counts: a Latin given name (case-folded, NFC) or
     one Han character, mapped to its (female_count, male_count) pair.
-    A NamedTuple, not a dataclass: an up-to-date build-cache then never
-    imports `dataclasses`."""
+    A NamedTuple, not a dataclass, as every record of the package is: no
+    command then imports `dataclasses`."""
 
     entries: dict[str, tuple[int, int]]
     total_female: int

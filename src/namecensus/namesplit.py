@@ -3,15 +3,14 @@
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from importlib import resources
+from typing import NamedTuple
 
 from namecensus.scriptdetect import is_latin_letter
 from namecensus.textio import split_lines
 
 
-@dataclass(frozen=True)
-class SplitName:
+class SplitName(NamedTuple):
     surname: str
     given: str
 

@@ -3,8 +3,8 @@
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 from namecensus.batchio import AggregateStats
 from namecensus.classifier import GenderLabel, Prediction
@@ -71,8 +71,7 @@ def emit_chart(stats: AggregateStats, json_path: str | Path, svg_path: str | Pat
         svg_fh.write(f"{render_svg(stats)}\n".encode())
 
 
-@dataclass(frozen=True)
-class EvalResult:
+class EvalResult(NamedTuple):
     total: int
     correct: int
     accuracy: float

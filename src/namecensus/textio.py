@@ -37,6 +37,8 @@ class _Output(io.FileIO):
     def write(self, data) -> int:
         try:
             return super().write(data)
+        except BrokenPipeError:
+            raise  # the reader closed the pipe: not a fault of this file
         except OSError as exc:
             raise NamecensusError(f"{self.path}: {exc.strerror or exc}") from None
 
@@ -57,6 +59,16 @@ def _descriptor(path: str | Path) -> int | None:
             return None
         path = os.path.join(head, os.readlink(path))
     return None
+
+
+def names_stdout(path: str | Path) -> bool:
+    """Whether `path` names an open descriptor on the file or pipe behind
+    this process's stdout, as /dev/stdout does, or /dev/fd/3 after `3>&1`."""
+    fd = _descriptor(path)
+    try:
+        return fd is not None and os.path.samestat(os.fstat(fd), os.fstat(1))
+    except OSError:  # a descriptor that is not open
+        return False
 
 
 @contextmanager

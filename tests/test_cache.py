@@ -21,7 +21,7 @@ from namecensus.errors import CacheError, NamecensusError
 
 HAN_POOL = "娟刚青金标骅明丽伟芳"
 HEADER_SIZE = len(MAGIC) + 4 + 32 + 32 + 8  # magic, version, both digests, payload length
-SECTION = struct.Struct("<QQqq")  # entries, key bytes, total_female, total_male
+SECTION = struct.Struct("<QQQqq")  # entries, key bytes, pairs, total_female, total_male
 
 
 def small_models(rng=None):
@@ -46,7 +46,7 @@ def test_round_trip_identity(tmp_path):
     cache = load_cache(path)
     assert cache.english == english
     assert cache.chinese == chinese
-    assert FORMAT_VERSION == 3
+    assert FORMAT_VERSION == 4
     assert read_source_digest(path) == "ab" * 32
 
 
@@ -74,9 +74,9 @@ def test_version_mismatch(tmp_path):
         load_cache(path)
 
 
-@pytest.mark.parametrize("old_version", [1, 2])
+@pytest.mark.parametrize("old_version", [1, 2, 3])
 def test_old_format_rejected(tmp_path, old_version):
-    assert FORMAT_VERSION == 3
+    assert FORMAT_VERSION == 4
     english, chinese = small_models()
     path = tmp_path / "m.ncm"
     save_cache(english, chinese, path)
@@ -179,30 +179,60 @@ def test_round_trip_edge_models(tmp_path, entries):
     assert cache.chinese == model
 
 
-# A fixed model's v3 file, byte for byte: any change to it needs a new FORMAT_VERSION.
-V3_BYTES = bytes.fromhex(
-    "4e434d43" "03000000"  # magic, version 3
+# A fixed model's v4 file, byte for byte: any change to it needs a new FORMAT_VERSION.
+V4_BYTES = bytes.fromhex(
+    "4e434d43" "04000000"  # magic, version 4
     + "ab" * 32  # source digest
-    + "1a29c00abcb747a6dc1786b279f32e589338b0680462cf477041019e7eee3306"  # payload digest
-    + "7b00000000000000"  # payload length 123
-    # english: 2 entries, 8 key bytes, totals 10 and 1; "ann\nzoë"; (7, 1), (3, 0)
-    + "0200000000000000" "0800000000000000" "0a00000000000000" "0100000000000000"
+    + "92a4610e307a79a00a687ff756e68b3947f3009022ae267f61ae613bdd2458d8"  # payload digest
+    + "9700000000000000"  # payload length 151
+    # english: 2 entries, 8 key bytes, 2 pairs, totals 10 and 1; "ann\nzoë";
+    # pairs (7, 1), (3, 0); pair indexes 0, 1
+    + "0200000000000000" "0800000000000000" "0200000000000000"
+    + "0a00000000000000" "0100000000000000"
     + "616e6e0a7a6fc3ab"
     + "0700000000000000" "0100000000000000" "0300000000000000" "0000000000000000"
-    # chinese: 1 entry, 3 key bytes, totals 30 and 1; "娟"; (30, 1)
-    + "0100000000000000" "0300000000000000" "1e00000000000000" "0100000000000000"
+    + "00000000" "01000000"
+    # chinese: 1 entry, 3 key bytes, 1 pair, totals 30 and 1; "娟"; pair (30, 1); index 0
+    + "0100000000000000" "0300000000000000" "0100000000000000"
+    + "1e00000000000000" "0100000000000000"
     + "e5a89f"
     + "1e00000000000000" "0100000000000000"
+    + "00000000"
 )
 
 
-def test_v3_bytes_are_pinned(tmp_path):
+def test_v4_bytes_are_pinned(tmp_path):
     english = CountModel.from_entries({"zoë": (3, 0), "ann": (7, 1)})
     chinese = CountModel.from_entries({"娟": (30, 1)})
     path = tmp_path / "m.ncm"
     save_cache(english, chinese, path, source_digest="ab" * 32)
-    assert path.read_bytes() == V3_BYTES
+    assert path.read_bytes() == V4_BYTES
     assert load_cache(path) == ModelCache(english, chinese)
+
+
+def test_equal_counts_share_one_pair(tmp_path):
+    rng = random.Random(4)
+    for i in range(20):
+        # Many keys, few distinct counts: most pairs are shared.
+        entries = {f"k{j}": (rng.randint(0, 3), rng.randint(0, 3))
+                   for j in range(rng.randint(0, 300))}
+        model = CountModel.from_entries(entries)
+        path = tmp_path / f"m{i}.ncm"
+        save_cache(model, model, path)
+        section = path.read_bytes()[HEADER_SIZE:]
+        count, _, pairs, *_ = SECTION.unpack_from(section, 0)
+        assert (count, pairs) == (len(entries), len(set(entries.values())))
+        loaded = load_cache(path).english
+        assert loaded == model
+        assert len({id(pair) for pair in loaded.entries.values()}) == pairs
+
+
+def test_full_english_model_holds_one_tuple_per_distinct_pair(cache_path, full_models):
+    english = load_cache(cache_path).english
+    assert english == full_models[0]
+    pairs = set(english.entries.values())
+    assert len(pairs) < len(english.entries)
+    assert len({id(pair) for pair in english.entries.values()}) == len(pairs)
 
 
 def test_insertion_order_does_not_change_bytes(tmp_path):
@@ -230,11 +260,21 @@ def bump_entry_count(payload):
     return payload
 
 
+def second_section(payload):
+    count, keys_len, pairs, *_ = SECTION.unpack_from(payload, 0)
+    return SECTION.size + keys_len + 16 * pairs + 4 * count
+
+
 def grow_last_key_bytes(payload):
-    count, keys_len, *_ = SECTION.unpack_from(payload, 0)
-    last = SECTION.size + keys_len + 16 * count
+    last = second_section(payload)
     count, keys_len, *rest = SECTION.unpack_from(payload, last)
     SECTION.pack_into(payload, last, count, keys_len + 1, *rest)
+    return payload
+
+
+def index_past_the_pairs(payload):
+    pairs = SECTION.unpack_from(payload, second_section(payload))[2]
+    struct.pack_into("<I", payload, len(payload) - 4, pairs)  # the last key's index
     return payload
 
 
@@ -248,15 +288,21 @@ def bad_utf8_key(payload):
     return payload
 
 
+PROMISES = r"model section promises \d+ entries and \d+ pairs in \d+ bytes, \d+ remain"
+
+
 @pytest.mark.parametrize("edit, message", [
     (bump_entry_count, r"model section header promises \d+ keys, found \d+"),
-    (grow_last_key_bytes, r"model section promises \d+ entries in \d+ bytes, \d+ remain"),
+    (grow_last_key_bytes, PROMISES),
     (split_first_key, r"model section header promises \d+ keys, found \d+"),
     (bad_utf8_key, "model section keys are not valid UTF-8"),
-    (lambda p: p[:-16], r"model section promises \d+ entries in \d+ bytes, \d+ remain"),
+    (lambda p: p[:-20], PROMISES),
+    (lambda p: p[:-4], PROMISES),
+    (index_past_the_pairs, r"model section has a pair index past its \d+ pairs"),
     (lambda p: p + b"\x00" * 16, "16 bytes follow the model sections"),
     (lambda p: p[: SECTION.size - 1], "model section ends inside its header"),
-], ids=["count", "key-bytes", "split-key", "utf8", "cut", "trailing", "short-header"])
+], ids=["count", "key-bytes", "split-key", "utf8", "cut", "short-index",
+        "index-range", "trailing", "short-header"])
 def test_inconsistent_section_is_format_error(tmp_path, edit, message):
     english, chinese = small_models()
     path = tmp_path / "m.ncm"
@@ -288,9 +334,10 @@ def test_load_restores_gc_state(tmp_path):
 
 @pytest.mark.parametrize("entries, named", [
     ({"a\nb": (1, 1)}, "newline"),
+    ({"a": (1, 1), "b\nc": (2, 0), "d": (1, 1)}, r"key 'b\\nc': it contains a newline"),
     ({"big": (2**63, 0)}, "int64"),
     ({"neg": (-(2**63) - 1, 0)}, "int64"),
-], ids=["newline-key", "count-too-big", "count-too-small"])
+], ids=["newline-key", "newline-in-a-later-key", "count-too-big", "count-too-small"])
 def test_unencodable_model_is_one_line_error(tmp_path, entries, named):
     model = CountModel.from_entries(entries)
     path = tmp_path / "m.ncm"

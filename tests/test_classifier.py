@@ -1,5 +1,6 @@
-import dataclasses
+import copy
 import math
+import pickle
 import random
 
 import pytest
@@ -185,17 +186,19 @@ class TestClassify:
         assert classify(Posterior(True, 3, 7), cfg) is GenderLabel.UNISEX
 
     # One non-default value per ClassifierConfig field; a field missing here
-    # fails the knob test below until it gets a value that must take effect.
+    # fails the field-list test below until it gets a value that must take effect.
     NON_DEFAULT = {"decisive_threshold": 0.9, "smoothing_alpha": 0.3,
                    "priors_mode": "uniform"}
 
-    @pytest.mark.parametrize("field", dataclasses.fields(ClassifierConfig),
-                             ids=lambda field: field.name)
+    def test_every_field_has_a_knob_test(self):
+        assert ClassifierConfig._fields == tuple(self.NON_DEFAULT)
+
+    @pytest.mark.parametrize("field", ["decisive_threshold", "smoothing_alpha", "priors_mode"])
     def test_every_knob_changes_a_prediction(self, field):
         english = CountModel.from_entries({"hua": (80, 20), "jordan": (3, 7)})
         chinese = CountModel.from_entries({"娟": (30, 1), "刚": (1, 30), "青": (55, 45)})
         names = ["Hua Zhao", "Jordan Smith", "王娟", "王刚", "王青", "王娟刚"]
-        cfg = ClassifierConfig(**{field.name: self.NON_DEFAULT[field.name]})
+        cfg = ClassifierConfig(**{field: self.NON_DEFAULT[field]})
         assert [predict(english, chinese, cfg, n) for n in names] != [
             predict(english, chinese, CFG, n) for n in names]
 
@@ -207,6 +210,32 @@ class TestClassify:
                 ClassifierConfig(smoothing_alpha=alpha)
         with pytest.raises(ValueError):
             ClassifierConfig(priors_mode="bogus")
+
+    # Every way of building a config checks it, the NamedTuple helpers too.
+    BUILDERS = {
+        "keywords": lambda values: ClassifierConfig(**values),
+        "positional": lambda values: ClassifierConfig(*values.values()),
+        "make": lambda values: ClassifierConfig._make(values.values()),
+        "replace": lambda values: CFG._replace(**values),
+    }
+    if hasattr(copy, "replace"):  # Python 3.13
+        BUILDERS["copy-replace"] = lambda values: copy.replace(CFG, **values)
+
+    @pytest.mark.parametrize("field, bad", [
+        ("decisive_threshold", 0.4), ("decisive_threshold", 1.0),
+        ("smoothing_alpha", 0.0), ("smoothing_alpha", float("nan")),
+        ("priors_mode", "bogus"),
+    ])
+    @pytest.mark.parametrize("builder", BUILDERS)
+    def test_every_way_of_building_a_bad_config_raises(self, builder, field, bad):
+        build = self.BUILDERS[builder]
+        values = dict(CFG._asdict(), **self.NON_DEFAULT)
+        good = build(values)
+        assert type(good) is ClassifierConfig and good._asdict() == values
+        assert pickle.loads(pickle.dumps(good)) == good
+        assert copy.copy(good) == good
+        with pytest.raises(ValueError):
+            build(dict(values, **{field: bad}))
 
 
 class TestRoute:

@@ -82,7 +82,7 @@ class TestBuildCache:
                      "--chinese-csv", str(chinese), "--out", str(mini_cache)]) == 0
         assert "english distinct names: 4" in capsys.readouterr().out
 
-    @pytest.mark.parametrize("old_version", [1, 2])
+    @pytest.mark.parametrize("old_version", [1, 2, 3])
     def test_rebuilds_old_cache(self, mini_corpus, mini_cache, capsys, old_version):
         english, chinese = mini_corpus
         blob = bytearray(mini_cache.read_bytes())
@@ -92,7 +92,7 @@ class TestBuildCache:
                      "--chinese-csv", str(chinese), "--out", str(mini_cache)]) == 0
         assert "wrote cache" in capsys.readouterr().out
         load_cache(mini_cache)
-        assert FORMAT_VERSION == 3
+        assert FORMAT_VERSION == 4
 
     @pytest.mark.parametrize("content", [b"Hua Zhao\nPhil Barker\n", b"", b"NCM"],
                              ids=["name-list", "empty", "short"])
@@ -725,8 +725,8 @@ def test_output_fault_keeps_old_files(tmp_path, mini_corpus, mini_cache, writer,
 
 
 # `--out /dev/stdout` with stdout appended to a file writes the results through
-# the descriptor: the file keeps its old line, then holds the CSV, then the
-# summary lines; it is neither renamed over nor reopened.
+# the descriptor: the file keeps its old line, then holds the CSV and nothing
+# else; it is neither renamed over nor reopened. The summary goes to stderr.
 @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
 def test_results_to_stdout_appended_to_a_file(tmp_path, mini_cache, capsys):
     names = tmp_path / "names.txt"
@@ -744,12 +744,89 @@ def test_results_to_stdout_appended_to_a_file(tmp_path, mini_cache, capsys):
              "--in", str(names), "--out", "/dev/stdout"],
             stdout=out, stderr=subprocess.PIPE,
         )
-    assert result.returncode == 0 and result.stderr == b""
-    head = b"old line\n" + expected.read_bytes() + "".join(summary).encode()
-    data = log.read_bytes()
-    assert data.startswith(head)
-    assert data[len(head):].startswith(b"predicted 2 names in ")
+    assert result.returncode == 0
+    assert log.read_bytes() == b"old line\n" + expected.read_bytes()
+    head = "".join(summary).encode()
+    assert result.stderr.startswith(head)
+    assert result.stderr[len(head):].startswith(b"predicted 2 names in ")
     assert sorted(tmp_path.iterdir()) == before
+
+
+def _popen_cli(*argv, **kwargs):
+    return subprocess.Popen([sys.executable, "-m", "namecensus", *map(str, argv)], **kwargs)
+
+
+# Results piped from predict into chart: the pipe carries the CSV alone, so
+# chart reads exactly the rows predict wrote to a file. /dev/fd/3 names a
+# copy of stdout, made by the shell's `3>&1`.
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+@pytest.mark.parametrize("out", ["/dev/stdout", "/dev/fd/3"])
+def test_results_piped_into_chart(tmp_path, mini_cache, out):
+    names = tmp_path / "names.txt"
+    names.write_text("Hua Zhao\n王娟\nPhil Barker\n刚\nZed Q\n", encoding="utf-8")
+    expected = tmp_path / "expected"
+    expected.mkdir()
+    assert main(["predict", "--cache", str(mini_cache), "--in", str(names),
+                 "--out", str(expected / "r.csv"), "--chart-json", str(expected / "c.json"),
+                 "--chart-svg", str(expected / "c.svg")]) == 0
+    predict = subprocess.Popen(
+        ["sh", "-c", 'exec "$@" 3>&1', "sh", sys.executable, "-m", "namecensus", "predict",
+         "--cache", str(mini_cache), "--in", str(names), "--out", out],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    chart = _popen_cli("chart", "--results", "/dev/stdin", "--json", tmp_path / "c.json",
+                       "--svg", tmp_path / "c.svg", stdin=predict.stdout,
+                       stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    predict.stdout.close()  # chart holds the only read end
+    chart_out, chart_err = chart.communicate(timeout=60)
+    predict_err = predict.stderr.read()
+    predict.stderr.close()
+    assert (predict.wait(timeout=60), chart.returncode) == (0, 0)
+    assert chart_err == b""
+    assert predict_err.startswith(b"total names: 5\n")
+    assert chart_out == predict_err.split(b"predicted")[0]
+    for name in ("c.json", "c.svg"):
+        assert (tmp_path / name).read_bytes() == (expected / name).read_bytes()
+
+
+# A reader that closes the pipe early ends predict quietly, with the status a
+# shell gives a program that SIGPIPE ends; no error line, no traceback.
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+def test_results_piped_into_head(tmp_path, mini_cache):
+    names = tmp_path / "names.txt"
+    # Far longer than a pipe's buffer, so predict still writes when head has gone.
+    names.write_text("Hua Zhao\n王娟\n" * 20_000, encoding="utf-8")
+    predict = _popen_cli("predict", "--cache", mini_cache, "--in", names,
+                         "--out", "/dev/stdout", stdout=subprocess.PIPE,
+                         stderr=subprocess.PIPE)
+    head = subprocess.Popen(["head", "-2"], stdin=predict.stdout, stdout=subprocess.PIPE)
+    predict.stdout.close()
+    head_out, _ = head.communicate(timeout=60)
+    err = predict.stderr.read()
+    predict.stderr.close()
+    assert predict.wait(timeout=60) == 141
+    assert err == b""
+    assert head_out == (b"item,name,gender,probability,script,given_name\n"
+                        b"1,Hua Zhao,Female,0.8000,Latin,Hua\n")
+
+
+# With --out FILE the summary goes to stdout: a pipe whose reader has gone
+# ends predict as above, and a stdout closed from the start is no fault.
+@pytest.mark.parametrize("stdout, code", [("reader-gone", 141), ("closed", 0)])
+def test_summary_to_a_gone_stdout(tmp_path, mini_cache, stdout, code):
+    names = tmp_path / "names.txt"
+    names.write_text("Hua Zhao\n王娟\n", encoding="utf-8")
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        result = subprocess.run(
+            [sys.executable, "-m", "namecensus", "predict", "--cache", str(mini_cache),
+             "--in", str(names), "--out", str(tmp_path / "r.csv")],
+            stdout=write_end, stderr=subprocess.PIPE, timeout=60,
+            preexec_fn=(lambda: os.close(1)) if stdout == "closed" else None)
+    finally:
+        os.close(write_end)
+    assert (result.returncode, result.stderr) == (code, b"")
+    assert len((tmp_path / "r.csv").read_bytes().splitlines()) == 3
 
 
 # Two output flags naming one file, by any path or link to it, are refused

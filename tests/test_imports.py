@@ -1,5 +1,6 @@
-"""Each command imports only the modules it runs, and `import namecensus`
-loads no submodule: the re-exported names are resolved on first access."""
+"""Each command imports only the modules it runs, no command imports
+`dataclasses`, and `import namecensus` loads no submodule: the re-exported
+names are resolved on first access."""
 
 import subprocess
 import sys
@@ -57,7 +58,7 @@ def test_up_to_date_build_cache_loads_no_command_code(english_dir, chinese_csv, 
     assert modules & (NOT_ON_THE_CHECK_PATH - bare_modules) == set()
 
 
-def test_predict_without_chart_loads_no_chart_code(tmp_path, cache_path):
+def test_predict_without_chart_loads_no_chart_code(tmp_path, cache_path, bare_modules):
     names = tmp_path / "names.txt"
     names.write_text("Hua Zhao\n王娟\n", encoding="utf-8")
     code, modules = loaded_modules("predict", "--cache", cache_path, "--in", names,
@@ -65,6 +66,29 @@ def test_predict_without_chart_loads_no_chart_code(tmp_path, cache_path):
     assert code == "0"
     assert {"namecensus.batchio", "namecensus.classifier"} <= modules
     assert "namecensus.report" not in modules
+    assert "dataclasses" not in modules - bare_modules
+
+
+@pytest.mark.parametrize("command", ["predict-chart", "eval", "chart"])
+def test_commands_load_no_dataclasses(tmp_path, cache_path, bare_modules, command):
+    names = tmp_path / "names.txt"
+    names.write_text("Hua Zhao\n王娟\n", encoding="utf-8")
+    gold = tmp_path / "gold.csv"
+    gold.write_text("name,gender\nHua Zhao,Female\n", encoding="utf-8")
+    results = tmp_path / "results.csv"
+    results.write_text("item,name,gender\n1,Hua Zhao,Female\n", encoding="utf-8")
+    argv = {
+        "predict-chart": ["predict", "--cache", cache_path, "--in", names,
+                          "--out", tmp_path / "out.csv", "--chart-json", tmp_path / "c.json",
+                          "--chart-svg", tmp_path / "c.svg"],
+        "eval": ["eval", "--cache", cache_path, "--gold", gold],
+        "chart": ["chart", "--results", results, "--json", tmp_path / "c.json",
+                  "--svg", tmp_path / "c.svg"],
+    }[command]
+    code, modules = loaded_modules(*argv)
+    assert code == "0"
+    assert "namecensus.report" in modules
+    assert "dataclasses" not in modules - bare_modules
 
 
 def test_import_loads_no_submodule():
