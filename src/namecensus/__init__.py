@@ -12,7 +12,6 @@ _EXPORTS = {
     "Posterior": "classifier",
     "Script": "scriptdetect",
     "detect_script": "scriptdetect",
-    "predict": "classifier",
 }
 
 __all__ = list(_EXPORTS)

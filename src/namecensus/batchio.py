@@ -11,9 +11,8 @@ from typing import NamedTuple, TypeVar
 from namecensus.classifier import (
     ClassifierConfig,
     GenderLabel,
-    Prediction,
+    Posterior,
     decide,
-    predict,
     printed_probability,
     route,
 )
@@ -21,10 +20,6 @@ from namecensus.corpus import CountModel, normalize_name_key
 from namecensus.errors import NamecensusError
 from namecensus.scriptdetect import Script
 from namecensus.textio import column, csv_rows, replace_file, split_lines, text_blocks
-
-
-class NameRecord(NamedTuple):
-    raw_name: str
 
 
 class AggregateStats(NamedTuple):
@@ -102,16 +97,6 @@ def iter_names(
     yield from names
 
 
-def read_input(
-    path: str | Path,
-    format: str = "auto",
-    name_column: str | int = "name",
-    has_header: bool = True,
-) -> list[NameRecord]:
-    """One NameRecord per name of `iter_names`."""
-    return [NameRecord(name) for name in iter_names(path, format, name_column, has_header)]
-
-
 _T = TypeVar("_T")
 
 
@@ -127,18 +112,6 @@ def _memoised(fn: Callable[[str], _T], keys: Iterable[str]) -> Iterator[_T]:
         yield value
 
 
-def run_batch(
-    english: CountModel,
-    chinese: CountModel,
-    config: ClassifierConfig,
-    records: list[NameRecord],
-) -> list[Prediction]:
-    """Predict every record, in order; repeats of a raw name share one
-    frozen Prediction."""
-    return list(_memoised(lambda name: predict(english, chinese, config, name),
-                          (record.raw_name for record in records)))
-
-
 RESULT_FIELDS = ["item", "name", "gender", "probability", "script", "given_name"]
 
 # (label, name field, rest): the row is f"{item},{name field}{rest}".
@@ -152,17 +125,6 @@ def _field(field: str) -> str:
     if "," in field or '"' in field or "\n" in field or "\r" in field:
         return '"' + field.replace('"', '""') + '"'
     return field
-
-
-def _row(pred: Prediction) -> _Row:
-    """The results row of `pred`, all but its item; probability is the max
-    posterior, blank for Unknown. The name field of a plain name is
-    `pred.raw_name` itself, so a memo entry keyed by the name does not
-    copy it."""
-    prob = printed_probability(pred.posterior)
-    label = pred.label.value
-    rest = f",{label},{prob},{pred.script.value},{_field(pred.given)}\n"
-    return label, _field(pred.raw_name), rest
 
 
 # The script column of each Script; a dict read costs less than `.value`,
@@ -216,12 +178,6 @@ def predict_to_results(
     return _write_rows(_memoised(row, names), path)
 
 
-def write_results(predictions: Iterable[Prediction], path: str | Path) -> AggregateStats:
-    """Results CSV of `predictions`, written as they are iterated; returns
-    its label counts."""
-    return _write_rows(map(_row, predictions), path)
-
-
 def _write_rows(rows: Iterable[_Row], path: str | Path) -> AggregateStats:
     """The results CSV of `rows`, written through `textio.replace_file`;
     returns its label counts. item is the 1-based row position."""
@@ -272,6 +228,65 @@ def aggregate_labels(labels: Iterable[GenderLabel]) -> AggregateStats:
     for label in labels:
         counts[label] += 1
     return _stats(counts)
+
+
+# The list API. Its only non-test caller is perfbench/traced.py.
+
+
+class NameRecord(NamedTuple):
+    raw_name: str
+
+
+class Prediction(NamedTuple):
+    raw_name: str
+    script: Script
+    given: str
+    posterior: Posterior
+    label: GenderLabel
+
+
+def read_input(
+    path: str | Path,
+    format: str = "auto",
+    name_column: str | int = "name",
+    has_header: bool = True,
+) -> list[NameRecord]:
+    """One NameRecord per name of `iter_names`."""
+    return [NameRecord(name) for name in iter_names(path, format, name_column, has_header)]
+
+
+def run_batch(
+    english: CountModel,
+    chinese: CountModel,
+    config: ClassifierConfig,
+    records: list[NameRecord],
+) -> list[Prediction]:
+    """Predict every record, in order; repeats of a raw name share one
+    frozen Prediction."""
+
+    def prediction(raw_name: str) -> Prediction:
+        name = raw_name.strip()
+        script, given = route(name)
+        return Prediction(name, script, given, *decide(english, chinese, config, script, given))
+
+    return list(_memoised(prediction, (record.raw_name for record in records)))
+
+
+def _row(pred: Prediction) -> _Row:
+    """The results row of `pred`, all but its item; probability is the max
+    posterior, blank for Unknown. The name field of a plain name is
+    `pred.raw_name` itself, so a memo entry keyed by the name does not
+    copy it."""
+    prob = printed_probability(pred.posterior)
+    label = pred.label.value
+    rest = f",{label},{prob},{pred.script.value},{_field(pred.given)}\n"
+    return label, _field(pred.raw_name), rest
+
+
+def write_results(predictions: Iterable[Prediction], path: str | Path) -> AggregateStats:
+    """Results CSV of `predictions`, written as they are iterated; returns
+    its label counts."""
+    return _write_rows(map(_row, predictions), path)
 
 
 def aggregate(predictions: Iterable[Prediction]) -> AggregateStats:

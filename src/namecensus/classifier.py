@@ -77,14 +77,6 @@ class ClassifierConfig(_ConfigFields):
         return cls(*iterable)
 
 
-class Prediction(NamedTuple):
-    raw_name: str
-    script: Script
-    given: str
-    posterior: Posterior
-    label: GenderLabel
-
-
 def posterior_english(
     model: CountModel, given: str, config: ClassifierConfig = ClassifierConfig()
 ) -> Posterior:
@@ -225,15 +217,3 @@ def decide(
         return _NO_EVIDENCE, GenderLabel.UNKNOWN
     return post, classify(post, config)
 
-
-def predict(
-    english: CountModel,
-    chinese: CountModel,
-    config: ClassifierConfig,
-    raw_name: str,
-) -> Prediction:
-    """Full pipeline: strip, `route`, then `decide`."""
-    name = raw_name.strip()
-    script, given = route(name)
-    post, label = decide(english, chinese, config, script, given)
-    return Prediction(name, script, given, post, label)

@@ -7,6 +7,7 @@ or chart code."""
 from __future__ import annotations
 
 import argparse
+import contextlib
 import os
 import sys
 import time
@@ -90,12 +91,15 @@ def cmd_build_cache(args: argparse.Namespace) -> int:
 
     from namecensus.cache import digest_corpus_files, read_source_digest, save_cache
     from namecensus.corpus import find_year_files, load_chinese_charfreq, load_english_year_files
+    from namecensus.textio import regular_file
 
     out = Path(args.out)
     year_files = find_year_files(args.english_dir)
     chinese_path = Path(args.chinese_csv)
     digest = digest_corpus_files(year_files + [chinese_path])
-    if out.exists():
+    # A pipe, a device or a file reached through a descriptor (/dev/stdout) is
+    # never read back: the read could take the process's own output.
+    if regular_file(out):
         try:
             if read_source_digest(out) == digest:
                 print(f"cache up to date: {out}")
@@ -111,16 +115,12 @@ def cmd_build_cache(args: argparse.Namespace) -> int:
     return 0
 
 
-def _print_stats(stats, file=None) -> None:
+def _print_stats(stats) -> None:
     from namecensus.classifier import GenderLabel
 
-    print(f"total names: {stats.total}", file=file)
+    print(f"total names: {stats.total}")
     for label in GenderLabel:
-        print(
-            f"  {label.value:<8} {stats.counts[label]:>8} "
-            f"({stats.percentages[label]:.1f}%)",
-            file=file,
-        )
+        print(f"  {label.value:<8} {stats.counts[label]:>8} ({stats.percentages[label]:.1f}%)")
 
 
 def _load_model(args: argparse.Namespace):
@@ -133,7 +133,7 @@ def _load_model(args: argparse.Namespace):
     return config, load_cache(args.cache)
 
 
-def _distinct_outputs(*flags: tuple[str, str | None]) -> None:
+def _distinct_outputs(flags: list[tuple[str, str | None]]) -> None:
     """Two output flags naming one file, through any path or link, would
     each replace the other's bytes."""
     seen = {}
@@ -147,12 +147,9 @@ def _distinct_outputs(*flags: tuple[str, str | None]) -> None:
 
 def cmd_predict(args: argparse.Namespace) -> int:
     from namecensus.batchio import input_format, iter_names, predict_to_results
-    from namecensus.textio import names_stdout
 
     if bool(args.chart_json) != bool(args.chart_svg):
         raise NamecensusError("--chart-json and --chart-svg go together")
-    _distinct_outputs(("--out", args.out), ("--chart-json", args.chart_json),
-                      ("--chart-svg", args.chart_svg))
     if input_format(args.infile, args.format) == "txt":
         for flag, given in (("--name-column", args.name_column is not None),
                             ("--no-header", args.no_header)):
@@ -166,28 +163,25 @@ def cmd_predict(args: argparse.Namespace) -> int:
                        has_header=not args.no_header)
     stats = predict_to_results(cache.english, cache.chinese, config, names, args.out)
     elapsed = time.perf_counter() - start
-    # Results written to stdout are kept free of the summary, so they can be piped.
-    summary = sys.stderr if names_stdout(args.out) else sys.stdout
-    _print_stats(stats, summary)
+    _print_stats(stats)
     rate = stats.total / elapsed if elapsed > 0 else float("inf")
-    print(f"predicted {stats.total} names in {elapsed:.3f}s ({rate:.0f} names/s)",
-          file=summary)
+    print(f"predicted {stats.total} names in {elapsed:.3f}s ({rate:.0f} names/s)")
     if args.chart_json:
         from namecensus.report import emit_chart
 
         emit_chart(stats, args.chart_json, args.chart_svg)
-        print(f"wrote chart: {args.chart_json}, {args.chart_svg}", file=summary)
+        print(f"wrote chart: {args.chart_json}, {args.chart_svg}")
     return 0
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
-    from namecensus.classifier import GenderLabel, predict
+    from namecensus.classifier import GenderLabel, decide, route
     from namecensus.report import evaluate, load_gold_labels
 
     config, cache = _load_model(args)
-    gold = load_gold_labels(args.gold)
-    predictions = [predict(cache.english, cache.chinese, config, name) for name in gold]
-    result = evaluate(predictions, gold)
+    gold = load_gold_labels(args.gold)  # its names are stripped
+    result = evaluate({name: decide(cache.english, cache.chinese, config, *route(name))[1]
+                       for name in gold}, gold)
     print(f"total: {result.total}")
     print(f"correct: {result.correct}")
     print(f"accuracy: {result.accuracy:.4f}")
@@ -210,7 +204,6 @@ def cmd_chart(args: argparse.Namespace) -> int:
     from namecensus.batchio import aggregate_labels, read_result_labels
     from namecensus.report import emit_chart
 
-    _distinct_outputs(("--json", args.json), ("--svg", args.svg))
     stats = aggregate_labels(read_result_labels(args.results))
     emit_chart(stats, args.json, args.svg)
     _print_stats(stats)
@@ -231,7 +224,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--chinese-csv", required=True, metavar="FILE.csv",
                    help="char,female,male frequency table")
     p.add_argument("--out", required=True, metavar="FILE.ncm")
-    p.set_defaults(func=cmd_build_cache)
+    p.set_defaults(func=cmd_build_cache, outputs=("--out",))
 
     p = sub.add_parser("predict", help="predict a batch of names")
     _add_model_flags(p)
@@ -244,26 +237,33 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, metavar="RESULTS.csv")
     p.add_argument("--chart-json", default=None, metavar="CHART.json")
     p.add_argument("--chart-svg", default=None, metavar="CHART.svg")
-    p.set_defaults(func=cmd_predict)
+    p.set_defaults(func=cmd_predict, outputs=("--out", "--chart-json", "--chart-svg"))
 
     p = sub.add_parser("eval", help="score the names of a gold file against their labels")
     _add_model_flags(p)
     p.add_argument("--gold", required=True, metavar="GOLD.csv",
                    help="gold labels CSV: name,gender")
-    p.set_defaults(func=cmd_eval)
+    p.set_defaults(func=cmd_eval, outputs=())
 
     p = sub.add_parser("chart", help="re-emit the chart from a results CSV")
     p.add_argument("--results", required=True, metavar="RESULTS.csv")
     p.add_argument("--json", required=True, metavar="CHART.json")
     p.add_argument("--svg", required=True, metavar="CHART.svg")
-    p.set_defaults(func=cmd_chart)
+    p.set_defaults(func=cmd_chart, outputs=("--json", "--svg"))
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        code = args.func(args)
+        from namecensus.textio import names_stdout
+
+        outputs = [(flag, getattr(args, flag[2:].replace("-", "_"))) for flag in args.outputs]
+        _distinct_outputs(outputs)
+        # Output written to stdout is kept free of the summary lines, so it can be piped.
+        to_stderr = any(path and names_stdout(path) for _, path in outputs)
+        with contextlib.redirect_stdout(sys.stderr) if to_stderr else contextlib.nullcontext():
+            code = args.func(args)
         if sys.stdout is not None:  # None when the process starts with stdout closed
             sys.stdout.flush()  # a closed pipe on stdout is raised here, not at exit
         return code

@@ -7,7 +7,7 @@ from pathlib import Path
 from typing import NamedTuple
 
 from namecensus.batchio import AggregateStats
-from namecensus.classifier import GenderLabel, Prediction
+from namecensus.classifier import GenderLabel
 from namecensus.errors import NamecensusError
 from namecensus.textio import column, csv_rows, replace_file
 
@@ -106,24 +106,23 @@ def load_gold_labels(path: str | Path) -> dict[str, GenderLabel]:
 
 
 def evaluate(
-    predictions: list[Prediction], gold: dict[str, GenderLabel]
+    predicted: dict[str, GenderLabel], gold: dict[str, GenderLabel]
 ) -> EvalResult:
     """Strict scoring: only an exact label match counts as correct, so
     Unisex and Unknown are always wrong against binary gold. Every gold
-    name must have a prediction."""
+    name must have a predicted label."""
     if not gold:
         raise NamecensusError("empty gold set")
-    by_name = {p.raw_name: p for p in predictions}
     confusion = {(p, g): 0 for p in GenderLabel for g in (GenderLabel.FEMALE, GenderLabel.MALE)}
     mismatches = []
     correct = 0
     for name in sorted(gold):
-        predicted = by_name[name].label
-        confusion[(predicted, gold[name])] += 1
-        if predicted is gold[name]:
+        label = predicted[name]
+        confusion[(label, gold[name])] += 1
+        if label is gold[name]:
             correct += 1
         else:
-            mismatches.append((name, predicted, gold[name]))
+            mismatches.append((name, label, gold[name]))
     total = len(gold)
     return EvalResult(
         total=total,

@@ -62,13 +62,18 @@ def _descriptor(path: str | Path) -> int | None:
 
 
 def names_stdout(path: str | Path) -> bool:
-    """Whether `path` names an open descriptor on the file or pipe behind
-    this process's stdout, as /dev/stdout does, or /dev/fd/3 after `3>&1`."""
-    fd = _descriptor(path)
+    """Whether `path` names the file or pipe behind this process's stdout,
+    as /dev/stdout does, or /dev/fd/3 after `3>&1`."""
     try:
-        return fd is not None and os.path.samestat(os.fstat(fd), os.fstat(1))
-    except OSError:  # a descriptor that is not open
+        return os.path.samestat(os.stat(path), os.fstat(1))
+    except (OSError, ValueError):  # a missing or malformed path, a stdout not open
         return False
+
+
+def regular_file(path: str | Path) -> bool:
+    """Whether `path` names a regular file by a path of its own, not through
+    an open descriptor as /dev/stdout does."""
+    return os.path.isfile(path) and _descriptor(path) is None
 
 
 @contextmanager

@@ -17,15 +17,16 @@ import pytest
 
 import corpusgen
 from conftest import DATA_DIR, TABLE2_NAMES, TABLE4_LABELS
-from namecensus.batchio import NameRecord, aggregate, run_batch
+from namecensus.batchio import NameRecord, Prediction, aggregate, run_batch
 from namecensus.cache import load_cache, save_cache
 from namecensus.classifier import (
     ClassifierConfig,
     GenderLabel,
     Posterior,
-    Prediction,
     classify,
+    decide,
     posterior_chinese,
+    route,
 )
 from namecensus.corpus import CountModel
 from namecensus.scriptdetect import Script
@@ -133,17 +134,13 @@ def test_criterion_5_normalization_and_partition():
         entries = {ch: (rng.randint(0, 30), rng.randint(0, 30)) for ch in chars}
         model = CountModel.from_entries(entries)
         name = "王" + "".join(rng.choice(HAN_POOL) for _ in range(rng.randint(1, 3)))
-        from namecensus.classifier import predict
-
-        pred = predict(english, model, CFG, name)
-        labels = [lb for lb in GenderLabel if lb is pred.label]
+        post, label = decide(english, model, CFG, *route(name))
+        labels = [lb for lb in GenderLabel if lb is label]
         ok &= len(labels) == 1
-        if pred.posterior.evidence_found:
-            ok &= math.isclose(
-                pred.posterior.p_female + pred.posterior.p_male, 1.0, abs_tol=1e-9
-            )
+        if post.evidence_found:
+            ok &= math.isclose(post.p_female + post.p_male, 1.0, abs_tol=1e-9)
         else:
-            ok &= pred.label is GenderLabel.UNKNOWN
+            ok &= label is GenderLabel.UNKNOWN
     # exact threshold boundaries
     ok &= classify(Posterior(True, 50, 50), CFG) is GenderLabel.UNISEX
     ok &= classify(Posterior(True, 60, 40), CFG) is GenderLabel.UNISEX

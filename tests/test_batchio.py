@@ -13,6 +13,7 @@ import pytest
 from namecensus import batchio, textio
 from namecensus.batchio import (
     NameRecord,
+    Prediction,
     aggregate,
     iter_names,
     predict_to_results,
@@ -21,13 +22,7 @@ from namecensus.batchio import (
     run_batch,
     write_results,
 )
-from namecensus.classifier import (
-    ClassifierConfig,
-    GenderLabel,
-    Posterior,
-    Prediction,
-    predict,
-)
+from namecensus.classifier import ClassifierConfig, GenderLabel, Posterior
 from namecensus.corpus import CountModel
 from namecensus.errors import NamecensusError
 from namecensus.scriptdetect import Script
@@ -214,7 +209,7 @@ class TestPredictToResults:
         names = [" Mary Smith ", "\u3000王青 ", "Hua Zhao\t", "王青", " 1234"]
         path, ref = tmp_path / "out.csv", tmp_path / "ref.csv"
         predict_to_results(ENG, CHI, CFG, names, path)
-        write_results([predict(ENG, CHI, CFG, name) for name in names], ref)
+        write_results(run_batch(ENG, CHI, CFG, [NameRecord(name) for name in names]), ref)
         assert path.read_bytes() == ref.read_bytes()
         assert path.read_bytes().splitlines()[1:] == [
             b"1,Mary Smith,Unknown,,Latin,Mary", "2,王青,Unisex,0.5500,Han,青".encode(),
@@ -249,20 +244,22 @@ class TestRunBatch:
     def test_memo_equals_per_record_predict(self):
         records = [NameRecord(n) for n in self.MEMO_NAMES]
         assert run_batch(ENG, CHI, CFG, records) == [
-            predict(ENG, CHI, CFG, r.raw_name) for r in records
+            run_batch(ENG, CHI, CFG, [r])[0] for r in records
         ]
 
     def test_predict_called_once_per_distinct_raw_name(self, monkeypatch):
         calls = []
+        route = batchio.route
 
-        def counting_predict(english, chinese, config, raw_name):
-            calls.append(raw_name)
-            return predict(english, chinese, config, raw_name)
+        def counting_route(name):
+            calls.append(name)
+            return route(name)
 
-        monkeypatch.setattr(batchio, "predict", counting_predict)
+        monkeypatch.setattr(batchio, "route", counting_route)
         records = [NameRecord(n) for n in self.MEMO_NAMES]
         preds = run_batch(ENG, CHI, CFG, records)
-        assert sorted(calls) == sorted(set(self.MEMO_NAMES))
+        # route takes the stripped name, once per distinct raw name.
+        assert sorted(calls) == sorted(name.strip() for name in set(self.MEMO_NAMES))
         assert preds[0] is preds[2] is preds[8]
         assert preds[0] is not preds[3]
 
@@ -317,7 +314,7 @@ class TestWriteResults:
     def test_cr_rows_quoted_in_full_and_read_back(self, tmp_path):
         names = ["Mary\rSmith", "John\nBrown", 'Hua "Q" Zhao', "Gray, Alasdair",
                  "Mary\u2028Smith", "\ufeffHua Zhao", "王\r青", "Hua\r\nZhao"]
-        preds = [predict(ENG, CHI, CFG, name) for name in names]
+        preds = run_batch(ENG, CHI, CFG, [NameRecord(name) for name in names])
         path = tmp_path / "out.csv"
         write_results(preds, path)
         assert read_result_labels(path) == [pred.label for pred in preds]

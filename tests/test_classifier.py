@@ -5,14 +5,15 @@ import random
 
 import pytest
 
+from namecensus.batchio import NameRecord, run_batch
 from namecensus.classifier import (
     ClassifierConfig,
     GenderLabel,
     Posterior,
     classify,
+    decide,
     posterior_chinese,
     posterior_english,
-    predict,
     route,
 )
 from namecensus.corpus import CountModel
@@ -199,8 +200,8 @@ class TestClassify:
         chinese = CountModel.from_entries({"娟": (30, 1), "刚": (1, 30), "青": (55, 45)})
         names = ["Hua Zhao", "Jordan Smith", "王娟", "王刚", "王青", "王娟刚"]
         cfg = ClassifierConfig(**{field: self.NON_DEFAULT[field]})
-        assert [predict(english, chinese, cfg, n) for n in names] != [
-            predict(english, chinese, CFG, n) for n in names]
+        assert [decide(english, chinese, cfg, *route(n)) for n in names] != [
+            decide(english, chinese, CFG, *route(n)) for n in names]
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
@@ -275,32 +276,31 @@ class TestRoute:
 
 
 class TestPredict:
+    """Strip, `route`, then `decide`, as every command runs them."""
+
     ENG = CountModel.from_entries({"hua": (80, 20), "jordan": (3, 7)})
     CHI = CountModel.from_entries({"娟": (30, 1), "刚": (1, 30), "青": (55, 45)})
 
+    def decide(self, name):
+        return decide(self.ENG, self.CHI, CFG, *route(name.strip()))
+
     def test_latin_pipeline(self):
-        pred = predict(self.ENG, self.CHI, CFG, "Hua Zhao")
-        assert pred.script is Script.LATIN
-        assert pred.given == "Hua"
-        assert pred.label is GenderLabel.FEMALE
+        assert route("Hua Zhao") == (Script.LATIN, "Hua")
+        assert self.decide("Hua Zhao")[1] is GenderLabel.FEMALE
 
     def test_han_pipeline(self):
-        pred = predict(self.ENG, self.CHI, CFG, "王娟")
-        assert pred.script is Script.HAN
-        assert pred.given == "娟"
-        assert pred.label is GenderLabel.FEMALE
+        assert route("王娟") == (Script.HAN, "娟")
+        assert self.decide("王娟")[1] is GenderLabel.FEMALE
 
     def test_mixed_routes_through_han_substring(self):
-        pred = predict(self.ENG, self.CHI, CFG, "王娟 (Juan Wang)")
-        assert pred.script is Script.MIXED
-        assert pred.given == "娟"
-        assert pred.label is GenderLabel.FEMALE
+        assert route("王娟 (Juan Wang)") == (Script.MIXED, "娟")
+        assert self.decide("王娟 (Juan Wang)")[1] is GenderLabel.FEMALE
 
     def test_other_and_empty_are_unknown(self):
         for name in ["", "  ", "Алексей", "1234"]:
-            pred = predict(self.ENG, self.CHI, CFG, name)
-            assert pred.label is GenderLabel.UNKNOWN
-            assert not pred.posterior.evidence_found
+            post, label = self.decide(name)
+            assert label is GenderLabel.UNKNOWN
+            assert not post.evidence_found
 
     @pytest.mark.parametrize("raw, stripped", [
         ("  1234 ", "1234"),
@@ -309,15 +309,15 @@ class TestPredict:
         (" 王娟 ", "王娟"),
     ])
     def test_raw_name_is_stripped_on_every_branch(self, raw, stripped):
-        assert predict(self.ENG, self.CHI, CFG, raw).raw_name == stripped
+        pred = run_batch(self.ENG, self.CHI, CFG, [NameRecord(raw)])[0]
+        assert pred.raw_name == stripped
+        assert pred[1:] == (*route(stripped), *self.decide(stripped))
 
     def test_unknown_latin_name(self):
-        assert predict(self.ENG, self.CHI, CFG, "Zxqv Qrst").label is GenderLabel.UNKNOWN
+        assert self.decide("Zxqv Qrst")[1] is GenderLabel.UNKNOWN
 
     def test_deterministic(self):
-        a = predict(self.ENG, self.CHI, CFG, "王娟")
-        b = predict(self.ENG, self.CHI, CFG, "王娟")
-        assert a == b
+        assert self.decide("王娟") == self.decide("王娟")
 
     def test_normalization_partition_property(self):
         rng = random.Random(99)
@@ -325,10 +325,9 @@ class TestPredict:
         for _ in range(2000):
             model = random_chinese_model(rng)
             name = "王" + "".join(rng.choice(HAN_POOL) for _ in range(rng.randint(1, 3)))
-            pred = predict(eng, model, CFG, name)
-            assert isinstance(pred.label, GenderLabel)
-            if pred.posterior.evidence_found:
-                total = pred.posterior.p_female + pred.posterior.p_male
-                assert math.isclose(total, 1.0, abs_tol=1e-9)
+            post, label = decide(eng, model, CFG, *route(name))
+            assert isinstance(label, GenderLabel)
+            if post.evidence_found:
+                assert math.isclose(post.p_female + post.p_male, 1.0, abs_tol=1e-9)
             else:
-                assert pred.label is GenderLabel.UNKNOWN
+                assert label is GenderLabel.UNKNOWN

@@ -1,6 +1,7 @@
 import csv
 import dataclasses
 import errno
+import json
 import os
 import resource
 import struct
@@ -13,7 +14,7 @@ import pytest
 from namecensus import batchio
 from namecensus.batchio import read_input, read_result_labels, run_batch, write_results
 from namecensus.cache import FORMAT_VERSION, MAGIC, load_cache
-from namecensus.classifier import ClassifierConfig, decide, predict, route
+from namecensus.classifier import ClassifierConfig, decide, route
 from namecensus.cli import main
 from oracles import decision_oracle
 
@@ -370,7 +371,7 @@ class TestPredict:
                      "--out", str(out)]) == 0
         cache = load_cache(mini_cache)
         assert read_result_labels(out) == [
-            predict(cache.english, cache.chinese, ClassifierConfig(), name).label
+            decide(cache.english, cache.chinese, ClassifierConfig(), *route(name.strip()))[1]
             for name in names
         ]
         capsys.readouterr()
@@ -572,6 +573,26 @@ class TestFullCorpus:
                          "--out", str(out), *flags]) == 0
         assert by_config.read_bytes() == by_flag.read_bytes()
         assert [row["gender"] for row in read_rows(by_config)] == ["Unisex"] * 3
+
+    # The whole eval report on the curated gold file: 66 names, 65 correct.
+    EVAL_PUBLIC_FIGURES = """\
+total: 66
+correct: 65
+accuracy: 0.9848
+confusion (predicted x gold):
+             Female     Male
+  Female         30        0
+  Male            1       35
+  Unisex          0        0
+  Unknown         0        0
+mismatches:
+  吴健雄: predicted Male, gold Female
+"""
+
+    def test_eval_stdout_on_public_figures(self, cache_path, capsys):
+        gold = Path(__file__).parent / "data" / "public_figures.csv"
+        assert main(["eval", "--cache", str(cache_path), "--gold", str(gold)]) == 0
+        assert capsys.readouterr() == (self.EVAL_PUBLIC_FIGURES, "")
 
     def test_eval_accuracy(self, tmp_path, cache_path, capsys):
         gold = tmp_path / "gold.csv"
@@ -827,6 +848,53 @@ def test_summary_to_a_gone_stdout(tmp_path, mini_cache, stdout, code):
         os.close(write_end)
     assert (result.returncode, result.stderr) == (code, b"")
     assert len((tmp_path / "r.csv").read_bytes().splitlines()) == 3
+
+
+# A chart file given as stdout carries the JSON alone, so a pipe takes it
+# straight to a parser; the summary lines of either command go to stderr.
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+@pytest.mark.parametrize("command", ["predict", "chart"])
+def test_chart_json_piped_to_a_parser(tmp_path, mini_cache, command):
+    names = tmp_path / "names.txt"
+    names.write_text("Hua Zhao\n王娟\nPhil Barker\n", encoding="utf-8")
+    results, expected = tmp_path / "r.csv", tmp_path / "c.json"
+    assert main(["predict", "--cache", str(mini_cache), "--in", str(names), "--out", str(results),
+                 "--chart-json", str(expected), "--chart-svg", str(tmp_path / "c.svg")]) == 0
+    argv = {"predict": ["predict", "--cache", mini_cache, "--in", names,
+                        "--out", tmp_path / "r2.csv", "--chart-json", "/dev/stdout",
+                        "--chart-svg", tmp_path / "c2.svg"],
+            "chart": ["chart", "--results", results, "--json", "/dev/stdout",
+                      "--svg", tmp_path / "c2.svg"]}[command]
+    result = subprocess.run([sys.executable, "-m", "namecensus", *map(str, argv)],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, timeout=60)
+    assert result.returncode == 0, result.stderr
+    assert json.loads(result.stdout) == json.loads(expected.read_bytes())
+    assert result.stdout == expected.read_bytes()
+    assert result.stderr.startswith(b"total names: 3\n")
+
+
+# build-cache writes a cache to a pipe, or to a file stdout is redirected to,
+# byte for byte as it writes it to a path, and never reads its own stdout
+# back: a pipe's read end would wait on the process itself.
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+@pytest.mark.parametrize("stdout", ["pipe", "file"])
+def test_cache_written_to_stdout(tmp_path, mini_corpus, stdout):
+    english, chinese = mini_corpus
+    argv = ["build-cache", "--english-dir", str(english), "--chinese-csv", str(chinese),
+            "--out"]
+    expected = tmp_path / "m.ncm"
+    assert main([*argv, str(expected)]) == 0
+    command = [sys.executable, "-m", "namecensus", *argv, "/dev/stdout"]
+    if stdout == "pipe":
+        result = subprocess.run(command, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                                timeout=60)
+        written = result.stdout
+    else:
+        with open(tmp_path / "redirect.ncm", "wb") as out:
+            result = subprocess.run(command, stdout=out, stderr=subprocess.PIPE, timeout=60)
+        written = (tmp_path / "redirect.ncm").read_bytes()
+    assert (result.returncode, written) == (0, expected.read_bytes()), result.stderr
+    assert result.stderr.startswith(b"wrote cache: /dev/stdout\n")
 
 
 # Two output flags naming one file, by any path or link to it, are refused

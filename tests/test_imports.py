@@ -100,7 +100,7 @@ def test_reexports_are_the_defining_modules_objects(monkeypatch):
     for name in namecensus.__all__:  # drop what an earlier access cached
         monkeypatch.delattr(namecensus, name, raising=False)
     from namecensus import (
-        ClassifierConfig, CountModel, GenderLabel, Posterior, Script, detect_script, predict,
+        ClassifierConfig, CountModel, GenderLabel, Posterior, Script, detect_script,
     )
 
     defined = {
@@ -110,11 +110,9 @@ def test_reexports_are_the_defining_modules_objects(monkeypatch):
         "Posterior": classifier.Posterior,
         "Script": scriptdetect.Script,
         "detect_script": scriptdetect.detect_script,
-        "predict": classifier.predict,
     }
     assert sorted(namecensus.__all__) == sorted(defined)
-    imported = [ClassifierConfig, CountModel, GenderLabel, Posterior, Script, detect_script,
-                predict]
+    imported = [ClassifierConfig, CountModel, GenderLabel, Posterior, Script, detect_script]
     for name, value in zip(defined, imported):
         assert value is defined[name]
         assert getattr(namecensus, name) is defined[name]

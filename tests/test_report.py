@@ -7,7 +7,7 @@ import pytest
 
 from namecensus import textio
 from namecensus.batchio import AggregateStats
-from namecensus.classifier import GenderLabel, Posterior, Prediction
+from namecensus.classifier import GenderLabel
 from namecensus.errors import NamecensusError
 from namecensus.report import (
     SVG_BAR_SCALE,
@@ -17,7 +17,6 @@ from namecensus.report import (
     load_gold_labels,
     render_svg,
 )
-from namecensus.scriptdetect import Script
 
 
 def stats_from_counts(female, male, unisex, unknown):
@@ -99,41 +98,33 @@ class TestChart:
         assert payload["labels"][0]["percent"] == stats.percentages[GenderLabel.FEMALE]
 
 
-def _pred(name, label):
-    found = label is not GenderLabel.UNKNOWN
-    return Prediction(name, Script.LATIN, name.lower(),
-                      Posterior(found, 9, 1) if found else Posterior(False),
-                      label)
-
-
 class TestEvaluate:
     def test_strict_scoring_counts_unisex_as_wrong(self):
-        preds = [_pred(f"n{i}", GenderLabel.FEMALE) for i in range(9)]
-        preds.append(_pred("n9", GenderLabel.UNISEX))
+        preds = {f"n{i}": GenderLabel.FEMALE for i in range(9)}
+        preds["n9"] = GenderLabel.UNISEX
         gold = {f"n{i}": GenderLabel.FEMALE for i in range(10)}
         result = evaluate(preds, gold)
         assert result.accuracy == pytest.approx(0.9)
         assert result.mismatches == [("n9", GenderLabel.UNISEX, GenderLabel.FEMALE)]
 
     def test_all_unknown_is_zero_accuracy(self):
-        preds = [_pred(f"n{i}", GenderLabel.UNKNOWN) for i in range(4)]
+        preds = {f"n{i}": GenderLabel.UNKNOWN for i in range(4)}
         gold = {f"n{i}": GenderLabel.MALE for i in range(4)}
         assert evaluate(preds, gold).accuracy == 0.0
 
     def test_permutation_invariant(self):
-        preds = [_pred(f"n{i}", random.Random(i).choice(list(GenderLabel)))
-                 for i in range(20)]
+        preds = {f"n{i}": random.Random(i).choice(list(GenderLabel)) for i in range(20)}
         gold = {f"n{i}": GenderLabel.FEMALE for i in range(20)}
-        shuffled = preds[::-1]
+        shuffled = dict(reversed(preds.items()))
         assert evaluate(preds, gold) == evaluate(shuffled, gold)
 
     def test_confusion_reconciles_with_total(self):
-        preds = [
-            _pred("a", GenderLabel.FEMALE),
-            _pred("b", GenderLabel.MALE),
-            _pred("c", GenderLabel.UNISEX),
-            _pred("d", GenderLabel.UNKNOWN),
-        ]
+        preds = {
+            "a": GenderLabel.FEMALE,
+            "b": GenderLabel.MALE,
+            "c": GenderLabel.UNISEX,
+            "d": GenderLabel.UNKNOWN,
+        }
         gold = {
             "a": GenderLabel.FEMALE,
             "b": GenderLabel.FEMALE,
@@ -147,7 +138,7 @@ class TestEvaluate:
 
     def test_empty_gold_error(self):
         with pytest.raises(NamecensusError, match="empty"):
-            evaluate([_pred("a", GenderLabel.MALE)], {})
+            evaluate({"a": GenderLabel.MALE}, {})
 
 
 class TestGoldFile:
