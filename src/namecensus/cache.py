@@ -63,9 +63,10 @@ def _encode(model: CountModel) -> bytes:
         bad = next(k for k in keys if "\n" in k)
         raise CacheError(f"cannot cache model key {bad!r}: it contains a newline")
     key_bytes = key_text.encode("utf-8")
-    numbers: dict[tuple[int, int], int] = {}  # pair -> its number, in first-seen order
-    index = array(_INDEX, [numbers.setdefault(pair, len(numbers))
-                           for pair in map(model.entries.__getitem__, keys)])
+    pairs = list(map(model.entries.__getitem__, keys))
+    # Each distinct pair numbered in first-seen order.
+    numbers = {pair: i for i, pair in enumerate(dict.fromkeys(pairs))}
+    index = array(_INDEX, map(numbers.__getitem__, pairs))
     try:
         counts = array("q", [c for pair in numbers for c in pair])
         header = _SECTION.pack(len(keys), len(key_bytes), len(numbers),
@@ -126,7 +127,10 @@ def save_cache(
     source_digest: str = "",
 ) -> None:
     """Write through `textio.replace_file`, so a failed write leaves `path` as it was."""
-    payload = _encode(english) + _encode(chinese)
+    try:
+        payload = _encode(english) + _encode(chinese)
+    except CacheError as exc:
+        raise CacheError(f"{path}: {exc}") from None
     header = _HEADER.pack(
         MAGIC,
         FORMAT_VERSION,

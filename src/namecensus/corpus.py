@@ -10,14 +10,20 @@ from __future__ import annotations
 
 import re
 import unicodedata
+from collections.abc import Iterator
 from pathlib import Path
 from typing import NamedTuple
 
 from namecensus.errors import NamecensusError
 from namecensus.scriptdetect import is_han
-from namecensus.textio import csv_rows, split_lines, text_blocks
+from namecensus.textio import csv_rows, text_blocks
 
 YEAR_FILE_RE = re.compile(r"^yob(\d{4})\.txt$")
+# A yob line that needs no line check: blank, or a row `Name,S,Count` with an
+# ASCII name and a count of at most 18 digits. A longer count may pass
+# int()'s limit on digits, a fault the line check reports.
+_SSA_LINE = "(?:[A-Za-z]+,[FM],[1-9][0-9]{0,17})?"
+_SSA_BLOCK = re.compile(f"{_SSA_LINE}(?:\n{_SSA_LINE})*")
 
 
 class CountModel(NamedTuple):
@@ -53,9 +59,10 @@ def _parse_year_line(line: str, path: Path, lineno: int) -> tuple[str, str, int]
     name, sex, count_text = parts
     if sex not in ("F", "M"):
         raise NamecensusError(f"{path}:{lineno}: sex must be F or M, got {sex!r}")
-    # No code point is both alpha and a digit, so an all-alpha name,
-    # the common case, skips the per-character scan.
-    if not name or not name.isalpha() and any(map(str.isdigit, name)):
+    # No code point is alpha and a digit or a space, so an all-alpha name
+    # skips the per-character scan. A space would make a key that no split
+    # given name can equal.
+    if not name or not name.isalpha() and any(c.isdigit() or c.isspace() for c in name):
         raise NamecensusError(f"{path}:{lineno}: bad name field {name!r}")
     try:
         count = int(count_text)
@@ -64,6 +71,15 @@ def _parse_year_line(line: str, path: Path, lineno: int) -> tuple[str, str, int]
     if count < 1:
         raise NamecensusError(f"{path}:{lineno}: count must be >= 1, got {count}")
     return name, sex, count
+
+
+def _checked_rows(lines: list[str], path: Path, lineno: int) -> Iterator[tuple[str, str, int]]:
+    """The (key, "f" or "m", count) rows of `lines`, the first numbered
+    `lineno`, each line checked on its own; a fault names its line."""
+    for i, line in enumerate(lines, lineno):
+        if line:
+            name, sex, count = _parse_year_line(line, path, i)
+            yield normalize_name_key(name), sex.lower(), count
 
 
 def find_year_files(directory: str | Path) -> list[Path]:
@@ -80,22 +96,31 @@ def load_english_year_files(directory: str | Path) -> CountModel:
     """Aggregate every yearly file in `directory` into one model.
 
     Counts for the same (case-folded name, sex) sum across years, so the
-    result is independent of file and row order.
+    result is independent of file and row order. A block whose every line
+    is blank or an ASCII row in the SSA shape is checked with one regex and
+    split in one call; any other block is checked line by line, so a fault
+    names its line.
     """
-    entries: dict[str, list[int]] = {}
+    entries: dict[str, tuple[int, int]] = {}
     for path in find_year_files(directory):
         lineno = 1  # of the block's first line
         for block in text_blocks(path):
-            lines = split_lines(block)
-            for i, line in enumerate(lines, lineno):
-                if not line:
-                    continue
-                name, sex, count = _parse_year_line(line, path, i)
-                key = normalize_name_key(name)
-                pair = entries.setdefault(key, [0, 0])
-                pair[0 if sex == "F" else 1] += count
-            lineno += len(lines) - 1
-    return CountModel.from_entries({k: (f, m) for k, (f, m) in entries.items()})
+            text = block.replace("\r\n", "\n").replace("\r", "\n")
+            if _SSA_BLOCK.fullmatch(text):
+                # An ASCII name is NFC already, and its case fold is its lower
+                # case. Only commas and line ends part the block's fields.
+                fields = text.lower().replace(",", "\n").split()
+                rows = zip(fields[::3], fields[1::3], map(int, fields[2::3]))
+            else:
+                rows = _checked_rows(text.split("\n"), path, lineno)
+            for key, sex, count in rows:
+                female, male = entries.get(key, (0, 0))
+                if sex == "f":
+                    entries[key] = (female + count, male)
+                else:
+                    entries[key] = (female, male + count)
+            lineno += text.count("\n")
+    return CountModel.from_entries(entries)
 
 
 def load_chinese_charfreq(file_path: str | Path) -> CountModel:

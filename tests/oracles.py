@@ -10,6 +10,9 @@ from fractions import Fraction
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
+    from pathlib import Path
+
+    from namecensus.corpus import CountModel
     from namecensus.scriptdetect import Script
 
 
@@ -109,6 +112,29 @@ def route_oracle(name: str) -> tuple[Script, str]:
     if script is Script.HAN or script is Script.MIXED:
         return script, split_chinese(han_substring(name), default_compound_surnames()).given
     return script, ""
+
+
+def english_model_oracle(directory: Path) -> CountModel:
+    """`corpus.load_english_year_files` line by line: each file read whole,
+    each line checked and its name normalised on its own."""
+    from namecensus.corpus import (
+        CountModel,
+        _parse_year_line,
+        find_year_files,
+        normalize_name_key,
+    )
+
+    entries: dict[str, list[int]] = {}
+    for path in find_year_files(directory):
+        text = path.read_bytes().decode("utf-8-sig")
+        lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+        for lineno, line in enumerate(lines, 1):
+            if not line:
+                continue
+            name, sex, count = _parse_year_line(line, path, lineno)
+            pair = entries.setdefault(normalize_name_key(name), [0, 0])
+            pair[0 if sex == "F" else 1] += count
+    return CountModel.from_entries({k: (f, m) for k, (f, m) in entries.items()})
 
 
 def decision_oracle(

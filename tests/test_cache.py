@@ -343,5 +343,6 @@ def test_unencodable_model_is_one_line_error(tmp_path, entries, named):
     path = tmp_path / "m.ncm"
     with pytest.raises(CacheError, match=named) as info:
         save_cache(model, model, path)
+    assert str(info.value).startswith(f"{path}: cannot cache model")
     assert "\n" not in str(info.value)
     assert list(tmp_path.iterdir()) == []

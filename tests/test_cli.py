@@ -1,6 +1,7 @@
 import csv
 import dataclasses
 import errno
+import hashlib
 import json
 import os
 import resource
@@ -128,6 +129,17 @@ class TestBuildCache:
         assert "wrote cache" in capsys.readouterr().out
         assert mini_cache.read_bytes() == good
         load_cache(mini_cache)
+
+    def test_count_past_int64_names_the_cache(self, tmp_path, mini_corpus, capsys):
+        english, chinese = mini_corpus
+        (english / "yob2016.txt").write_text("Mary,F,99999999999999999999999\n",
+                                             encoding="utf-8")
+        cache = tmp_path / "m.ncm"
+        assert main(["build-cache", "--english-dir", str(english),
+                     "--chinese-csv", str(chinese), "--out", str(cache)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {cache}: cannot cache model: a count is outside the int64 range\n")
+        assert not cache.exists()
 
     def test_missing_directory_exit_1(self, tmp_path, capsys):
         code = main(["build-cache", "--english-dir", str(tmp_path / "nope"),
@@ -593,6 +605,16 @@ mismatches:
         gold = Path(__file__).parent / "data" / "public_figures.csv"
         assert main(["eval", "--cache", str(cache_path), "--gold", str(gold)]) == 0
         assert capsys.readouterr() == (self.EVAL_PUBLIC_FIGURES, "")
+
+    # Neither the corpus reader nor the cache encoder may change a byte of the file.
+    def test_build_cache_golden_digest(self, tmp_path, english_dir, chinese_csv):
+        cache = tmp_path / "m.ncm"
+        assert main(["build-cache", "--english-dir", str(english_dir),
+                     "--chinese-csv", str(chinese_csv), "--out", str(cache)]) == 0
+        data = cache.read_bytes()
+        assert len(data) == 1_609_010
+        assert hashlib.sha256(data).hexdigest() == (
+            "dc77f38d569f48b2618c60d733aff4c62411c0f86d1823582049617988d3f027")
 
     def test_eval_accuracy(self, tmp_path, cache_path, capsys):
         gold = tmp_path / "gold.csv"

@@ -1,8 +1,10 @@
 import random
+import time
 
 import pytest
+from oracles import english_model_oracle
 
-from namecensus import textio
+from namecensus import corpus, textio
 from namecensus.corpus import (
     CountModel,
     load_chinese_charfreq,
@@ -81,6 +83,11 @@ class TestEnglishCorpus:
         ("Mar7y,F,3", "bad name"),
         ("Ann²,F,3", "bad name"),
         ("Ann٣,F,3", "bad name"),
+        # route splits given names at whitespace, so such a key could never be looked up.
+        ("Mary Jane,F,3", "bad name field 'Mary Jane'"),
+        (" Mary,F,3", "bad name field ' Mary'"),
+        ("Mary\t,F,3", r"bad name field 'Mary\\t'"),
+        ("Mary\xa0,F,3", r"bad name field 'Mary\\xa0'"),
     ])
     def test_malformed_rows_name_file_and_line(self, tmp_path, bad_line, message):
         write_years(tmp_path, {"yob2015.txt": ["Anne,F,2", bad_line]})
@@ -105,6 +112,17 @@ class TestEnglishCorpus:
             load_english_year_files(tmp_path)
         assert str(exc.value) == f"{path}:2: invalid UTF-8 at byte offset 13"
 
+    def test_ssa_blocks_skip_the_line_check(self, tmp_path, monkeypatch):
+        checked, check = [], corpus._checked_rows
+        monkeypatch.setattr(corpus, "_checked_rows", lambda lines, path, lineno: checked.append(
+            path.name) or check(lines, path, lineno))
+        write_years(tmp_path, {"yob2014.txt": ["Mary,F,10", "", "JOHN,M,4"],
+                               "yob2015.txt": ["Zoë,F,2", "Mary,M,1"]})
+        model = load_english_year_files(tmp_path)
+        assert list(model.entries.items()) == [
+            ("mary", (10, 1)), ("john", (0, 4)), ("zoë", (2, 0))]
+        assert checked == ["yob2015.txt"]  # its non-ASCII name
+
     def test_downstream_probabilities_sum_to_one(self, tmp_path):
         rng = random.Random(3)
         lines = [
@@ -116,6 +134,102 @@ class TestEnglishCorpus:
         for female, male in model.entries.values():
             total = female + male
             assert (female / total) + (male / total) == pytest.approx(1.0)
+
+
+# Names of every kind the loader takes: ASCII in any case, a decomposed é,
+# a ligature whose case fold is ASCII ("ffi"), and punctuation.
+NAMES = ["Mary", "MARY", "mary", "mAry", "John", "Ffi", "ffi", "José", "Jose\u0301",
+         "Zoë", "\ufb03", "Ann-Marie", "Jo"]
+COUNTS = ["1", "5", "17", "250", "05", "+5", "1_0"]
+
+
+def random_year_file(rng, lines):
+    """Bytes of a yob file: rows drawn from NAMES and COUNTS, duplicates,
+    blank lines and now and then a bad line among them, each line ended by
+    LF, CRLF or CR."""
+    plain = rng.random() < 0.5  # ASCII names and plain counts only
+    out = []
+    for _ in range(lines):
+        draw = rng.random()
+        if draw < 0.1:
+            row = ""
+        elif draw < 0.11:
+            row = rng.choice(["Mary,F", "Mary Jane,F,3", "Mary,F,0", "Mary,f,3"])
+        else:
+            names = NAMES[:5] + NAMES[-1:] if plain else NAMES
+            count = rng.choice(COUNTS[:4] if plain else COUNTS)
+            row = f"{rng.choice(names)},{rng.choice('FM')},{count}"
+        out.append(row + rng.choice(["\n", "\r\n", "\r"]))
+    bom = "\ufeff" if rng.random() < 0.2 else ""
+    return (bom + "".join(out)).encode("utf-8")
+
+
+def outcome(load, directory):
+    """The model with its key order, or the error string."""
+    try:
+        model = load(directory)
+    except NamecensusError as exc:
+        return str(exc)
+    return model, list(model.entries)
+
+
+class TestEnglishOracle:
+    """load_english_year_files against the line-by-line oracle."""
+
+    @pytest.mark.parametrize("chunk", [1, 3, 64, 1 << 16])
+    def test_random_directories_equal_oracle(self, tmp_path, monkeypatch, chunk):
+        monkeypatch.setattr(textio, "_CHUNK", chunk)
+        rng = random.Random(23)
+        for trial in range(40):
+            directory = tmp_path / str(trial)
+            directory.mkdir()
+            for year in rng.sample(range(2000, 2010), rng.randint(1, 3)):
+                (directory / f"yob{year}.txt").write_bytes(
+                    random_year_file(rng, rng.randint(0, 40)))
+            assert outcome(load_english_year_files, directory) == outcome(
+                english_model_oracle, directory)
+
+    @pytest.mark.parametrize("bad_line", [
+        "Mary,F", "Mary,X,3", "Mary Jane,F,3", "Mary,F,0", "Mary,F,x", "Mary,f,3",
+        "mary,F,5" + "0" * 5000,  # past int()'s limit on digits
+    ], ids=["fields", "sex", "space", "zero", "count", "lower-sex", "long-count"])
+    def test_bad_line_in_a_later_block_equals_oracle(self, tmp_path, bad_line):
+        rng = random.Random(5)
+        rows = [f"{rng.choice(NAMES[:5])},{rng.choice('FM')},{rng.randint(1, 999)}"
+                for _ in range(20_000)]  # about 200 KiB: four blocks
+        rows.insert(15_000, bad_line)
+        path = tmp_path / "yob2001.txt"
+        path.write_bytes("\r\n".join(rows).encode("utf-8"))
+        with pytest.raises(NamecensusError) as expected:
+            english_model_oracle(tmp_path)
+        with pytest.raises(NamecensusError) as got:
+            load_english_year_files(tmp_path)
+        assert str(got.value) == str(expected.value)
+        assert str(got.value).startswith(f"{path}:15001: ")
+
+    # A bad last line fails the block's regex at its very end; the regex
+    # must give up in one pass, not retry the rows before it.
+    @pytest.mark.parametrize("bad_line", [
+        "Mary,F,5x", "Mary,F,5" + "5" * 30 + "x", "Mary,F,", "Mary" * 2000, "Mary,F,5,",
+    ], ids=["count", "long-count", "no-count", "long-name", "four-fields"])
+    def test_block_with_a_bad_last_line_costs_no_more_than_the_line_check(
+            self, tmp_path, bad_line):
+        rows = ["Mary,F,5"] * ((1 << 16) // 9)  # 64 KiB, then the bad line
+        (tmp_path / "yob2001.txt").write_text("\n".join(rows + [bad_line]), encoding="utf-8")
+
+        def best(load):
+            times = []
+            for _ in range(5):
+                start = time.perf_counter()
+                with pytest.raises(NamecensusError):
+                    load(tmp_path)
+                times.append(time.perf_counter() - start)
+            return min(times)
+
+        # The block path runs the regex, then the line check, and still costs
+        # less than the oracle's line check (about 0.7 of it); the margin is
+        # for a shared host's noise. Backtracking would cost seconds.
+        assert best(load_english_year_files) <= 1.5 * best(english_model_oracle)
 
 
 class TestChineseCorpus:
