@@ -127,9 +127,11 @@ def _field(field: str) -> str:
     return field
 
 
-# The script column of each Script; a dict read costs less than `.value`,
-# a descriptor written in Python.
-_SCRIPT_TEXT = {script: script.value for script in Script}
+# The members `row` reads per name, as module globals, which cost less to
+# read than `Script.X` (see scriptdetect). The script column is the
+# member's `_value_`, a plain attribute: `.value` and `Enum.__hash__` run
+# Python code.
+_LATIN, _HAN, _MIXED = Script.LATIN, Script.HAN, Script.MIXED
 
 # The (label, "label,probability") text of every row without evidence.
 _UNKNOWN_TEXT = (GenderLabel.UNKNOWN.value, f"{GenderLabel.UNKNOWN.value},")
@@ -158,9 +160,9 @@ def predict_to_results(
     def row(raw_name: str) -> _Row:
         name = raw_name.strip()
         script, given = route(name)
-        if script is Script.LATIN:
+        if script is _LATIN:
             key = entries.get(normalize_name_key(given))
-        elif script is Script.HAN or script is Script.MIXED:
+        elif script is _HAN or script is _MIXED:
             key = given
         else:
             key = None
@@ -173,7 +175,7 @@ def predict_to_results(
                 text = f"{gender.value},{printed_probability(post)}"
                 decision = decisions[key] = texts.setdefault(text, (gender.value, text))
             label, text = decision
-        return label, _field(name), f",{text},{_SCRIPT_TEXT[script]},{_field(given)}\n"
+        return label, _field(name), f",{text},{script._value_},{_field(given)}\n"
 
     return _write_rows(_memoised(row, names), path)
 

@@ -11,8 +11,11 @@ UTF-8 joined by "\n"; then each distinct (female, male) pair once, as
 little-endian int64, numbered in the order it is first seen along the
 sorted keys; then one 4-byte little-endian pair index per key, in key
 order. Sorting and first-seen numbering make the file a function of the
-model alone. Decoding is one split and two array reads instead of a JSON
-parse, and keys with equal counts share one tuple.
+model alone. Loading checks every section whole and reads its two arrays
+instead of a JSON parse, and keys with equal counts share one tuple. The
+chinese keys are split into a dict at load. The english keys, ~95k of
+them, are kept as their text and split a chunk at a time as lookups
+reach them, so a batch that looks up a few names decodes a few chunks.
 """
 
 from __future__ import annotations
@@ -22,6 +25,8 @@ import hashlib
 import struct
 import sys
 from array import array
+from bisect import bisect_right
+from collections.abc import Iterator, Mapping
 from pathlib import Path
 from typing import NamedTuple
 
@@ -36,6 +41,9 @@ _SECTION = struct.Struct("<QQQqq")
 # The array typecode of a 4-byte unsigned int: "I" on every common ABI,
 # but C promises it only 2 bytes.
 _INDEX = next(code for code in "IL" if array(code).itemsize == 4)
+# Characters of key text per chunk of a lazily decoded section: about a
+# thousand chunks of some ninety keys for a 95k-name English corpus.
+_CHUNK_CHARS = 1024
 
 
 class ModelCache(NamedTuple):
@@ -79,8 +87,91 @@ def _encode(model: CountModel) -> bytes:
     return header + key_bytes + counts.tobytes() + index.tobytes()
 
 
-def _decode(payload: bytes, pos: int) -> tuple[CountModel, int]:
-    """Decode the section at `pos`; return the model and the section's end."""
+def _chunks(text: str, size: int) -> list[tuple[int, int, int, int]]:
+    """The key text of a model with at least one key, cut into runs of
+    whole keys: each run ends at the first newline `size` or more
+    characters past its start, or at the end. One (start, stop, lo, hi)
+    per run: `text[start:stop]` holds keys lo to hi - 1."""
+    chunks = []
+    start = lo = 0
+    while start <= len(text):
+        cut = text.find("\n", start + size)
+        stop = len(text) if cut < 0 else cut
+        hi = lo + text.count("\n", start, stop) + 1
+        chunks.append((start, stop, lo, hi))
+        start, lo = stop + 1, hi
+    return chunks
+
+
+class _LazyEntries(Mapping):
+    """The entries of a decoded model section, read only, whose keys are
+    turned into a dict a chunk at a time. A chunk is a run of consecutive
+    sorted keys, about `_CHUNK_CHARS` characters of key text; it is
+    decoded on the first lookup of a key that sorts into it. A lookup
+    that hits is one dict read. One that misses bisects the chunks' first
+    keys, so it relies on the sorted key order the format prescribes.
+    Comparison, `len` and iteration decode every chunk."""
+
+    __slots__ = ("_found", "_text", "_pairs", "_index", "_firsts", "_chunks", "_left")
+
+    def __init__(self, text: str, chunks: list[tuple[int, int, int, int]],
+                 pairs: list[tuple[int, int]], index: array) -> None:
+        self._found: dict[str, tuple[int, int]] = {}
+        self._text, self._pairs, self._index = text, pairs, index
+        # As `_chunks` gives them; an entry turns None once decoded.
+        self._chunks: list[tuple[int, int, int, int] | None] = chunks
+        self._firsts: list[str] = []
+        for start, stop, _, _ in chunks:
+            end = text.find("\n", start, stop)
+            self._firsts.append(text[start : stop if end < 0 else end])
+        self._left = len(chunks)
+
+    def _decode_chunk(self, i: int) -> None:
+        start, stop, lo, hi = self._chunks[i]
+        self._chunks[i] = None
+        self._left -= 1
+        self._found.update(zip(self._text[start:stop].split("\n"),
+                               map(self._pairs.__getitem__, self._index[lo:hi])))
+        if not self._left:  # every key is in the dict: free the section's arrays
+            self._text = self._pairs = self._index = None
+
+    def get(self, key, default=None):
+        pair = self._found.get(key)
+        if pair is None and self._left:
+            i = bisect_right(self._firsts, key) - 1
+            if i >= 0 and self._chunks[i] is not None:
+                self._decode_chunk(i)
+                pair = self._found.get(key)
+        return default if pair is None else pair
+
+    def _all(self) -> dict[str, tuple[int, int]]:
+        for i in range(len(self._chunks)):
+            if self._chunks[i] is not None:
+                self._decode_chunk(i)
+        return self._found
+
+    def __getitem__(self, key: str) -> tuple[int, int]:
+        pair = self.get(key)
+        if pair is None:
+            raise KeyError(key)
+        return pair
+
+    def __len__(self) -> int:
+        return len(self._all())
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self._all())
+
+    def __eq__(self, other: object) -> bool:
+        return self._all() == other
+
+    def __repr__(self) -> str:
+        return repr(self._all())
+
+
+def _decode(payload: bytes, pos: int, lazy: bool) -> tuple[CountModel, int]:
+    """Check the section at `pos` whole; return its model and its end. The
+    entries are a `_LazyEntries` with `lazy`, else a dict of one chunk."""
     if len(payload) - pos < _SECTION.size:
         raise CacheError("model section ends inside its header")
     count, keys_len, pair_count, total_female, total_male = _SECTION.unpack_from(payload, pos)
@@ -98,26 +189,25 @@ def _decode(payload: bytes, pos: int) -> tuple[CountModel, int]:
     except UnicodeDecodeError:
         raise CacheError("model section keys are not valid UTF-8") from None
     # An empty model has no key bytes, and neither has a lone empty key.
-    keys = key_text.split("\n") if count or key_text else []
-    if len(keys) != count:
-        raise CacheError(
-            f"model section header promises {count} keys, found {len(keys)}"
-        )
+    if count or key_text:
+        chunks = _chunks(key_text, _CHUNK_CHARS if lazy else len(key_text))
+    else:
+        chunks = []
+    keys = chunks[-1][3] if chunks else 0
+    if keys != count:
+        raise CacheError(f"model section header promises {count} keys, found {keys}")
     counts, index = array("q"), array(_INDEX)
     counts.frombytes(payload[pairs_start:index_start])
     index.frombytes(payload[index_start:end])
     if sys.byteorder == "big":
         counts.byteswap()
         index.byteswap()
+    if index and max(index) >= pair_count:
+        raise CacheError(f"model section has a pair index past its {pair_count} pairs")
     it = iter(counts)
     pairs = list(zip(it, it))
-    try:
-        entries = dict(zip(keys, map(pairs.__getitem__, index)))
-    except IndexError:
-        raise CacheError(
-            f"model section has a pair index past its {pair_count} pairs"
-        ) from None
-    return CountModel(entries, total_female, total_male), end
+    entries = _LazyEntries(key_text, chunks, pairs, index)
+    return CountModel(entries if lazy else entries._all(), total_female, total_male), end
 
 
 def save_cache(
@@ -178,8 +268,8 @@ def load_cache(path: str | Path) -> ModelCache:
     gc_was_enabled = gc.isenabled()
     gc.disable()
     try:
-        english, pos = _decode(payload, 0)
-        chinese, pos = _decode(payload, pos)
+        english, pos = _decode(payload, 0, lazy=True)
+        chinese, pos = _decode(payload, pos, lazy=False)
         if pos != len(payload):
             raise CacheError(f"{len(payload) - pos} bytes follow the model sections")
     except CacheError as exc:

@@ -167,6 +167,10 @@ def printed_probability(post: Posterior) -> str:
 # one token: the first token is then the given name.
 _ASCII_GIVEN_RE = re.compile(r"(?:[A-Za-z]\.?\s+)*(?![A-Za-z]\.?\s)(\S+)\s+\S")
 
+# The members `route` and `decide` read per name, as module globals, which
+# cost less to read than `Script.X` (see scriptdetect).
+_LATIN, _HAN, _MIXED = Script.LATIN, Script.HAN, Script.MIXED
+
 
 def route(name: str) -> tuple[Script, str]:
     """The script of a stripped name and the given name its pipeline
@@ -180,15 +184,15 @@ def route(name: str) -> tuple[Script, str]:
     """
     script = common_script(name)
     han = name
-    if script is Script.LATIN:  # an ASCII name
+    if script is _LATIN:  # an ASCII name
         match = _ASCII_GIVEN_RE.match(name)
         return script, match[1] if match else name.split(None, 1)[0]
     if script is None:
         script = detect_script(name)
-        if script is Script.LATIN:
+        if script is _LATIN:
             return script, split_english(name).given
         han = han_substring(name)
-    if script is not Script.HAN and script is not Script.MIXED:
+    if script is not _HAN and script is not _MIXED:
         return script, ""
     # split_chinese's rule, without building a SplitName: a listed compound
     # surname when a given name follows it, else one surname character; a
@@ -209,9 +213,9 @@ def decide(
 ) -> tuple[Posterior, GenderLabel]:
     """The posterior and label of a routed given name; Empty and Other
     short-circuit to Unknown."""
-    if script is Script.LATIN:
+    if script is _LATIN:
         post = posterior_english(english, given, config)
-    elif script is Script.HAN or script is Script.MIXED:
+    elif script is _HAN or script is _MIXED:
         post = posterior_chinese(chinese, given, config)
     else:
         return _NO_EVIDENCE, GenderLabel.UNKNOWN

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import re
 import unicodedata
-from collections.abc import Iterator
+from collections.abc import Iterator, Mapping
 from pathlib import Path
 from typing import NamedTuple
 
@@ -32,7 +32,7 @@ class CountModel(NamedTuple):
     A NamedTuple, not a dataclass, as every record of the package is: no
     command then imports `dataclasses`."""
 
-    entries: dict[str, tuple[int, int]]
+    entries: Mapping[str, tuple[int, int]]
     total_female: int
     total_male: int
 
@@ -67,6 +67,10 @@ def _parse_year_line(line: str, path: Path, lineno: int) -> tuple[str, str, int]
     try:
         count = int(count_text)
     except ValueError:
+        # All decimal digits, so past int()'s limit on digits: not echoed.
+        if count_text.isdecimal():
+            raise NamecensusError(
+                f"{path}:{lineno}: count has too many digits ({len(count_text)})") from None
         raise NamecensusError(f"{path}:{lineno}: count is not an integer: {count_text!r}")
     if count < 1:
         raise NamecensusError(f"{path}:{lineno}: count must be >= 1, got {count}")
@@ -144,7 +148,11 @@ def load_chinese_charfreq(file_path: str | Path) -> CountModel:
             try:
                 female, male = int(female_text), int(male_text)
             except ValueError:
-                raise NamecensusError(f"{file_path}:{lineno}: non-integer count")
+                # Both all decimal digits: one is past int()'s limit on digits.
+                fault = ("count has too many digits"
+                         if female_text.isdecimal() and male_text.isdecimal()
+                         else "non-integer count")
+                raise NamecensusError(f"{file_path}:{lineno}: {fault}") from None
             if female < 0 or male < 0:
                 raise NamecensusError(f"{file_path}:{lineno}: negative count")
             entries[char] = (female, male)

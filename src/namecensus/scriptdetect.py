@@ -41,6 +41,11 @@ class Script(enum.Enum):
     EMPTY = "Empty"
 
 
+# The members the per-name path reads, as module globals: on Python 3.11 a
+# `Script.X` read runs Python code and costs several times a global's.
+_HAN, _LATIN, _EMPTY = Script.HAN, Script.LATIN, Script.EMPTY
+
+
 def is_han(ch: str) -> bool:
     """Whether `ch` is one Han character; a run of them is not."""
     return len(ch) == 1 and _han_re().fullmatch(ch) is not None
@@ -57,8 +62,8 @@ def common_script(name: str) -> Script | None:
     None for any other name."""
     if name.isascii():
         # The only ASCII letters are A-Z and a-z, all Latin.
-        return Script.LATIN if _ASCII_LETTER_RE.search(name) else Script.EMPTY
-    return Script.HAN if _han_re().fullmatch(name) else None
+        return _LATIN if _ASCII_LETTER_RE.search(name) else _EMPTY
+    return _HAN if _han_re().fullmatch(name) else None
 
 
 def detect_script(raw_name: str) -> Script:

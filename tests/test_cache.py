@@ -235,6 +235,55 @@ def test_full_english_model_holds_one_tuple_per_distinct_pair(cache_path, full_m
     assert len({id(pair) for pair in english.entries.values()}) == len(pairs)
 
 
+KEY_ALPHABET = "abzéß娟\U00020000"  # ASCII, Latin-1, BMP and astral
+
+
+def random_key(rng):
+    return "".join(rng.choice(KEY_ALPHABET) for _ in range(rng.randint(0, 6)))
+
+
+def decoded_chunks(entries):
+    return sum(chunk is None for chunk in entries._chunks)
+
+
+@pytest.mark.parametrize("chunk_chars", [1, 5, 16, 1024])
+def test_lazy_english_entries_equal_a_dict(tmp_path, monkeypatch, chunk_chars):
+    """Random models, from the empty one and the lone "" key up, looked up
+    key by key against the dict they were saved from: present keys, each
+    chunk's first key, and absent keys before the first key, after the
+    last and between chunks. A lookup decodes at most one chunk."""
+    monkeypatch.setattr("namecensus.cache._CHUNK_CHARS", chunk_chars)
+    rng = random.Random(chunk_chars)
+    chinese = CountModel.from_entries({"娟": (30, 1)})
+    models = [{}, {"": (1, 2)}, {"": (0, 0), "a": (0, 0)}]
+    models += [{random_key(rng): (rng.randint(0, 3), rng.randint(0, 3))
+                for _ in range(rng.randint(1, 80))} for _ in range(40)]
+    for i, entries in enumerate(models):
+        path = tmp_path / f"m{i}.ncm"
+        save_cache(CountModel.from_entries(entries), chinese, path)
+        lazy = load_cache(path).english.entries
+        assert decoded_chunks(lazy) == 0
+        firsts = list(lazy._firsts)
+        probes = list(entries) + firsts + ["", "\U0010ffff" * 3]
+        # key + NUL sorts after key and before the next: between chunks at each chunk's end.
+        probes += [key + "\x00" for key in entries] + [random_key(rng) for _ in range(30)]
+        rng.shuffle(probes)
+        for key in probes:
+            before = decoded_chunks(lazy)
+            assert lazy.get(key) == entries.get(key)
+            assert lazy.get(key, "absent") == entries.get(key, "absent")
+            assert (key in lazy) is (key in entries)
+            if key in entries:
+                assert lazy[key] == entries[key]
+            else:
+                with pytest.raises(KeyError):
+                    lazy[key]
+            assert decoded_chunks(lazy) - before <= 1
+        assert lazy == entries
+        assert len(lazy) == len(entries)
+        assert sorted(lazy) == sorted(entries)
+
+
 def test_insertion_order_does_not_change_bytes(tmp_path):
     english, chinese = small_models()
     reordered = [

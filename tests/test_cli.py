@@ -14,9 +14,10 @@ import pytest
 
 from namecensus import batchio
 from namecensus.batchio import read_input, read_result_labels, run_batch, write_results
-from namecensus.cache import FORMAT_VERSION, MAGIC, load_cache
+from namecensus.cache import FORMAT_VERSION, MAGIC, load_cache, save_cache
 from namecensus.classifier import ClassifierConfig, decide, route
 from namecensus.cli import main
+from namecensus.corpus import CountModel
 from oracles import decision_oracle
 
 CACHE_HEADER_SIZE = len(MAGIC) + 4 + 32 + 32 + 8  # magic, version, both digests, payload length
@@ -702,6 +703,33 @@ def test_cache_fault_names_the_file(tmp_path, mini_cache, capsys, command, corru
              "eval": ["--gold", gold]}[command]
     assert main([command, "--cache", str(bad), *map(str, flags)]) == 1
     assert capsys.readouterr().err == f"error: {bad}: {message}\n"
+
+
+def test_bad_pair_index_in_an_unread_english_chunk_fails_predict(tmp_path, capsys):
+    """The English section is decoded a chunk at a time as lookups reach it,
+    but load checks it whole: a bad pair index on the last key of a
+    several-chunk section fails a one-name predict before any row is
+    written."""
+    english = CountModel.from_entries({f"name{i:04}": (i % 7, i % 5) for i in range(2000)})
+    chinese = CountModel.from_entries({"娟": (30, 1)})
+    bad = tmp_path / "bad.ncm"
+    save_cache(english, chinese, bad)
+    blob = bytearray(bad.read_bytes())
+    count, keys_len, pair_count = struct.unpack_from("<QQQ", blob, CACHE_HEADER_SIZE)
+    assert keys_len > 4 * 1024  # several chunks
+    last_index = CACHE_HEADER_SIZE + 40 + keys_len + 16 * pair_count + 4 * (count - 1)
+    struct.pack_into("<I", blob, last_index, pair_count)
+    # The payload digest, between the source digest and the payload length.
+    blob[CACHE_HEADER_SIZE - 40 : CACHE_HEADER_SIZE - 8] = hashlib.sha256(
+        blob[CACHE_HEADER_SIZE:]).digest()
+    bad.write_bytes(bytes(blob))
+    names = tmp_path / "names.txt"
+    names.write_text("Name0001\n", encoding="utf-8")
+    out = tmp_path / "results.csv"
+    assert main(["predict", "--cache", str(bad), "--in", str(names), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {bad}: model section has a pair index past its {pair_count} pairs\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.ncm", "names.txt"]
 
 
 def _tree(root):

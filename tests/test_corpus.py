@@ -79,6 +79,7 @@ class TestEnglishCorpus:
         ("Mary,F", "3 comma-separated fields"),
         ("Mary,X,3", "sex must be F or M"),
         ("Mary,F,three", "not an integer"),
+        ("Mary,F,5" + "0" * 5000, r": count has too many digits \(5001\)$"),  # past int()'s limit
         ("Mary,F,0", "count must be >= 1"),
         ("Mar7y,F,3", "bad name"),
         ("Ann²,F,3", "bad name"),
@@ -280,6 +281,16 @@ class TestChineseCorpus:
         with pytest.raises(NamecensusError) as exc:
             load_chinese_charfreq(path)
         assert str(exc.value) == f"{path}:3: field larger than field limit (131072)"
+
+    @pytest.mark.parametrize("row, fault", [
+        ("娟,3,x", "non-integer count"),
+        ("娟,3," + "1" * 5000, "count has too many digits"),  # past int()'s limit on digits
+    ])
+    def test_bad_count_is_a_short_line(self, tmp_path, row, fault):
+        path = self.write(tmp_path, [row])
+        with pytest.raises(NamecensusError) as exc:
+            load_chinese_charfreq(path)
+        assert str(exc.value) == f"{path}:2: {fault}"
 
     def test_invalid_utf8(self, tmp_path):
         path = tmp_path / "chars.csv"
