@@ -18,7 +18,7 @@ from namecensus.classifier import (
 )
 from namecensus.corpus import CountModel, normalize_name_key
 from namecensus.errors import NamecensusError
-from namecensus.scriptdetect import Script
+from namecensus.scriptdetect import _HAN, _LATIN, _MIXED, Script
 from namecensus.textio import column, csv_rows, replace_file, split_lines, text_blocks
 
 
@@ -127,12 +127,6 @@ def _field(field: str) -> str:
     return field
 
 
-# The members `row` reads per name, as module globals, which cost less to
-# read than `Script.X` (see scriptdetect). The script column is the
-# member's `_value_`, a plain attribute: `.value` and `Enum.__hash__` run
-# Python code.
-_LATIN, _HAN, _MIXED = Script.LATIN, Script.HAN, Script.MIXED
-
 # The (label, "label,probability") text of every row without evidence.
 _UNKNOWN_TEXT = (GenderLabel.UNKNOWN.value, f"{GenderLabel.UNKNOWN.value},")
 
@@ -175,6 +169,8 @@ def predict_to_results(
                 text = f"{gender.value},{printed_probability(post)}"
                 decision = decisions[key] = texts.setdefault(text, (gender.value, text))
             label, text = decision
+        # The script column is the member's `_value_`, a plain attribute:
+        # `.value` and `Enum.__hash__` run Python code.
         return label, _field(name), f",{text},{script._value_},{_field(given)}\n"
 
     return _write_rows(_memoised(row, names), path)

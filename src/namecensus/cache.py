@@ -20,7 +20,6 @@ reach them, so a batch that looks up a few names decodes a few chunks.
 
 from __future__ import annotations
 
-import gc
 import hashlib
 import struct
 import sys
@@ -263,10 +262,11 @@ def read_source_digest(path: str | Path) -> str:
 
 
 def load_cache(path: str | Path) -> ModelCache:
+    """The two models of the cache at `path`, after `_read`'s checks and a
+    check of each section: its lengths, its keys' UTF-8, its key count and
+    its pair indexes' range. Any fault is a CacheError. The chinese keys
+    become a dict here; the english keys are decoded as lookups reach them."""
     _, payload = _read(path)
-    # The pair tuples set off collections that find no garbage.
-    gc_was_enabled = gc.isenabled()
-    gc.disable()
     try:
         english, pos = _decode(payload, 0, lazy=True)
         chinese, pos = _decode(payload, pos, lazy=False)
@@ -274,7 +274,4 @@ def load_cache(path: str | Path) -> ModelCache:
             raise CacheError(f"{len(payload) - pos} bytes follow the model sections")
     except CacheError as exc:
         raise CacheError(f"{path}: {exc}") from None
-    finally:
-        if gc_was_enabled:
-            gc.enable()
     return ModelCache(english=english, chinese=chinese)

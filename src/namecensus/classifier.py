@@ -10,7 +10,9 @@ from typing import NamedTuple
 
 from namecensus.corpus import CountModel, normalize_name_key
 from namecensus.namesplit import default_compound_surnames, split_english
-from namecensus.scriptdetect import Script, common_script, detect_script, han_substring
+from namecensus.scriptdetect import (
+    _HAN, _LATIN, _MIXED, Script, common_script, detect_script, han_substring,
+)
 
 
 class GenderLabel(enum.Enum):
@@ -166,10 +168,6 @@ def printed_probability(post: Posterior) -> str:
 # No match means every token before the last is an initial, or there is
 # one token: the first token is then the given name.
 _ASCII_GIVEN_RE = re.compile(r"(?:[A-Za-z]\.?\s+)*(?![A-Za-z]\.?\s)(\S+)\s+\S")
-
-# The members `route` and `decide` read per name, as module globals, which
-# cost less to read than `Script.X` (see scriptdetect).
-_LATIN, _HAN, _MIXED = Script.LATIN, Script.HAN, Script.MIXED
 
 
 def route(name: str) -> tuple[Script, str]:

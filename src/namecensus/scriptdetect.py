@@ -41,9 +41,10 @@ class Script(enum.Enum):
     EMPTY = "Empty"
 
 
-# The members the per-name path reads, as module globals: on Python 3.11 a
-# `Script.X` read runs Python code and costs several times a global's.
-_HAN, _LATIN, _EMPTY = Script.HAN, Script.LATIN, Script.EMPTY
+# The members the per-name path reads, as module globals, here and in
+# `classifier` and `batchio`: on Python 3.11 a `Script.X` read runs Python
+# code and costs several times a global's.
+_HAN, _LATIN, _MIXED, _EMPTY = Script.HAN, Script.LATIN, Script.MIXED, Script.EMPTY
 
 
 def is_han(ch: str) -> bool:

@@ -1,6 +1,6 @@
 """Each command imports only the modules it runs, no command imports
-`dataclasses`, and `import namecensus` loads no submodule: the re-exported
-names are resolved on first access."""
+`dataclasses`, and `import namecensus` loads no submodule and defines no
+public name."""
 
 import subprocess
 import sys
@@ -8,7 +8,6 @@ import sys
 import pytest
 
 import namecensus
-from namecensus import batchio, cache, classifier, corpus, scriptdetect
 
 # Runs the CLI as `python -m namecensus ARGS` does, then prints its exit code
 # and every module loaded, one line.
@@ -96,28 +95,10 @@ def test_import_loads_no_submodule():
     assert [m for m in out.split() if m.startswith("namecensus.")] == []
 
 
-def test_reexports_are_the_defining_modules_objects(monkeypatch):
-    for name in namecensus.__all__:  # drop what an earlier access cached
-        monkeypatch.delattr(namecensus, name, raising=False)
-    from namecensus import (
-        ClassifierConfig, CountModel, GenderLabel, Posterior, Script, detect_script,
-    )
-
-    defined = {
-        "ClassifierConfig": classifier.ClassifierConfig,
-        "CountModel": corpus.CountModel,
-        "GenderLabel": classifier.GenderLabel,
-        "Posterior": classifier.Posterior,
-        "Script": scriptdetect.Script,
-        "detect_script": scriptdetect.detect_script,
-    }
-    assert sorted(namecensus.__all__) == sorted(defined)
-    imported = [ClassifierConfig, CountModel, GenderLabel, Posterior, Script, detect_script]
-    for name, value in zip(defined, imported):
-        assert value is defined[name]
-        assert getattr(namecensus, name) is defined[name]
-    # Submodules still import through the package.
-    assert namecensus.batchio is batchio and namecensus.cache is cache
+def test_package_root_defines_no_public_name():
+    # No public name, nor a table of lazy ones: only `__version__` and Python's own.
+    names = _python("-c", "import namecensus; print(*vars(namecensus))").split()
+    assert [name for name in names if not name.startswith("__")] == []
 
 
 def test_unknown_name_raises_attribute_error():

@@ -166,3 +166,14 @@ def test_han_pattern_compiled_on_first_use():
     result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                             check=True)
     assert result.stdout == "0\n"
+
+
+def test_script_aliases_are_the_script_members():
+    from namecensus import batchio, classifier, scriptdetect
+
+    aliases = {"_HAN": Script.HAN, "_LATIN": Script.LATIN,
+               "_MIXED": Script.MIXED, "_EMPTY": Script.EMPTY}
+    for name, member in aliases.items():
+        assert getattr(scriptdetect, name) is member
+        for module in (classifier, batchio):
+            assert getattr(module, name, member) is member, (module.__name__, name)
