@@ -12,10 +12,11 @@ little-endian int64, numbered in the order it is first seen along the
 sorted keys; then one 4-byte little-endian pair index per key, in key
 order. Sorting and first-seen numbering make the file a function of the
 model alone. Loading checks every section whole and reads its two arrays
-instead of a JSON parse, and keys with equal counts share one tuple. The
-chinese keys are split into a dict at load. The english keys, ~95k of
-them, are kept as their text and split a chunk at a time as lookups
-reach them, so a batch that looks up a few names decodes a few chunks.
+instead of a JSON parse, and keys with equal counts share one tuple.
+Both sections' key text is cut into chunks of whole keys in one pass.
+The chinese keys are split into a dict at load. The english keys, ~95k
+of them, are split a chunk at a time as lookups reach them, so a batch
+that looks up a few names decodes a few chunks.
 """
 
 from __future__ import annotations
@@ -86,67 +87,67 @@ def _encode(model: CountModel) -> bytes:
     return header + key_bytes + counts.tobytes() + index.tobytes()
 
 
-def _chunks(text: str, size: int) -> list[tuple[int, int, int, int]]:
+def _chunks(text: str, size: int) -> tuple[list[str], dict[int, tuple[int, int, int]], int]:
     """The key text of a model with at least one key, cut into runs of
     whole keys: each run ends at the first newline `size` or more
-    characters past its start, or at the end. One (start, stop, lo, hi)
-    per run: `text[start:stop]` holds keys lo to hi - 1."""
-    chunks = []
+    characters past its start, or at the end. Returns the runs' first
+    keys, a (start, stop, lo) per run numbered from 0 (`text[start:stop]`
+    holds the keys from key lo on) and the number of keys."""
+    firsts, spans = [], {}
     start = lo = 0
     while start <= len(text):
         cut = text.find("\n", start + size)
         stop = len(text) if cut < 0 else cut
-        hi = lo + text.count("\n", start, stop) + 1
-        chunks.append((start, stop, lo, hi))
-        start, lo = stop + 1, hi
-    return chunks
+        end = text.find("\n", start, stop)
+        firsts.append(text[start : stop if end < 0 else end])
+        spans[len(spans)] = (start, stop, lo)
+        start, lo = stop + 1, lo + text.count("\n", start, stop) + 1
+    return firsts, spans, lo
 
 
 class _LazyEntries(Mapping):
     """The entries of a decoded model section, read only, whose keys are
     turned into a dict a chunk at a time. A chunk is a run of consecutive
-    sorted keys, about `_CHUNK_CHARS` characters of key text; it is
-    decoded on the first lookup of a key that sorts into it. A lookup
-    that hits is one dict read. One that misses bisects the chunks' first
-    keys, so it relies on the sorted key order the format prescribes.
-    Comparison, `len` and iteration decode every chunk."""
+    sorted keys, about `_CHUNK_CHARS` characters of key text, decoded on
+    the first lookup of a key that sorts into it. A lookup that hits is one
+    dict read; one that misses bisects the chunks' first keys. So a decoded
+    chunk must hold strictly increasing keys, below the next chunk's first
+    key; a key stored in a chunk that its own lookup never reaches reads as
+    absent. `len` and iteration decode every chunk."""
 
-    __slots__ = ("_found", "_text", "_pairs", "_index", "_firsts", "_chunks", "_left")
+    __slots__ = ("_found", "_text", "_pairs", "_index", "_firsts", "_pending", "_path")
 
-    def __init__(self, text: str, chunks: list[tuple[int, int, int, int]],
-                 pairs: list[tuple[int, int]], index: array) -> None:
+    def __init__(self, text: str, firsts: list[str], pending: dict[int, tuple[int, int, int]],
+                 pairs: list[tuple[int, int]], index: array, path: str | Path) -> None:
         self._found: dict[str, tuple[int, int]] = {}
         self._text, self._pairs, self._index = text, pairs, index
-        # As `_chunks` gives them; an entry turns None once decoded.
-        self._chunks: list[tuple[int, int, int, int] | None] = chunks
-        self._firsts: list[str] = []
-        for start, stop, _, _ in chunks:
-            end = text.find("\n", start, stop)
-            self._firsts.append(text[start : stop if end < 0 else end])
-        self._left = len(chunks)
+        # `pending` maps each chunk not yet decoded, by number, to its (start, stop, lo).
+        self._firsts, self._pending, self._path = firsts, pending, path
 
     def _decode_chunk(self, i: int) -> None:
-        start, stop, lo, hi = self._chunks[i]
-        self._chunks[i] = None
-        self._left -= 1
-        self._found.update(zip(self._text[start:stop].split("\n"),
-                               map(self._pairs.__getitem__, self._index[lo:hi])))
-        if not self._left:  # every key is in the dict: free the section's arrays
+        start, stop, lo = self._pending.pop(i)
+        keys = self._text[start:stop].split("\n")
+        size = len(self._found)
+        self._found.update(zip(keys, map(self._pairs.__getitem__,
+                                         self._index[lo : lo + len(keys)])))
+        if (keys != sorted(keys) or len(self._found) != size + len(keys)
+                or i + 1 < len(self._firsts) and keys[-1] >= self._firsts[i + 1]):
+            raise CacheError(f"{self._path}: model section keys are out of order")
+        if not self._pending:  # every key is in the dict: free the section's arrays
             self._text = self._pairs = self._index = None
 
     def get(self, key, default=None):
         pair = self._found.get(key)
-        if pair is None and self._left:
+        if pair is None and self._pending:
             i = bisect_right(self._firsts, key) - 1
-            if i >= 0 and self._chunks[i] is not None:
+            if i in self._pending:
                 self._decode_chunk(i)
                 pair = self._found.get(key)
         return default if pair is None else pair
 
     def _all(self) -> dict[str, tuple[int, int]]:
-        for i in range(len(self._chunks)):
-            if self._chunks[i] is not None:
-                self._decode_chunk(i)
+        for i in list(self._pending):
+            self._decode_chunk(i)
         return self._found
 
     def __getitem__(self, key: str) -> tuple[int, int]:
@@ -161,18 +162,12 @@ class _LazyEntries(Mapping):
     def __iter__(self) -> Iterator[str]:
         return iter(self._all())
 
-    def __eq__(self, other: object) -> bool:
-        return self._all() == other
 
-    def __repr__(self) -> str:
-        return repr(self._all())
-
-
-def _decode(payload: bytes, pos: int, lazy: bool) -> tuple[CountModel, int]:
-    """Check the section at `pos` whole; return its model and its end. The
-    entries are a `_LazyEntries` with `lazy`, else a dict of one chunk."""
+def _decode(payload: bytes, pos: int, path: str | Path) -> tuple[CountModel, int]:
+    """Check the section at `pos` whole; return its model, whose entries
+    are a `_LazyEntries`, and its end. Every fault begins `FILE: `."""
     if len(payload) - pos < _SECTION.size:
-        raise CacheError("model section ends inside its header")
+        raise CacheError(f"{path}: model section ends inside its header")
     count, keys_len, pair_count, total_female, total_male = _SECTION.unpack_from(payload, pos)
     keys_start = pos + _SECTION.size
     pairs_start = keys_start + keys_len
@@ -180,21 +175,19 @@ def _decode(payload: bytes, pos: int, lazy: bool) -> tuple[CountModel, int]:
     end = index_start + 4 * count
     if end > len(payload):
         raise CacheError(
-            f"model section promises {count} entries and {pair_count} pairs "
+            f"{path}: model section promises {count} entries and {pair_count} pairs "
             f"in {end - pos} bytes, {len(payload) - pos} remain"
         )
     try:
         key_text = payload[keys_start:pairs_start].decode("utf-8")
     except UnicodeDecodeError:
-        raise CacheError("model section keys are not valid UTF-8") from None
+        raise CacheError(f"{path}: model section keys are not valid UTF-8") from None
     # An empty model has no key bytes, and neither has a lone empty key.
-    if count or key_text:
-        chunks = _chunks(key_text, _CHUNK_CHARS if lazy else len(key_text))
-    else:
-        chunks = []
-    keys = chunks[-1][3] if chunks else 0
+    firsts, spans, keys = _chunks(key_text, _CHUNK_CHARS) if count or key_text else ([], {}, 0)
     if keys != count:
-        raise CacheError(f"model section header promises {count} keys, found {keys}")
+        raise CacheError(f"{path}: model section header promises {count} keys, found {keys}")
+    if sorted(set(firsts)) != firsts:
+        raise CacheError(f"{path}: model section keys are out of order")
     counts, index = array("q"), array(_INDEX)
     counts.frombytes(payload[pairs_start:index_start])
     index.frombytes(payload[index_start:end])
@@ -202,11 +195,10 @@ def _decode(payload: bytes, pos: int, lazy: bool) -> tuple[CountModel, int]:
         counts.byteswap()
         index.byteswap()
     if index and max(index) >= pair_count:
-        raise CacheError(f"model section has a pair index past its {pair_count} pairs")
+        raise CacheError(f"{path}: model section has a pair index past its {pair_count} pairs")
     it = iter(counts)
-    pairs = list(zip(it, it))
-    entries = _LazyEntries(key_text, chunks, pairs, index)
-    return CountModel(entries if lazy else entries._all(), total_female, total_male), end
+    entries = _LazyEntries(key_text, firsts, spans, list(zip(it, it)), index, path)
+    return CountModel(entries, total_female, total_male), end
 
 
 def save_cache(
@@ -263,15 +255,13 @@ def read_source_digest(path: str | Path) -> str:
 
 def load_cache(path: str | Path) -> ModelCache:
     """The two models of the cache at `path`, after `_read`'s checks and a
-    check of each section: its lengths, its keys' UTF-8, its key count and
-    its pair indexes' range. Any fault is a CacheError. The chinese keys
-    become a dict here; the english keys are decoded as lookups reach them."""
+    check of each section: its lengths, its keys' UTF-8, its key count, its
+    chunks' key order and its pair indexes' range. Any fault is a
+    CacheError. The chinese keys become a dict here; the english keys are
+    decoded as lookups reach them."""
     _, payload = _read(path)
-    try:
-        english, pos = _decode(payload, 0, lazy=True)
-        chinese, pos = _decode(payload, pos, lazy=False)
-        if pos != len(payload):
-            raise CacheError(f"{len(payload) - pos} bytes follow the model sections")
-    except CacheError as exc:
-        raise CacheError(f"{path}: {exc}") from None
-    return ModelCache(english=english, chinese=chinese)
+    english, pos = _decode(payload, 0, path)
+    chinese, pos = _decode(payload, pos, path)
+    if pos != len(payload):
+        raise CacheError(f"{path}: {len(payload) - pos} bytes follow the model sections")
+    return ModelCache(english, chinese._replace(entries=dict(chinese.entries)))

@@ -66,9 +66,11 @@ class ClassifierConfig(_ConfigFields):
             raise ValueError(
                 f"need 0.5 <= decisive_threshold < 1, got {self.decisive_threshold}"
             )
-        if not (math.isfinite(self.smoothing_alpha) and self.smoothing_alpha > 0):
+        # An int is finite at any size; math.isfinite would overflow turning it into a float.
+        alpha = self.smoothing_alpha
+        if not (alpha > 0 and (isinstance(alpha, int) or math.isfinite(alpha))):
             raise ValueError(
-                f"smoothing alpha must be a finite positive number: {self.smoothing_alpha}"
+                f"smoothing alpha must be a finite positive number: {alpha}"
             )
         if self.priors_mode not in ("empirical", "uniform"):
             raise ValueError(f"priors_mode must be empirical or uniform: {self.priors_mode}")

@@ -133,11 +133,24 @@ def _load_model(args: argparse.Namespace):
     return config, load_cache(args.cache)
 
 
-def _distinct_outputs(flags: list[tuple[str, str | None]]) -> None:
-    """Two output flags naming one file, through any path or link, would
-    each replace the other's bytes."""
+def _flag_values(args: argparse.Namespace, flags: tuple[str, ...]) -> list[tuple[str, str | None]]:
+    """Each flag with its value. --in is stored as `infile`: `in` is a keyword."""
+    return [(flag, getattr(args, "infile" if flag == "--in" else flag[2:].replace("-", "_")))
+            for flag in flags]
+
+
+def _distinct_files(inputs: list[tuple[str, str | None]],
+                    outputs: list[tuple[str, str | None]]) -> None:
+    """An output naming an input file or another output, through any path
+    or link, would replace bytes the run still reads or writes. A pipe or
+    a terminal is no file: `--in /dev/stdin --out /dev/stdout` is fine."""
+    from namecensus.textio import regular_file
+
     seen = {}
-    for flag, path in flags:
+    for flag, path in inputs:
+        if path and regular_file(path):
+            seen.setdefault(os.path.realpath(path), flag)
+    for flag, path in outputs:
         if path:
             real = os.path.realpath(path)
             if real in seen:
@@ -224,7 +237,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--chinese-csv", required=True, metavar="FILE.csv",
                    help="char,female,male frequency table")
     p.add_argument("--out", required=True, metavar="FILE.ncm")
-    p.set_defaults(func=cmd_build_cache, outputs=("--out",))
+    p.set_defaults(func=cmd_build_cache, inputs=(), outputs=("--out",))
 
     p = sub.add_parser("predict", help="predict a batch of names")
     _add_model_flags(p)
@@ -237,19 +250,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, metavar="RESULTS.csv")
     p.add_argument("--chart-json", default=None, metavar="CHART.json")
     p.add_argument("--chart-svg", default=None, metavar="CHART.svg")
-    p.set_defaults(func=cmd_predict, outputs=("--out", "--chart-json", "--chart-svg"))
+    p.set_defaults(func=cmd_predict, inputs=("--in", "--cache", "--config"),
+                   outputs=("--out", "--chart-json", "--chart-svg"))
 
     p = sub.add_parser("eval", help="score the names of a gold file against their labels")
     _add_model_flags(p)
     p.add_argument("--gold", required=True, metavar="GOLD.csv",
                    help="gold labels CSV: name,gender")
-    p.set_defaults(func=cmd_eval, outputs=())
+    p.set_defaults(func=cmd_eval, inputs=(), outputs=())
 
     p = sub.add_parser("chart", help="re-emit the chart from a results CSV")
     p.add_argument("--results", required=True, metavar="RESULTS.csv")
     p.add_argument("--json", required=True, metavar="CHART.json")
     p.add_argument("--svg", required=True, metavar="CHART.svg")
-    p.set_defaults(func=cmd_chart, outputs=("--json", "--svg"))
+    p.set_defaults(func=cmd_chart, inputs=("--results",), outputs=("--json", "--svg"))
     return parser
 
 
@@ -258,8 +272,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         from namecensus.textio import names_stdout
 
-        outputs = [(flag, getattr(args, flag[2:].replace("-", "_"))) for flag in args.outputs]
-        _distinct_outputs(outputs)
+        outputs = _flag_values(args, args.outputs)
+        _distinct_files(_flag_values(args, args.inputs), outputs)
         # Output written to stdout is kept free of the summary lines, so it can be piped.
         to_stderr = any(path and names_stdout(path) for _, path in outputs)
         with contextlib.redirect_stdout(sys.stderr) if to_stderr else contextlib.nullcontext():

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import random
 import re
 import struct
@@ -15,6 +16,7 @@ from namecensus.cache import (
     read_source_digest,
     save_cache,
 )
+from namecensus.cli import main
 from namecensus.corpus import CountModel
 from namecensus.errors import CacheError, NamecensusError
 
@@ -242,7 +244,7 @@ def random_key(rng):
 
 
 def decoded_chunks(entries):
-    return sum(chunk is None for chunk in entries._chunks)
+    return len(entries._firsts) - len(entries._pending)
 
 
 @pytest.mark.parametrize("chunk_chars", [1, 5, 16, 1024])
@@ -358,6 +360,82 @@ def test_inconsistent_section_is_format_error(tmp_path, edit, message):
     rewrite_payload(path, edit)
     with pytest.raises(CacheError, match=f"^{re.escape(str(path))}: {message}$"):
         load_cache(path)
+
+
+def edit_keys(change, section=lambda payload: 0):
+    """An edit that stores `change(keys)` as the keys of the section at
+    `section(payload)`: `keys` lists each stored key's bytes with its pair
+    index, in stored order. The key text must keep its length."""
+    def edit(payload):
+        start = section(payload)
+        count, keys_len, pairs, *_ = SECTION.unpack_from(payload, start)
+        keys_start = start + SECTION.size
+        index_start = keys_start + keys_len + 16 * pairs
+        keys = bytes(payload[keys_start : keys_start + keys_len]).split(b"\n")
+        index = struct.unpack_from(f"<{count}I", payload, index_start)
+        keys, index = zip(*change(list(zip(keys, index))))
+        payload[keys_start : keys_start + keys_len] = b"\n".join(keys)
+        struct.pack_into(f"<{count}I", payload, index_start, *index)
+        return payload
+    return edit
+
+
+def swap(i, j):
+    def change(keys):
+        keys[i], keys[j] = keys[j], keys[i]
+        return keys
+    return change
+
+
+def repeat(i, j):
+    """Key j becomes a second copy of key i, keeping its own pair index."""
+    def change(keys):
+        keys[j] = (keys[i][0], keys[j][1])
+        return keys
+    return change
+
+
+def shuffle(keys):
+    random.Random(5).shuffle(keys)
+    return keys
+
+
+def save_many_chunk_cache(path):
+    """2,000 four-letter English keys, some ten chunks, and three Han characters."""
+    keys = ["".join(p) for p in itertools.product("abcdefgh", repeat=4)][:2000]
+    english = CountModel.from_entries({key: (i % 7, i % 5) for i, key in enumerate(keys)})
+    chinese = CountModel.from_entries({"娟": (30, 1), "刚": (1, 30), "青": (55, 45)})
+    save_cache(english, chinese, path)
+
+
+# A section whose keys are out of the sorted order lookups bisect on, with
+# a valid digest. English keys in insertion order put the chunks' first
+# keys out of order; the chinese section is decoded whole at load.
+@pytest.mark.parametrize("edit", [edit_keys(shuffle), edit_keys(swap(0, 1), second_section)],
+                         ids=["english-insertion-order", "chinese-swap"])
+def test_keys_out_of_order_fail_at_load(tmp_path, edit):
+    path = tmp_path / "m.ncm"
+    save_many_chunk_cache(path)
+    rewrite_payload(path, edit)
+    with pytest.raises(CacheError, match=f"^{re.escape(str(path))}: "
+                                         "model section keys are out of order$"):
+        load_cache(path)
+
+
+# Keys out of order, or repeated, inside one English chunk pass load. The
+# first lookup that decodes that chunk fails the run before any row is written.
+@pytest.mark.parametrize("change", [swap(5, 6), repeat(5, 6)], ids=["swap", "repeat"])
+def test_disordered_english_chunk_fails_the_predict_that_reads_it(tmp_path, capsys, change):
+    bad = tmp_path / "bad.ncm"
+    save_many_chunk_cache(bad)
+    rewrite_payload(bad, edit_keys(change))
+    load_cache(bad)
+    names = tmp_path / "names.txt"
+    names.write_text("Aaab Smith\n", encoding="utf-8")  # key 1, in the first chunk
+    out = tmp_path / "results.csv"
+    assert main(["predict", "--cache", str(bad), "--in", str(names), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {bad}: model section keys are out of order\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.ncm", "names.txt"]
 
 
 @pytest.mark.parametrize("entries, named", [

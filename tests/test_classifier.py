@@ -209,6 +209,8 @@ class TestClassify:
         for alpha in (0.0, float("nan"), float("inf")):
             with pytest.raises(ValueError, match="finite positive"):
                 ClassifierConfig(smoothing_alpha=alpha)
+        # An int of any size is finite, though no float can hold it.
+        assert ClassifierConfig(smoothing_alpha=10**400).smoothing_alpha == 10**400
         with pytest.raises(ValueError):
             ClassifierConfig(priors_mode="bogus")
 

@@ -252,6 +252,21 @@ class TestPredict:
             decision_oracle(cache.english.entries, cache.chinese.entries, "Han", "龘青",
                             alpha=float(value))]
 
+    def test_huge_integer_alpha_in_config_rows_match_oracle(self, tmp_path, mini_cache):
+        # JSON keeps an integer exact, past any float; it is scored as that integer.
+        alpha = 10**400
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(f'{{"alpha": {alpha}}}', encoding="utf-8")
+        infile = tmp_path / "names.txt"
+        infile.write_text("王龘青\n王娟\n", encoding="utf-8")
+        out = tmp_path / "o.csv"
+        assert main(["predict", "--cache", str(mini_cache), "--in", str(infile),
+                     "--out", str(out), "--config", str(cfg)]) == 0
+        cache, rows = load_cache(mini_cache), read_rows(out)
+        assert [(row["gender"], row["probability"]) for row in rows] == [
+            decision_oracle(cache.english.entries, cache.chinese.entries, "Han", given,
+                            alpha=alpha) for given in ("龘青", "娟")]
+
     def test_alpha_out_of_range_without_corpus_character_exit_0(self, tmp_path, mini_cache):
         # 王龘's given name has no corpus character, so it is Unknown at any
         # alpha, even one whose float likelihood would overflow or underflow.
@@ -947,8 +962,9 @@ def test_cache_written_to_stdout(tmp_path, mini_corpus, stdout):
     assert result.stderr.startswith(b"wrote cache: /dev/stdout\n")
 
 
-# Two output flags naming one file, by any path or link to it, are refused
-# before any name is read, and no file is touched.
+# Two output flags naming one file, or an output naming an input file, by
+# any path or link to it, are refused before any name is read, and no file
+# is touched.
 @pytest.mark.parametrize("argv, flags, path", [
     (["predict", "--out", "r.csv", "--chart-json", "c", "--chart-svg", "./c"],
      ("--chart-json", "--chart-svg"), "./c"),
@@ -958,23 +974,40 @@ def test_cache_written_to_stdout(tmp_path, mini_corpus, stdout):
      ("--out", "--chart-svg"), "r.csv"),
     (["chart", "--json", "c", "--svg", "c"], ("--json", "--svg"), "c"),
     (["chart", "--json", "c", "--svg", "./c"], ("--json", "--svg"), "./c"),
+    (["predict", "--out", "m.ncm"], ("--cache", "--out"), "m.ncm"),
+    (["predict", "--out", "./names.txt"], ("--in", "--out"), "./names.txt"),
+    (["predict", "--config", "cfg.json", "--out", "cfg.json"], ("--config", "--out"), "cfg.json"),
+    (["predict", "--in", "c", "--out", "r.csv", "--chart-json", "j.json", "--chart-svg", "link"],
+     ("--in", "--chart-svg"), "link"),
+    (["chart", "--json", "results.csv", "--svg", "s.svg"], ("--results", "--json"), "results.csv"),
 ], ids=["predict-c-and-./c", "predict-link", "predict-out-and-svg", "chart-c-and-c",
-        "chart-c-and-./c"])
+        "chart-c-and-./c", "predict-cache-and-out", "predict-in-and-out",
+        "predict-config-and-out", "predict-in-and-link", "chart-results-and-json"])
 def test_two_outputs_naming_one_file_exit_1(tmp_path, monkeypatch, mini_cache, capsys,
                                            argv, flags, path):
     monkeypatch.chdir(tmp_path)
     Path("names.txt").write_text("Hua Zhao\n王娟\n", encoding="utf-8")
     Path("results.csv").write_text("item,name,gender\n1,Hua Zhao,Female\n", encoding="utf-8")
+    Path("m.ncm").write_bytes(mini_cache.read_bytes())
+    Path("cfg.json").write_text("{}", encoding="utf-8")
     Path("c").write_bytes(b"old\n")
     Path("link").symlink_to("c")
-    inputs = {"predict": ["--cache", str(mini_cache), "--in", "names.txt"],
+    inputs = {"predict": ["--cache", "m.ncm", "--in", "names.txt"],
               "chart": ["--results", "results.csv"]}[argv[0]]
     before = _tree(tmp_path)
-    assert main([*argv, *inputs]) == 1
+    assert main([argv[0], *inputs, *argv[1:]]) == 1
     captured = capsys.readouterr()
     assert captured.err == f"error: {flags[0]} and {flags[1]} name the same file: {path}\n"
     assert captured.out == ""
     assert _tree(tmp_path) == before
+
+
+def test_input_and_output_that_are_no_file_may_coincide(mini_cache, capsys):
+    # /dev/null, like a terminal named by /dev/stdin and /dev/stdout, is no
+    # file to replace: the run goes on to read it, and finds no names.
+    assert main(["predict", "--cache", str(mini_cache), "--in", os.devnull,
+                 "--out", os.devnull]) == 1
+    assert capsys.readouterr().err == f"error: {os.devnull}: no name records found\n"
 
 
 class TestChartCommand:
