@@ -18,7 +18,7 @@ from namecensus.classifier import (
 )
 from namecensus.corpus import CountModel, normalize_name_key
 from namecensus.errors import NamecensusError
-from namecensus.scriptdetect import _HAN, _LATIN, _MIXED, Script
+from namecensus.scriptdetect import _LATIN, Script
 from namecensus.textio import column, csv_rows, replace_file, split_lines, text_blocks
 
 
@@ -127,10 +127,6 @@ def _field(field: str) -> str:
     return field
 
 
-# The (label, "label,probability") text of every row without evidence.
-_UNKNOWN_TEXT = (GenderLabel.UNKNOWN.value, f"{GenderLabel.UNKNOWN.value},")
-
-
 def predict_to_results(
     english: CountModel,
     chinese: CountModel,
@@ -141,34 +137,27 @@ def predict_to_results(
     """Predict every name into the results CSV at `path`, as `names` is
     iterated; returns its label counts. Each distinct name is stripped,
     routed and its row formatted once; the memo holds that row text.
-    Each distinct Han given name, and each Latin corpus entry, is decided
-    once."""
+    Each distinct decision key is decided once."""
     entries = english.entries
-    # Keyed by the evidence a decision depends on: a Han given name, or
-    # the model's own (female, male) tuple of a Latin given name, so a
-    # Latin key costs no memory and names with equal counts share it.
-    decisions: dict[str | tuple[int, int], tuple[str, str]] = {}
+    # Keyed by the evidence a decision depends on: the model's own
+    # (female, male) tuple of a Latin given name, so a Latin key costs no
+    # memory and names with equal counts share it, or None for a Latin name
+    # the corpus lacks; any other given name is its own key, "" for Empty
+    # and Other.
+    decisions: dict[str | tuple[int, int] | None, tuple[str, str]] = {}
     # One value per distinct decision text, shared by all keys that have it.
     texts: dict[str, tuple[str, str]] = {}
 
     def row(raw_name: str) -> _Row:
         name = raw_name.strip()
         script, given = route(name)
-        if script is _LATIN:
-            key = entries.get(normalize_name_key(given))
-        elif script is _HAN or script is _MIXED:
-            key = given
-        else:
-            key = None
-        if key is None:
-            label, text = _UNKNOWN_TEXT
-        else:
-            decision = decisions.get(key)
-            if decision is None:
-                post, gender = decide(english, chinese, config, script, given)
-                text = f"{gender.value},{printed_probability(post)}"
-                decision = decisions[key] = texts.setdefault(text, (gender.value, text))
-            label, text = decision
+        key = entries.get(normalize_name_key(given)) if script is _LATIN else given
+        decision = decisions.get(key)
+        if decision is None:
+            post, gender = decide(english, chinese, config, script, given)
+            text = f"{gender.value},{printed_probability(post)}"
+            decision = decisions[key] = texts.setdefault(text, (gender.value, text))
+        label, text = decision
         # The script column is the member's `_value_`, a plain attribute:
         # `.value` and `Enum.__hash__` run Python code.
         return label, _field(name), f",{text},{script._value_},{_field(given)}\n"
@@ -208,7 +197,7 @@ def read_result_labels(path: str | Path) -> list[GenderLabel]:
                     f"{path}:{reader.line_num}: unknown gender label {row[col]!r}"
                 ) from None
     if not labels:
-        raise NamecensusError(f"no result rows in {path}")
+        raise NamecensusError(f"{path}: no result rows")
     return labels
 
 

@@ -125,14 +125,20 @@ class _LazyEntries(Mapping):
         self._firsts, self._pending, self._path = firsts, pending, path
 
     def _decode_chunk(self, i: int) -> None:
-        start, stop, lo = self._pending.pop(i)
+        start, stop, lo = self._pending[i]
         keys = self._text[start:stop].split("\n")
-        size = len(self._found)
-        self._found.update(zip(keys, map(self._pairs.__getitem__,
-                                         self._index[lo : lo + len(keys)])))
-        if (keys != sorted(keys) or len(self._found) != size + len(keys)
-                or i + 1 < len(self._firsts) and keys[-1] >= self._firsts[i + 1]):
+        found = self._found
+        size = len(found)
+        if keys == sorted(keys) and (i + 1 == len(self._firsts) or keys[-1] < self._firsts[i + 1]):
+            found.update(zip(keys, map(self._pairs.__getitem__, self._index[lo : lo + len(keys)])))
+        # A chunk out of order adds no key, and one with a repeated key adds
+        # too few: either way its keys are taken back out and it stays
+        # pending, so every lookup into it fails the same way.
+        if len(found) != size + len(keys):
+            while len(found) > size:
+                found.popitem()
             raise CacheError(f"{self._path}: model section keys are out of order")
+        del self._pending[i]
         if not self._pending:  # every key is in the dict: free the section's arrays
             self._text = self._pairs = self._index = None
 

@@ -216,6 +216,33 @@ class TestPredictToResults:
             b"3,Hua Zhao,Female,0.8000,Latin,Hua", "4,王青,Unisex,0.5500,Han,青".encode(),
             b"5,1234,Unknown,,Empty,"]
 
+    # One name or more of each kind: Latin corpus entries, two of them with
+    # equal counts; Latin names the corpus lacks, one a quoted field; Han and
+    # Mixed names with and without a known character; Empty; Other.
+    KINDS = ["Hua Zhao", " HUA Smith", "Jo Brown", "Phil Barker", "Mary Smith", "Zxqv Q",
+             "Gray, Alasdair", "王青", "李青娟", "赵乙", "王青 (Qing Wang)", "赵乙 (Yi Zhao)",
+             "1234", " ---", "Иван Петров", "Ὅμηρος"]
+
+    # The decision memo shares one key among names without evidence: None for
+    # Latin, "" for Empty and Other. No key may merge rows that print differently.
+    @pytest.mark.parametrize("config", [
+        CFG, ClassifierConfig(priors_mode="uniform"), ClassifierConfig(smoothing_alpha=0.3),
+    ], ids=["default", "uniform", "alpha-0.3"])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_shuffled_repeats_equal_run_batch(self, tmp_path, config, seed):
+        english = CountModel(entries={"hua": (80, 20), "jo": (80, 20), "phil": (0, 160)},
+                             total_female=160, total_male=200)
+        chinese = CountModel(entries={"青": (55, 45), "娟": (30, 1)},
+                             total_female=85, total_male=46)
+        rng = random.Random(seed)
+        names = [name for name in self.KINDS for _ in range(rng.randint(1, 4))]
+        rng.shuffle(names)
+        path, ref = tmp_path / "out.csv", tmp_path / "ref.csv"
+        stats = predict_to_results(english, chinese, config, names, path)
+        preds = run_batch(english, chinese, config, [NameRecord(name) for name in names])
+        assert stats == write_results(preds, ref)
+        assert path.read_bytes() == ref.read_bytes()
+
 
 class TestRunBatch:
     def test_order_and_index_preserved(self, tmp_path):

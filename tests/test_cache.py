@@ -438,6 +438,21 @@ def test_disordered_english_chunk_fails_the_predict_that_reads_it(tmp_path, caps
     assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.ncm", "names.txt"]
 
 
+# A chunk that fails its check is left undecoded, so a caller that catches
+# the fault and looks up again into that chunk gets the fault again.
+@pytest.mark.parametrize("change", [swap(5, 6), repeat(5, 6)], ids=["swap", "repeat"])
+def test_disordered_english_chunk_fails_every_lookup_into_it(tmp_path, change):
+    path = tmp_path / "m.ncm"
+    save_many_chunk_cache(path)
+    rewrite_payload(path, edit_keys(change))
+    entries = load_cache(path).english.entries
+    for key in ("aaab", "aaab", "aaac"):  # keys 1, 1 and 2, in the first chunk
+        with pytest.raises(CacheError, match=f"^{re.escape(str(path))}: "
+                                             "model section keys are out of order$"):
+            entries.get(key)
+    assert entries.get("hhhh") is None and entries.get("dhbh") == (1999 % 7, 1999 % 5)
+
+
 @pytest.mark.parametrize("entries, named", [
     ({"a\nb": (1, 1)}, "newline"),
     ({"a": (1, 1), "b\nc": (2, 0), "d": (1, 1)}, r"key 'b\\nc': it contains a newline"),

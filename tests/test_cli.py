@@ -18,6 +18,7 @@ from namecensus.cache import FORMAT_VERSION, MAGIC, load_cache, save_cache
 from namecensus.classifier import ClassifierConfig, decide, route
 from namecensus.cli import main
 from namecensus.corpus import CountModel
+import corpusgen
 from oracles import decision_oracle
 
 CACHE_HEADER_SIZE = len(MAGIC) + 4 + 32 + 32 + 8  # magic, version, both digests, payload length
@@ -387,6 +388,30 @@ class TestPredict:
         out = tmp_path / "results.csv"
         assert main(["predict", "--in", str(infile), "--out", str(out)]) == 0
 
+    def test_no_cache_flag_or_env_var_exit_1(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.delenv("NAMECENSUS_CACHE", raising=False)
+        infile = tmp_path / "names.txt"
+        infile.write_text("Hua Zhao\n", encoding="utf-8")
+        out = tmp_path / "results.csv"
+        assert main(["predict", "--in", str(infile), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "error: missing required flag --cache\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("content, flags, fault", [
+        ("", [], "empty input"),
+        ("name\nHua Zhao\n", ["--no-header", "--name-column", "name"],
+         "name column 'name' needs a header row"),
+    ], ids=["empty-file", "name-column-without-header"])
+    def test_unreadable_csv_input_exit_1(self, tmp_path, mini_cache, capsys, content, flags,
+                                         fault):
+        infile = tmp_path / "names.csv"
+        infile.write_text(content, encoding="utf-8")
+        out = tmp_path / "results.csv"
+        assert main(["predict", "--cache", str(mini_cache), "--in", str(infile),
+                     "--out", str(out), *flags]) == 1
+        assert capsys.readouterr().err == f"error: {infile}: {fault}\n"
+        assert not out.exists()
+
     def test_names_with_line_breaks_read_back_in_order(self, tmp_path, mini_cache, capsys):
         names = ["Hua\rZhao", "Mary\rSmith", "王\r娟", "Phil\nBarker", 'Jordan "J" Q',
                  "Gray, Alasdair", "Hua\u2028Zhao", "\ufeffPhil Barker", "Hua Zhao"]
@@ -465,10 +490,11 @@ class TestPredict:
         assert main(["predict", "--cache", str(mini_cache), "--in", str(infile),
                      "--out", str(out)]) == 0
         assert sorted(routed) == sorted(set(names))
-        # One decision per Han given name or Latin corpus entry: Hua and HUA
-        # share an entry, and 王娟, 李娟 and the Mixed entry share 娟; "Gray,"
-        # is in no corpus and 1234 is Empty, so neither is decided.
-        assert sorted(decided) == [("Han", "娟"), ("Latin", "Hua")]
+        # One decision per evidence key: Hua and HUA share a corpus entry,
+        # 王娟, 李娟 and the Mixed entry share 娟, "Gray," is the one Latin
+        # name in no corpus and 1234 the one Empty name.
+        assert sorted(decided) == [("Empty", ""), ("Han", "娟"), ("Latin", "Gray,"),
+                                   ("Latin", "Hua")]
         assert [row["name"] for row in read_rows(out)] == names
 
     # The benchmark's three workloads, at a small size.
@@ -631,6 +657,29 @@ mismatches:
         assert len(data) == 1_609_010
         assert hashlib.sha256(data).hexdigest() == (
             "dc77f38d569f48b2618c60d733aff4c62411c0f86d1823582049617988d3f027")
+
+    # A seeded mixed batch, then repeats of one name of each Unknown cause,
+    # a Mixed name and a quoted field: no change to the batch path may
+    # change a byte of the results or the chart.
+    GOLDEN_TAIL = ["1234", "Иван Петров", "Zxqv Smith", "赵乙", "王娟 (Juan Wang)",
+                   "Gray, Alasdair"]
+
+    def test_predict_golden_digest(self, tmp_path, cache_path):
+        infile = tmp_path / "names.txt"
+        corpusgen.write_mixed_batch(infile, 2000, seed=7)
+        with infile.open("a", encoding="utf-8") as fh:
+            fh.write("\n".join(self.GOLDEN_TAIL * 3) + "\n")
+        out, chart_json, chart_svg = (tmp_path / name for name in ("r.csv", "c.json", "c.svg"))
+        assert main(["predict", "--cache", str(cache_path), "--in", str(infile),
+                     "--out", str(out), "--chart-json", str(chart_json),
+                     "--chart-svg", str(chart_svg)]) == 0
+        digests = [hashlib.sha256(path.read_bytes()).hexdigest()
+                   for path in (out, chart_json, chart_svg)]
+        assert digests == [
+            "fac2b3024d11284645c0145fb6ac4a34a6cea869abe8c1d9f6ec6e01357a2695",
+            "b7e714a9419b23ead121d42ade71eb0e6236f6bae425d07a2b1752069e4717f8",
+            "dfd50800d469b1059721df2d2325836cf8b4c4a9e85d386f6316c7a9f596d549",
+        ]
 
     def test_eval_accuracy(self, tmp_path, cache_path, capsys):
         gold = tmp_path / "gold.csv"
@@ -1036,6 +1085,7 @@ class TestChartCommand:
         ("item,name,label\n1,Hua Zhao,Female\n", "gender' in header ['item', 'name', 'label']"),
         ("item,name,gender\n1,Hua Zhao,Female\n2,Wang,female\n",
          "results.csv:3: unknown gender label 'female'"),
+        ("item,name,gender\n", "results.csv: no result rows\n"),
     ])
     def test_bad_results_exit_1(self, tmp_path, capsys, content, named):
         results = tmp_path / "results.csv"

@@ -285,6 +285,8 @@ class TestChineseCorpus:
     @pytest.mark.parametrize("row, fault", [
         ("娟,3,x", "non-integer count"),
         ("娟,3," + "1" * 5000, "count has too many digits"),  # past int()'s limit on digits
+        ("娟,3", "expected 3 columns, got 2"),
+        ("娟,3,1,0", "expected 3 columns, got 4"),
     ])
     def test_bad_count_is_a_short_line(self, tmp_path, row, fault):
         path = self.write(tmp_path, [row])
