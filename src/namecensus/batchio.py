@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import io
 import itertools
+from collections import Counter
 from collections.abc import Callable, Iterable, Iterator
+from operator import itemgetter
 from pathlib import Path
 from typing import NamedTuple, TypeVar
 
@@ -40,7 +42,8 @@ def _csv_names(path: Path, name_column: str | int, has_header: bool) -> Iterator
         if first is None:
             raise NamecensusError(f"{path}: empty input")
         col: int
-        if isinstance(name_column, int) or str(name_column).isdigit():
+        # Only ASCII digits make an index: int() also reads "٣" as 3.
+        if isinstance(name_column, int) or (name_column.isascii() and name_column.isdigit()):
             col = int(name_column)
             rows = reader if has_header else itertools.chain([first], reader)
         else:
@@ -100,22 +103,21 @@ def iter_names(
 _T = TypeVar("_T")
 
 
-def _memoised(fn: Callable[[str], _T], keys: Iterable[str]) -> Iterator[_T]:
-    """`fn(key)` for every key, in order. Each distinct key is computed
-    once and its repeats share the value, so the memo holds one entry
-    per distinct key."""
-    memo: dict[str, _T] = {}
-    for key in keys:
-        value = memo.get(key)
-        if value is None:
-            value = memo[key] = fn(key)
-        yield value
-
-
 RESULT_FIELDS = ["item", "name", "gender", "probability", "script", "given_name"]
 
-# (label, name field, rest): the row is f"{item},{name field}{rest}".
-_Row = tuple[str, str, str]
+# (label, rest): the row is f"{item},{rest}", rest ending in LF.
+_Row = tuple[str, str]
+
+# Rows are formatted, counted and written a block at a time: the per-row
+# work of a block runs in C calls. A block's list, rows and text are
+# alive together, so it bounds the memory a batch adds to its memos.
+_BLOCK = 1024
+
+
+def _blocks(items: Iterable[_T]) -> Iterator[list[_T]]:
+    """`items` in order, as lists of up to `_BLOCK` items."""
+    it = iter(items)
+    return iter(lambda: list(itertools.islice(it, _BLOCK)), [])
 
 
 def _field(field: str) -> str:
@@ -135,9 +137,9 @@ def predict_to_results(
     path: str | Path,
 ) -> AggregateStats:
     """Predict every name into the results CSV at `path`, as `names` is
-    iterated; returns its label counts. Each distinct name is stripped,
-    routed and its row formatted once; the memo holds that row text.
-    Each distinct decision key is decided once."""
+    iterated a block at a time; returns its label counts. Each distinct
+    name is stripped, routed and its row formatted once; the memo holds
+    that row text. Each distinct decision key is decided once."""
     entries = english.entries
     # Keyed by the evidence a decision depends on: the model's own
     # (female, male) tuple of a Latin given name, so a Latin key costs no
@@ -147,35 +149,48 @@ def predict_to_results(
     decisions: dict[str | tuple[int, int] | None, tuple[str, str]] = {}
     # One value per distinct decision text, shared by all keys that have it.
     texts: dict[str, tuple[str, str]] = {}
+    # The row of each distinct raw name, so a repeat costs no Python code.
+    memo: dict[str, _Row] = {}
 
-    def row(raw_name: str) -> _Row:
-        name = raw_name.strip()
-        script, given = route(name)
-        key = entries.get(normalize_name_key(given)) if script is _LATIN else given
-        decision = decisions.get(key)
-        if decision is None:
-            post, gender = decide(english, chinese, config, script, given)
-            text = f"{gender.value},{printed_probability(post)}"
-            decision = decisions[key] = texts.setdefault(text, (gender.value, text))
-        label, text = decision
-        # The script column is the member's `_value_`, a plain attribute:
-        # `.value` and `Enum.__hash__` run Python code.
-        return label, _field(name), f",{text},{script._value_},{_field(given)}\n"
+    def rows(block: list[str]) -> list[_Row]:
+        # A name repeated within the block is in the memo by its second turn.
+        for raw_name in itertools.filterfalse(memo.__contains__, block):
+            name = raw_name.strip()
+            script, given = route(name)
+            key = entries.get(normalize_name_key(given)) if script is _LATIN else given
+            decision = decisions.get(key)
+            if decision is None:
+                post, gender = decide(english, chinese, config, script, given)
+                text = f"{gender.value},{printed_probability(post)}"
+                decision = decisions[key] = texts.setdefault(text, (gender.value, text))
+            label, text = decision
+            # The given name is a substring of the name, or Han characters
+            # of it, so it needs quoting only where the name does.
+            field = _field(name)
+            if field is not name:
+                given = _field(given)
+            # The script column is the member's `_value_`, a plain attribute:
+            # `.value` and `Enum.__hash__` run Python code.
+            memo[raw_name] = label, f"{field},{text},{script._value_},{given}\n"
+        return list(map(memo.__getitem__, block))
 
-    return _write_rows(_memoised(row, names), path)
+    return _write_rows(map(rows, _blocks(names)), path)
 
 
-def _write_rows(rows: Iterable[_Row], path: str | Path) -> AggregateStats:
-    """The results CSV of `rows`, written through `textio.replace_file`;
-    returns its label counts. item is the 1-based row position."""
+def _write_rows(blocks: Iterable[list[_Row]], path: str | Path) -> AggregateStats:
+    """The results CSV of the rows of `blocks`, written a block at a time
+    through `textio.replace_file`; returns its label counts. item is the
+    1-based row position."""
     # Counted by label value: a str hashes in C, an Enum member in Python.
-    counts = dict.fromkeys((label.value for label in GenderLabel), 0)
+    counts: Counter[str] = Counter()
+    item = 1
     with replace_file(path) as out, io.TextIOWrapper(out, encoding="utf-8", newline="\n") as fh:
-        write = fh.write
-        write(",".join(RESULT_FIELDS) + "\n")
-        for item, (label, name, rest) in enumerate(rows, start=1):
-            counts[label] += 1
-            write(f"{item},{name}{rest}")
+        fh.write(",".join(RESULT_FIELDS) + "\n")
+        for rows in blocks:
+            counts.update(map(itemgetter(0), rows))
+            end = item + len(rows)
+            fh.write("".join(map("{},{}".format, range(item, end), map(itemgetter(1), rows))))
+            item = end
         # Inside the block, so a batch of zero rows leaves `path` as it was.
         return _stats({label: counts[label.value] for label in GenderLabel})
 
@@ -242,6 +257,18 @@ def read_input(
     return [NameRecord(name) for name in iter_names(path, format, name_column, has_header)]
 
 
+def _memoised(fn: Callable[[str], _T], keys: Iterable[str]) -> Iterator[_T]:
+    """`fn(key)` for every key, in order. Each distinct key is computed
+    once and its repeats share the value, so the memo holds one entry
+    per distinct key."""
+    memo: dict[str, _T] = {}
+    for key in keys:
+        value = memo.get(key)
+        if value is None:
+            value = memo[key] = fn(key)
+        yield value
+
+
 def run_batch(
     english: CountModel,
     chinese: CountModel,
@@ -261,19 +288,17 @@ def run_batch(
 
 def _row(pred: Prediction) -> _Row:
     """The results row of `pred`, all but its item; probability is the max
-    posterior, blank for Unknown. The name field of a plain name is
-    `pred.raw_name` itself, so a memo entry keyed by the name does not
-    copy it."""
+    posterior, blank for Unknown."""
     prob = printed_probability(pred.posterior)
     label = pred.label.value
-    rest = f",{label},{prob},{pred.script.value},{_field(pred.given)}\n"
-    return label, _field(pred.raw_name), rest
+    rest = f"{_field(pred.raw_name)},{label},{prob},{pred.script.value},{_field(pred.given)}\n"
+    return label, rest
 
 
 def write_results(predictions: Iterable[Prediction], path: str | Path) -> AggregateStats:
-    """Results CSV of `predictions`, written as they are iterated; returns
-    its label counts."""
-    return _write_rows(map(_row, predictions), path)
+    """Results CSV of `predictions`, written a block at a time as they are
+    iterated; returns its label counts."""
+    return _write_rows(_blocks(map(_row, predictions)), path)
 
 
 def aggregate(predictions: Iterable[Prediction]) -> AggregateStats:

@@ -81,13 +81,9 @@ def detect_script(raw_name: str) -> Script:
     if han_re.search(raw_name):
         rest = han_re.sub("", raw_name)
         return Script.MIXED if any(map(is_latin_letter, rest)) else Script.HAN
-    has_other_alpha = False
-    for ch in raw_name:
-        if is_latin_letter(ch):
-            return Script.LATIN
-        if ch.isalpha():
-            has_other_alpha = True
-    return Script.OTHER if has_other_alpha else Script.EMPTY
+    if any(map(is_latin_letter, raw_name)):
+        return Script.LATIN
+    return Script.OTHER if any(map(str.isalpha, raw_name)) else Script.EMPTY
 
 
 def han_substring(raw_name: str) -> str:

@@ -204,6 +204,46 @@ class TestIterNames:
         assert abs(large - small) <= 0.1 * small
 
 
+class TestBlocks:
+    """A batch is formatted and written in blocks of `batchio._BLOCK` rows;
+    the bytes do not depend on where a block ends."""
+
+    NAMES = ["Hua Zhao", "王青", "Hua Zhao", "Gray, Alasdair", "王青", "1234", "Hua Zhao",
+             "Zxqv Q", "王青 (Qing Wang)", "Gray, Alasdair"]
+
+    @staticmethod
+    def outputs(tmp_path, names):
+        predicted, written = tmp_path / "predicted.csv", tmp_path / "written.csv"
+        stats = predict_to_results(ENG, CHI, CFG, iter(names), predicted)
+        records = [NameRecord(name) for name in names]
+        assert write_results(iter(run_batch(ENG, CHI, CFG, records)), written) == stats
+        return predicted.read_bytes(), written.read_bytes(), stats
+
+    @pytest.mark.parametrize("block", [1, 2, 3])
+    def test_block_boundaries_give_the_default_bytes(self, tmp_path, monkeypatch, block):
+        # Repeats across a boundary, exactly one block, one block plus one row.
+        batches = [self.NAMES, self.NAMES[:block], self.NAMES[:block + 1],
+                   self.NAMES[-block:] + self.NAMES[:block]]
+        want = [self.outputs(tmp_path, names) for names in batches]
+        monkeypatch.setattr(batchio, "_BLOCK", block)
+        for names, expected in zip(batches, want):
+            got = self.outputs(tmp_path, names)
+            assert got == expected, names
+            assert got[0] == got[1]
+
+    @pytest.mark.parametrize("block", [1, 2, 3])
+    def test_zero_names_leave_out_as_it_was(self, tmp_path, monkeypatch, block):
+        monkeypatch.setattr(batchio, "_BLOCK", block)
+        path = tmp_path / "out.csv"
+        path.write_bytes(b"old\n")
+        with pytest.raises(NamecensusError, match="^cannot aggregate zero predictions$"):
+            predict_to_results(ENG, CHI, CFG, iter([]), path)
+        with pytest.raises(NamecensusError, match="^cannot aggregate zero predictions$"):
+            write_results(iter([]), path)
+        assert path.read_bytes() == b"old\n"
+        assert list(tmp_path.iterdir()) == [path]
+
+
 class TestPredictToResults:
     def test_names_print_stripped_with_predicts_row(self, tmp_path):
         names = [" Mary Smith ", "\u3000王青 ", "Hua Zhao\t", "王青", " 1234"]

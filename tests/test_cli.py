@@ -372,6 +372,23 @@ class TestPredict:
                      "--out", str(out), "--no-header", "--name-column", "1"]) == 0
         assert read_rows(out)[0]["gender"] == "Male"
 
+    # Only ASCII digits are an index: int() would read "٣" as 3 and fail on "²".
+    @pytest.mark.parametrize("column", ["٣", "²"])
+    def test_non_ascii_digits_name_a_header_column(self, tmp_path, mini_cache, capsys,
+                                                   column):
+        infile = tmp_path / "names.csv"
+        infile.write_text("a,b,c,d\n1,2,3,Phil Barker\n", encoding="utf-8")
+        out = tmp_path / "results.csv"
+        assert main(["predict", "--cache", str(mini_cache), "--in", str(infile),
+                     "--out", str(out), "--name-column", column]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {infile}:1: no column {column!r} in header ['a', 'b', 'c', 'd']\n")
+        assert not out.exists()
+        infile.write_text(f"a,b,c,{column},e\n1,2,3,Phil Barker,Hua Zhao\n", encoding="utf-8")
+        assert main(["predict", "--cache", str(mini_cache), "--in", str(infile),
+                     "--out", str(out), "--name-column", column]) == 0
+        assert read_rows(out)[0]["name"] == "Phil Barker"
+
     def test_byte_identical_reruns(self, tmp_path, mini_cache):
         infile = tmp_path / "names.txt"
         infile.write_text("Hua Zhao\n王娟\n王青\n", encoding="utf-8")

@@ -190,6 +190,30 @@ def test_memoised_rows_match_oracle_and_run_batch(tmp_path, seed):
             assert got == (tmp_path / "ref.csv").read_bytes()
 
 
+# Names holding a comma, a quote, an LF or a CR: the given name is quoted
+# with its name, or printed plain when only the name holds the character.
+QUOTED_POOL = [
+    ("Gray, Alasdair", "Latin", "Gray,"), ('Mary "M" Smith', "Latin", "Mary"),
+    ('"Mary" Smith', "Latin", '"Mary"'), ('"Ann""" Lee', "Latin", '"Ann"""'),
+    ("Mary\rSmith", "Latin", "Mary"), ("Ann\nLee", "Latin", "Ann"),
+    ("Ann\r\nLee", "Latin", "Ann"), ("Jo,Lee Smith", "Latin", "Jo,Lee"),
+    ("José, Smith", "Latin", "José,"), ("Mary, Ann", "Latin", "Mary,"),
+    ("赵娟, Juan", "Mixed", "娟"), ('王青 (Qing "Q" Wang)', "Mixed", "青"),
+    ("赵\r青", "Han", "青"), ('"赵刚"', "Han", "刚"),
+    ("Иван, Петров", "Other", ""), ("12,34", "Empty", ""), ("Mary Smith", "Latin", "Mary"),
+]
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_quoted_names_match_csv_writer_oracle(tmp_path, seed):
+    rng = random.Random(seed)
+    names = rng.choices(QUOTED_POOL, k=60)
+    english, chinese = MEMO_MODELS[0]
+    for config in CONFIGS:
+        got, want = results_and_oracle(tmp_path, english, chinese, config, names)
+        assert got == want, config
+
+
 def test_posterior_near_a_boundary_carries_the_exact_value():
     model = CountModel.from_entries({"ann": (3, 2), "bo": (7, 3)})
     post = posterior_english(model, "ann")  # exactly 3/5, the threshold
