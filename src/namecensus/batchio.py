@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import io
 import itertools
 from collections import Counter
 from collections.abc import Callable, Iterable, Iterator
@@ -30,27 +29,36 @@ class AggregateStats(NamedTuple):
     total: int
 
 
-def _txt_names(path: Path) -> Iterator[str]:
-    for block in text_blocks(path):
-        # No name holds the line list, so it is freed before the next block is read.
-        yield from filter(None, map(str.strip, split_lines(block)))
+def _txt_names(block: str) -> Iterator[str]:
+    """The names of one block of a txt file. No name holds the block's line
+    list, so it is freed before the next block is read."""
+    return filter(None, map(str.strip, split_lines(block)))
 
 
-def _csv_names(path: Path, name_column: str | int, has_header: bool) -> Iterator[str]:
+def _csv_names(path: Path, name_column: str | int, has_header: bool) -> Iterator[list[str]]:
+    """The names of a CSV file, in lists of up to `_BLOCK`."""
+    # Only ASCII digits make an index: int() also reads "٣" as 3.
+    if isinstance(name_column, str) and name_column.isascii() and name_column.isdigit():
+        name_column = int(name_column)
+    # A bool is an int, and a negative index would count from the row's end.
+    if not (isinstance(name_column, str) or (type(name_column) is int and name_column >= 0)):
+        raise NamecensusError(
+            f"name column must be a header name or an index of 0 or more, got {name_column!r}"
+        )
     with csv_rows(path) as reader:
         first = next(reader, None)
         if first is None:
             raise NamecensusError(f"{path}: empty input")
         col: int
-        # Only ASCII digits make an index: int() also reads "٣" as 3.
-        if isinstance(name_column, int) or (name_column.isascii() and name_column.isdigit()):
-            col = int(name_column)
+        if isinstance(name_column, int):
+            col = name_column
             rows = reader if has_header else itertools.chain([first], reader)
         else:
             if not has_header:
                 raise NamecensusError(f"{path}: name column {name_column!r} needs a header row")
             col = column(path, first, name_column)
             rows = reader
+        names: list[str] = []
         for row in rows:
             try:
                 name = row[col].strip()
@@ -61,7 +69,11 @@ def _csv_names(path: Path, name_column: str | int, has_header: bool) -> Iterator
                     ) from None
                 continue  # a blank row
             if name:
-                yield name
+                names.append(name)
+                if len(names) == _BLOCK:
+                    yield names
+                    names = []
+        yield names
 
 
 def input_format(path: str | Path, format: str = "auto") -> str:
@@ -83,21 +95,30 @@ def iter_names(
     txt is one name per line; csv takes `name_column` (header name or
     0-based index); auto picks by file extension. Records end only at
     LF, CRLF or CR; other Unicode line boundaries, such as U+0085 or
-    U+2028, stay inside the name.
+    U+2028, stay inside the name. A fault, such as a missing file, is
+    raised by the first `next()`. The names are handed on in C, with no
+    Python frame resumed per name.
     """
-    path = Path(path)
+    return itertools.chain.from_iterable(_name_runs(Path(path), format, name_column, has_header))
+
+
+def _name_runs(
+    path: Path, format: str, name_column: str | int, has_header: bool
+) -> Iterator[Iterable[str]]:
+    """`iter_names` as two runs: the first name, checked to exist, then the rest."""
     format = input_format(path, format)
     if format == "txt":
-        names = _txt_names(path)
+        blocks = map(_txt_names, text_blocks(path))
     elif format == "csv":
-        names = _csv_names(path, name_column, has_header)
+        blocks = _csv_names(path, name_column, has_header)
     else:
         raise NamecensusError(f"unknown input format {format!r}")
+    names = itertools.chain.from_iterable(blocks)
     first = next(names, None)
     if first is None:
         raise NamecensusError(f"{path}: no name records found")
-    yield first
-    yield from names
+    yield (first,)
+    yield names
 
 
 _T = TypeVar("_T")
@@ -105,8 +126,9 @@ _T = TypeVar("_T")
 
 RESULT_FIELDS = ["item", "name", "gender", "probability", "script", "given_name"]
 
-# (label, rest): the row is f"{item},{rest}", rest ending in LF.
-_Row = tuple[str, str]
+# (label, rest): the row is b"%d" % item + rest, rest the UTF-8 of
+# ",name,gender,probability,script,given_name\n".
+_Row = tuple[str, bytes]
 
 # Rows are formatted, counted and written a block at a time: the per-row
 # work of a block runs in C calls. A block's list, rows and text are
@@ -138,8 +160,8 @@ def predict_to_results(
 ) -> AggregateStats:
     """Predict every name into the results CSV at `path`, as `names` is
     iterated a block at a time; returns its label counts. Each distinct
-    name is stripped, routed and its row formatted once; the memo holds
-    that row text. Each distinct decision key is decided once."""
+    name is stripped, routed and its row formatted and encoded once; the
+    memo holds those row bytes. Each distinct decision key is decided once."""
     entries = english.entries
     # Keyed by the evidence a decision depends on: the model's own
     # (female, male) tuple of a Latin given name, so a Latin key costs no
@@ -161,17 +183,16 @@ def predict_to_results(
             decision = decisions.get(key)
             if decision is None:
                 post, gender = decide(english, chinese, config, script, given)
-                text = f"{gender.value},{printed_probability(post)}"
-                decision = decisions[key] = texts.setdefault(text, (gender.value, text))
+                # `_value_` is a plain attribute: `.value` runs Python code.
+                text = f"{gender._value_},{printed_probability(post)}"
+                decision = decisions[key] = texts.setdefault(text, (gender._value_, text))
             label, text = decision
             # The given name is a substring of the name, or Han characters
             # of it, so it needs quoting only where the name does.
             field = _field(name)
             if field is not name:
                 given = _field(given)
-            # The script column is the member's `_value_`, a plain attribute:
-            # `.value` and `Enum.__hash__` run Python code.
-            memo[raw_name] = label, f"{field},{text},{script._value_},{given}\n"
+            memo[raw_name] = label, f",{field},{text},{script._value_},{given}\n".encode()
         return list(map(memo.__getitem__, block))
 
     return _write_rows(map(rows, _blocks(names)), path)
@@ -184,12 +205,14 @@ def _write_rows(blocks: Iterable[list[_Row]], path: str | Path) -> AggregateStat
     # Counted by label value: a str hashes in C, an Enum member in Python.
     counts: Counter[str] = Counter()
     item = 1
-    with replace_file(path) as out, io.TextIOWrapper(out, encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(RESULT_FIELDS) + "\n")
+    with replace_file(path) as out:
+        out.write(",".join(RESULT_FIELDS).encode() + b"\n")
         for rows in blocks:
             counts.update(map(itemgetter(0), rows))
             end = item + len(rows)
-            fh.write("".join(map("{},{}".format, range(item, end), map(itemgetter(1), rows))))
+            numbers = map(b"%d".__mod__, range(item, end))
+            out.write(b"".join(itertools.chain.from_iterable(
+                zip(numbers, map(itemgetter(1), rows)))))
             item = end
         # Inside the block, so a batch of zero rows leaves `path` as it was.
         return _stats({label: counts[label.value] for label in GenderLabel})
@@ -291,8 +314,8 @@ def _row(pred: Prediction) -> _Row:
     posterior, blank for Unknown."""
     prob = printed_probability(pred.posterior)
     label = pred.label.value
-    rest = f"{_field(pred.raw_name)},{label},{prob},{pred.script.value},{_field(pred.given)}\n"
-    return label, rest
+    rest = f",{_field(pred.raw_name)},{label},{prob},{pred.script.value},{_field(pred.given)}\n"
+    return label, rest.encode()
 
 
 def write_results(predictions: Iterable[Prediction], path: str | Path) -> AggregateStats:

@@ -10,9 +10,7 @@ from typing import NamedTuple
 
 from namecensus.corpus import CountModel, normalize_name_key
 from namecensus.namesplit import default_compound_surnames, split_english
-from namecensus.scriptdetect import (
-    _HAN, _LATIN, _MIXED, Script, common_script, detect_script, han_substring,
-)
+from namecensus.scriptdetect import _HAN, _LATIN, _MIXED, Script, common_script, script_and_han
 
 
 class GenderLabel(enum.Enum):
@@ -22,6 +20,11 @@ class GenderLabel(enum.Enum):
     MALE = "Male"
     UNISEX = "Unisex"
     UNKNOWN = "Unknown"
+
+
+# As the Script aliases: a `GenderLabel.X` read runs Python code.
+_FEMALE, _MALE, _UNISEX, _UNKNOWN = (
+    GenderLabel.FEMALE, GenderLabel.MALE, GenderLabel.UNISEX, GenderLabel.UNKNOWN)
 
 
 class Posterior(NamedTuple):
@@ -62,6 +65,12 @@ class ClassifierConfig(_ConfigFields):
 
     def __new__(cls, *args, **kwargs) -> ClassifierConfig:
         self = super().__new__(cls, *args, **kwargs)
+        # `_decimal` reads the threshold's repr as a float's: a Fraction, a
+        # Decimal or a float subclass would pass the range check and fail there.
+        if type(self.decisive_threshold) is not float:
+            raise ValueError(
+                f"decisive_threshold must be a float, got {self.decisive_threshold!r}"
+            )
         if not (0.5 <= self.decisive_threshold < 1.0):
             raise ValueError(
                 f"need 0.5 <= decisive_threshold < 1, got {self.decisive_threshold}"
@@ -139,15 +148,15 @@ def classify(post: Posterior, config: ClassifierConfig) -> GenderLabel:
     below the threshold is Unisex; no evidence is Unknown. Each weight's
     share is compared with the threshold's decimal value, exactly."""
     if not post.evidence_found:
-        return GenderLabel.UNKNOWN
+        return _UNKNOWN
     female, male = post.female, post.male
     digits, scale = _decimal(config.decisive_threshold)
     cut = digits * (female + male)
     if female * scale > cut:
-        return GenderLabel.FEMALE
+        return _FEMALE
     if male * scale > cut:
-        return GenderLabel.MALE
-    return GenderLabel.UNISEX
+        return _MALE
+    return _UNISEX
 
 
 def printed_probability(post: Posterior) -> str:
@@ -178,9 +187,9 @@ def route(name: str) -> tuple[Script, str]:
     Han substring; Empty and Other have no given name.
 
     ASCII and all-Han names, the common shapes, are routed by one regex
-    match each; every other name takes `detect_script`, then
-    `split_english` or the Han split of its Han substring. Both ways give
-    the same (script, given).
+    match each; every other name takes `script_and_han`, the slow path of
+    `detect_script`, then `split_english` or the Han split of its Han
+    substring. Both ways give the same (script, given).
     """
     script = common_script(name)
     han = name
@@ -188,10 +197,9 @@ def route(name: str) -> tuple[Script, str]:
         match = _ASCII_GIVEN_RE.match(name)
         return script, match[1] if match else name.split(None, 1)[0]
     if script is None:
-        script = detect_script(name)
+        script, han = script_and_han(name)
         if script is _LATIN:
             return script, split_english(name).given
-        han = han_substring(name)
     if script is not _HAN and script is not _MIXED:
         return script, ""
     # split_chinese's rule, without building a SplitName: a listed compound
@@ -218,6 +226,6 @@ def decide(
     elif script is _HAN or script is _MIXED:
         post = posterior_chinese(chinese, given, config)
     else:
-        return _NO_EVIDENCE, GenderLabel.UNKNOWN
+        return _NO_EVIDENCE, _UNKNOWN
     return post, classify(post, config)
 

@@ -23,10 +23,10 @@ _HAN_RANGES = (
 
 @functools.cache
 def _han_re() -> re.Pattern[str]:
-    """A run of Han characters, compiled on first use: an up-to-date
-    build-cache never detects a script."""
+    """A run of Han characters, captured, compiled on first use: an
+    up-to-date build-cache never detects a script."""
     return re.compile(
-        "[" + "".join(f"\\U{lo:08X}-\\U{hi:08X}" for lo, hi in _HAN_RANGES) + "]+"
+        "([" + "".join(f"\\U{lo:08X}-\\U{hi:08X}" for lo, hi in _HAN_RANGES) + "]+)"
     )
 
 
@@ -67,6 +67,21 @@ def common_script(name: str) -> Script | None:
     return _HAN if _han_re().fullmatch(name) else None
 
 
+def script_and_han(name: str) -> tuple[Script, str]:
+    """`detect_script` of a name that `common_script` does not know, and
+    its Han characters, in order. One split cuts the name into its Han
+    runs and the rest, and only the rest is scanned for Latin letters, so
+    no Han character enters `is_latin_letter`'s cache."""
+    parts = _han_re().split(name)  # the rest and the Han runs, alternating
+    rest = "".join(parts[::2])
+    latin = any(map(is_latin_letter, rest))
+    if len(parts) > 1:
+        return (_MIXED if latin else _HAN), "".join(parts[1::2])
+    if latin:
+        return _LATIN, ""
+    return (Script.OTHER if any(map(str.isalpha, rest)) else _EMPTY), ""
+
+
 def detect_script(raw_name: str) -> Script:
     """Pure, total script verdict; digits and punctuation never count.
 
@@ -75,15 +90,7 @@ def detect_script(raw_name: str) -> Script:
     letters at all means Empty.
     """
     script = common_script(raw_name)
-    if script is not None:
-        return script
-    han_re = _han_re()
-    if han_re.search(raw_name):
-        rest = han_re.sub("", raw_name)
-        return Script.MIXED if any(map(is_latin_letter, rest)) else Script.HAN
-    if any(map(is_latin_letter, raw_name)):
-        return Script.LATIN
-    return Script.OTHER if any(map(str.isalpha, raw_name)) else Script.EMPTY
+    return script_and_han(raw_name)[0] if script is None else script
 
 
 def han_substring(raw_name: str) -> str:

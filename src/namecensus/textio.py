@@ -7,9 +7,11 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 import os
 from collections.abc import Iterator
 from contextlib import contextmanager
+from functools import partial
 from pathlib import Path
 from typing import BinaryIO
 
@@ -175,9 +177,10 @@ def csv_rows(path: str | Path) -> Iterator[Iterator[list[str]]]:
     ends only at LF, CRLF or CR, and a quoted field may span lines. A
     malformed row raises `FILE:LINE: <csv message>` from the block; the
     reader's `line_num` is the last line of the row last read."""
-    # newline="" splits lines at LF, CRLF and CR only, and keeps their ends.
+    # newline="" splits lines at LF, CRLF and CR only, and keeps their ends;
+    # the lines are handed on in C, with no Python frame resumed per line.
     reader = csv.reader(
-        line for block in text_blocks(path) for line in io.StringIO(block, newline="")
+        itertools.chain.from_iterable(map(partial(io.StringIO, newline=""), text_blocks(path)))
     )
     try:
         yield reader

@@ -96,21 +96,44 @@ def _chinese_fraction(
     return w_female / (w_female + w_male)
 
 
+def script_oracle(name: str) -> tuple[Script, str]:
+    """`scriptdetect.detect_script` of a name and its Han characters, by a
+    loop over its characters and the Han code point ranges: Han and a Latin
+    letter make Mixed, Han alone Han, a Latin letter alone Latin, another
+    letter alone Other, and no letter Empty."""
+    from namecensus.scriptdetect import _HAN_RANGES, Script
+
+    han, latin, other = [], False, False
+    for ch in name:
+        if any(lo <= ord(ch) <= hi for lo, hi in _HAN_RANGES):
+            han.append(ch)
+        elif ch.isalpha():
+            if unicodedata.name(ch, "").startswith("LATIN"):
+                latin = True
+            else:
+                other = True
+    if han:
+        return (Script.MIXED if latin else Script.HAN), "".join(han)
+    if latin:
+        return Script.LATIN, ""
+    return (Script.OTHER if other else Script.EMPTY), ""
+
+
 def route_oracle(name: str) -> tuple[Script, str]:
-    """`classifier.route` of a stripped name by script detection and the
+    """`classifier.route` of a stripped name by `script_oracle` and the
     split alone, for every name: Latin takes split_english, Han and Mixed
     split_chinese of their Han substring, and Empty and Other have no
     given name."""
     # Imported here: the benchmark's checks import this module without
     # the package on the path.
     from namecensus.namesplit import default_compound_surnames, split_chinese, split_english
-    from namecensus.scriptdetect import Script, detect_script, han_substring
+    from namecensus.scriptdetect import Script
 
-    script = detect_script(name)
+    script, han = script_oracle(name)
     if script is Script.LATIN:
         return script, split_english(name).given
     if script is Script.HAN or script is Script.MIXED:
-        return script, split_chinese(han_substring(name), default_compound_surnames()).given
+        return script, split_chinese(han, default_compound_surnames()).given
     return script, ""
 
 

@@ -26,7 +26,7 @@ from namecensus.classifier import ClassifierConfig, GenderLabel, Posterior
 from namecensus.corpus import CountModel
 from namecensus.errors import NamecensusError
 from namecensus.scriptdetect import Script
-from oracles import results_csv_oracle
+from oracles import decision_oracle, results_csv_oracle, route_oracle
 
 CFG = ClassifierConfig()
 ENG = CountModel(entries={"hua": (80, 20)}, total_female=80, total_male=20)
@@ -114,6 +114,37 @@ class TestReadInput:
         with pytest.raises(NamecensusError) as exc:
             read_input(path)
         assert str(exc.value) == f"{path}:{line}: row has no column index 1"
+
+    # An index is an int of 0 or more: -1 would read the last column and
+    # True column 1.
+    @pytest.mark.parametrize("name_column", [-1, True, False, 1.0, None])
+    @pytest.mark.parametrize("has_header", [True, False])
+    def test_bad_column_index_is_refused(self, tmp_path, name_column, has_header):
+        path = tmp_path / "names.csv"
+        path.write_text("name,id\nHua Zhao,7\n", encoding="utf-8")
+        names = iter_names(path, name_column=name_column, has_header=has_header)
+        with pytest.raises(NamecensusError) as exc:
+            next(names)
+        assert str(exc.value) == (
+            "name column must be a header name or an index of 0 or more, "
+            f"got {name_column!r}")
+
+    # Nothing is read until the first name is asked for; then a fault is raised.
+    @pytest.mark.parametrize("filename, content, kwargs, message", [
+        ("nope.txt", None, {}, "file not found"),
+        ("nope.csv", None, {}, "file not found"),
+        ("names.txt", "Hua Zhao\n", {"format": "xml"}, "unknown input format 'xml'"),
+        ("names.txt", "\n \n", {}, "no name records found"),
+        ("names.csv", "name\n\n", {}, "no name records found"),
+    ])
+    def test_faults_are_raised_by_the_first_next(self, tmp_path, filename, content, kwargs,
+                                                 message):
+        path = tmp_path / filename
+        names = iter_names(path, **kwargs)
+        if content is not None:
+            path.write_text(content, encoding="utf-8")
+        with pytest.raises(NamecensusError, match=f"{message}$"):
+            next(names)
 
     def test_empty_input_distinct_error(self, tmp_path):
         path = tmp_path / "names.txt"
@@ -242,6 +273,31 @@ class TestBlocks:
             write_results(iter([]), path)
         assert path.read_bytes() == b"old\n"
         assert list(tmp_path.iterdir()) == [path]
+
+
+class TestFourByteCharacters:
+    """Rows are kept and written as UTF-8 bytes: names with characters
+    outside the BMP, some quoted, give csv.writer's bytes across blocks."""
+
+    NAMES = ["\U00020000青", "王\U00020000, Jr.", 'Hua "😀"', '😀 "Hua" Zhao', '"😀"',
+             "😀\U00020000", '青, "😀"', "Ж😀, 青", "Hua Zhao", "\U00020000青"]
+
+    @pytest.mark.parametrize("block", [1, 2, 3, 1024])
+    def test_rows_equal_csv_writer_reference(self, tmp_path, monkeypatch, block):
+        monkeypatch.setattr(batchio, "_BLOCK", block)
+        names = self.NAMES + self.NAMES[::-1]
+        rows = []
+        for item, name in enumerate(names, 1):
+            script, given = route_oracle(name)
+            gender, prob = decision_oracle(ENG.entries, CHI.entries, script.value, given)
+            rows.append([item, name, gender, prob, script.value, given])
+        want = results_csv_oracle(rows)
+        assert "\U00020000".encode() in want and "😀".encode() in want
+        predicted, written = tmp_path / "predicted.csv", tmp_path / "written.csv"
+        predict_to_results(ENG, CHI, CFG, iter(names), predicted)
+        write_results(run_batch(ENG, CHI, CFG, [NameRecord(name) for name in names]), written)
+        assert predicted.read_bytes() == want
+        assert written.read_bytes() == want
 
 
 class TestPredictToResults:

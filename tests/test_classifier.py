@@ -2,6 +2,8 @@ import copy
 import math
 import pickle
 import random
+from decimal import Decimal
+from fractions import Fraction
 
 import pytest
 
@@ -203,6 +205,26 @@ class TestClassify:
         assert [decide(english, chinese, cfg, *route(n)) for n in names] != [
             decide(english, chinese, CFG, *route(n)) for n in names]
 
+    # A threshold is read by its float repr: any other number, a bool
+    # included, is refused however the config is built.
+    @pytest.mark.parametrize("threshold", [Fraction(3, 5), Decimal("0.6"), True],
+                             ids=["Fraction", "Decimal", "bool"])
+    @pytest.mark.parametrize("build", [
+        lambda t: ClassifierConfig(decisive_threshold=t),
+        lambda t: ClassifierConfig._make([t, 1.0, "empirical"]),
+        lambda t: CFG._replace(decisive_threshold=t),
+    ], ids=["new", "make", "replace"])
+    def test_non_float_threshold_is_refused(self, build, threshold):
+        with pytest.raises(ValueError) as exc:
+            build(threshold)
+        assert str(exc.value) == f"decisive_threshold must be a float, got {threshold!r}"
+
+    def test_label_aliases_are_the_label_members(self):
+        from namecensus import classifier
+
+        for label in GenderLabel:
+            assert getattr(classifier, "_" + label.name) is label
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
             ClassifierConfig(decisive_threshold=0.4)
@@ -260,11 +282,14 @@ class TestRoute:
     # Tokens of the random names: ASCII letters, initials, digits,
     # punctuation and whitespace (U+001C and U+001F are whitespace too);
     # Han with listed compound surnames and an extension-B character; and
-    # non-ASCII letters, fullwidth A, the ideographic space and a zero-width space.
+    # non-ASCII Latin letters (a titlecase digraph among them), Cyrillic and
+    # Greek letters, an Arabic-Indic digit, a CJK compatibility ideograph
+    # (not Han), fullwidth A, the ideographic space and a zero-width space.
+    # So Han runs meet non-ASCII Latin, Other and Empty text.
     ASCII_TOKENS = ["A", "a", "B", "z", ".", "1", ",", "-", "'", " ", "\t", "\x0b",
                     "\x1c", "\x1f", "Mary", "J."]
     HAN_TOKENS = ["王", "青", "欧阳", "司马", "龘", "\U00020000"]
-    OTHER_TOKENS = ["é", "Ж", "\uff21", "\u3000", "\u200b"]
+    OTHER_TOKENS = ["é", "ß", "Ø", "ǅ", "Ж", "λ", "١", "豈", "\uff21", "\u3000", "\u200b"]
 
     def test_equals_oracle_on_random_names(self):
         # One name in three is drawn from ASCII tokens only and one from Han

@@ -11,8 +11,9 @@ from namecensus.scriptdetect import (
     detect_script,
     han_substring,
     is_han,
-    is_latin_letter,
+    script_and_han,
 )
+from oracles import script_oracle
 
 
 @pytest.mark.parametrize(
@@ -77,30 +78,10 @@ def test_is_han_covers_extension_blocks():
     assert not is_han("")
 
 
-# Reference: the range-loop detector that the compiled Han class replaced.
+# Reference: the range loop that the compiled Han class replaced.
 def reference_is_han(ch):
     cp = ord(ch)
     return any(lo <= cp <= hi for lo, hi in _HAN_RANGES)
-
-
-def reference_detect_script(raw_name):
-    has_han = has_latin = has_other_alpha = False
-    for ch in raw_name:
-        if reference_is_han(ch):
-            has_han = True
-        elif is_latin_letter(ch):
-            has_latin = True
-        elif ch.isalpha():
-            has_other_alpha = True
-    if has_han and has_latin:
-        return Script.MIXED
-    if has_han:
-        return Script.HAN
-    if has_latin:
-        return Script.LATIN
-    if has_other_alpha:
-        return Script.OTHER
-    return Script.EMPTY
 
 
 def test_is_han_equals_range_loop_on_every_code_point():
@@ -152,11 +133,12 @@ def test_detect_script_and_han_substring_equal_range_loop():
         name = "".join(
             rng.choice(rng.choice(pools)) for _ in range(rng.randint(0, 10))
         )
-        assert detect_script(name) is reference_detect_script(name), repr(name)
-        assert common_script(name) in (None, reference_detect_script(name)), repr(name)
-        assert han_substring(name) == "".join(
-            ch for ch in name if reference_is_han(ch)
-        ), repr(name)
+        script, han = script_oracle(name)
+        assert detect_script(name) is script, repr(name)
+        assert common_script(name) in (None, script), repr(name)
+        assert han_substring(name) == han, repr(name)
+        if common_script(name) is None:
+            assert script_and_han(name) == (script, han), repr(name)
 
 
 def test_han_pattern_compiled_on_first_use():
