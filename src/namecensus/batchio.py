@@ -201,7 +201,11 @@ def predict_to_results(
 def _write_rows(blocks: Iterable[list[_Row]], path: str | Path) -> AggregateStats:
     """The results CSV of the rows of `blocks`, written a block at a time
     through `textio.replace_file`; returns its label counts. item is the
-    1-based row position."""
+    1-based row position. A block's bytes are one `bytes % tuple` call:
+    the format repeats b"%d%s" once per row of the block, and the tuple
+    holds each row's item and rest in turn, so no Python code runs per row.
+    A `%` inside a name is in a rest, an argument, so it is never read as
+    a format."""
     # Counted by label value: a str hashes in C, an Enum member in Python.
     counts: Counter[str] = Counter()
     item = 1
@@ -210,9 +214,10 @@ def _write_rows(blocks: Iterable[list[_Row]], path: str | Path) -> AggregateStat
         for rows in blocks:
             counts.update(map(itemgetter(0), rows))
             end = item + len(rows)
-            numbers = map(b"%d".__mod__, range(item, end))
-            out.write(b"".join(itertools.chain.from_iterable(
-                zip(numbers, map(itemgetter(1), rows)))))
+            args: list[int | bytes] = [b""] * (2 * len(rows))
+            args[::2] = range(item, end)
+            args[1::2] = map(itemgetter(1), rows)
+            out.write(b"%d%s" * len(rows) % tuple(args))
             item = end
         # Inside the block, so a batch of zero rows leaves `path` as it was.
         return _stats({label: counts[label.value] for label in GenderLabel})

@@ -6,9 +6,11 @@ message`, or `FILE: message` for a path that cannot be opened or written."""
 from __future__ import annotations
 
 import csv
+import errno
 import io
 import itertools
 import os
+import stat
 from collections.abc import Iterator
 from contextlib import contextmanager
 from functools import partial
@@ -83,14 +85,17 @@ def replace_file(path: str | Path) -> Iterator[BinaryIO]:
     """`path` opened for writing bytes, for use in a `with` block. The bytes
     go to a temp file beside `path`, which replaces `path` when the block
     ends cleanly; on any fault the temp file is removed and `path` is left
-    as it was. A symlink is kept, even one whose target does not exist yet:
-    the temp file goes beside the file it names and replaces that file. A
-    path naming an open descriptor, such as /dev/stdout, is written through
-    a copy of that descriptor: renaming over it would replace the file
-    behind it, and reopening it would truncate that file. A pipe or a
-    device is written in place. A missing parent directory is raised as
-    `FILE: directory not found`, a directory as `FILE: is a directory`, a
-    write fault as `FILE: message`."""
+    as it was. The temp file is created exclusively, under a fresh name if
+    one is taken, so no file or link already there is written through or
+    removed; it has the permission bits of the file it replaces from its
+    creation on, and a new file has the umask's. A symlink is kept, even
+    one whose target does not exist yet: the temp file goes beside the file
+    it names and replaces that file. A path naming an open descriptor, such
+    as /dev/stdout, is written through a copy of that descriptor: renaming
+    over it would replace the file behind it, and reopening it would
+    truncate that file. A pipe or a device is written in place. A missing
+    parent directory is raised as `FILE: directory not found`, a directory
+    as `FILE: is a directory`, a write fault as `FILE: message`."""
     tmp = None
     fd = _descriptor(path)
     if fd is not None:
@@ -100,10 +105,15 @@ def replace_file(path: str | Path) -> Iterator[BinaryIO]:
             raise NamecensusError(f"{path}: {exc.strerror or exc}") from None
     else:
         target = Path(os.path.realpath(path))  # a symlink stays: the file it names is replaced
-        if target.is_file() or not target.exists():  # a pipe or a device cannot be renamed over
-            tmp = target.with_name(f".{target.name}.{os.getpid()}.tmp")
         try:
-            raw = _Output(tmp or target, "w")
+            mode = os.stat(target).st_mode
+        except OSError:
+            mode = None
+        try:
+            if mode is None or stat.S_ISREG(mode):  # a pipe or a device cannot be renamed over
+                raw, tmp = _create_beside(target, mode)
+            else:
+                raw = _Output(target, "w")
         except IsADirectoryError:
             raise NamecensusError(f"{path}: is a directory") from None
         except (FileNotFoundError, NotADirectoryError):
@@ -118,6 +128,35 @@ def replace_file(path: str | Path) -> Iterator[BinaryIO]:
         if tmp:
             tmp.unlink(missing_ok=True)
         raise
+
+
+def _create_beside(target: Path, mode: int | None) -> tuple[_Output, Path]:
+    """A new temp file in `target`'s directory, opened for writing, and its
+    path. It is created exclusively, so an existing file or link of the
+    same name is never opened; a taken name is passed over for a random
+    one. With the `mode` of the file it will replace, it gets that file's
+    permission bits before a byte is written; otherwise the umask's."""
+    bits = 0o666 if mode is None else stat.S_IMODE(mode)
+    name = f".{target.name}.{os.getpid()}.tmp"
+    for _ in range(100):
+        tmp = target.with_name(name)
+        try:
+            # Created with the bits the umask lets through, so it is never
+            # open to more readers than the file it replaces.
+            raw = _Output(tmp, "x", opener=partial(os.open, mode=bits))
+            break
+        except FileExistsError:
+            name = f".{target.name}.{os.getpid()}.{os.urandom(4).hex()}.tmp"
+    else:
+        raise FileExistsError(errno.EEXIST, "no free temp file name", str(tmp))
+    if mode is not None:
+        try:
+            os.fchmod(raw.fileno(), bits)  # the bits the umask took away
+        except BaseException:
+            raw.close()
+            tmp.unlink()
+            raise
+    return raw, tmp
 
 
 def text_blocks(path: str | Path) -> Iterator[str]:

@@ -44,7 +44,7 @@ def _report(criterion: str, ok: bool) -> None:
 def _cli(args, timeout=120):
     return subprocess.run(
         [sys.executable, "-m", "namecensus", *args],
-        capture_output=True, text=True, timeout=timeout,
+        capture_output=True, text=True, encoding="utf-8", timeout=timeout,
     )
 
 
@@ -201,12 +201,12 @@ def test_criterion_7_corpus_integrity(tmp_path, full_models):
             for i in range(30) for s in ("F", "M")]
     a_dir, b_dir = tmp_path / "a", tmp_path / "b"
     a_dir.mkdir(), b_dir.mkdir()
-    (a_dir / "yob2014.txt").write_text("\n".join(rows[:40]) + "\n")
-    (a_dir / "yob2015.txt").write_text("\n".join(rows[40:]) + "\n")
+    (a_dir / "yob2014.txt").write_text("\n".join(rows[:40]) + "\n", encoding="utf-8")
+    (a_dir / "yob2015.txt").write_text("\n".join(rows[40:]) + "\n", encoding="utf-8")
     shuffled = rows[:]
     rng.shuffle(shuffled)
-    (b_dir / "yob2014.txt").write_text("\n".join(shuffled[:13]) + "\n")
-    (b_dir / "yob2015.txt").write_text("\n".join(shuffled[13:]) + "\n")
+    (b_dir / "yob2014.txt").write_text("\n".join(shuffled[:13]) + "\n", encoding="utf-8")
+    (b_dir / "yob2015.txt").write_text("\n".join(shuffled[13:]) + "\n", encoding="utf-8")
     ok &= load_english_year_files(a_dir) == load_english_year_files(b_dir)
     # full-corpus cardinality, order-of-magnitude only
     english, _ = full_models

@@ -300,6 +300,35 @@ class TestFourByteCharacters:
         assert written.read_bytes() == want
 
 
+class TestPercentSigns:
+    """A block's rows are written by one `bytes % tuple` call: a `%` in a
+    name or given name is data, never a format, and item numbers are right
+    across every change of digit count and block end."""
+
+    NAMES = ["%d %s", "%s Hua", "%% Zhao", "%(x)s Wang", "%b Li", "Hua%d Zhao", "王青%s",
+             '"%d", %s', "% Hua", "%", "Hua Zhao", "%d"]
+    # 2,050 rows: items 9/10, 99/100, 999/1000, 1024/1025 and 2048/2049.
+    ROWS = 2050
+
+    @pytest.mark.parametrize("block", [1, 2, 3, 1024])
+    def test_rows_equal_csv_writer_reference(self, tmp_path, monkeypatch, block):
+        monkeypatch.setattr(batchio, "_BLOCK", block)
+        names = [self.NAMES[i % len(self.NAMES)] for i in range(self.ROWS)]
+        oracle = {}
+        for name in self.NAMES:
+            script, given = route_oracle(name)
+            gender, prob = decision_oracle(ENG.entries, CHI.entries, script.value, given)
+            oracle[name] = [name, gender, prob, script.value, given]
+        want = results_csv_oracle([[item, *oracle[name]] for item, name in enumerate(names, 1)])
+        assert b"\n1,%d %s,Unknown,,Latin,%d\n" in want
+        assert want.endswith(b"\n2049,% Hua,Unknown,,Latin,%\n2050,%,Unknown,,Empty,\n")
+        predicted, written = tmp_path / "predicted.csv", tmp_path / "written.csv"
+        predict_to_results(ENG, CHI, CFG, iter(names), predicted)
+        write_results(run_batch(ENG, CHI, CFG, [NameRecord(name) for name in names]), written)
+        assert predicted.read_bytes() == want
+        assert written.read_bytes() == want
+
+
 class TestPredictToResults:
     def test_names_print_stripped_with_predicts_row(self, tmp_path):
         names = [" Mary Smith ", "\u3000王青 ", "Hua Zhao\t", "王青", " 1234"]

@@ -156,11 +156,11 @@ def test_truncated_file(tmp_path):
 def test_source_digest_detects_staleness(tmp_path):
     a = tmp_path / "yob2014.txt"
     b = tmp_path / "yob2015.txt"
-    a.write_text("Mary,F,10\n")
-    b.write_text("John,M,4\n")
+    a.write_text("Mary,F,10\n", encoding="utf-8")
+    b.write_text("John,M,4\n", encoding="utf-8")
     first = digest_corpus_files([a, b])
     assert digest_corpus_files([b, a]) == first  # order-independent
-    b.write_text("John,M,5\n")
+    b.write_text("John,M,5\n", encoding="utf-8")
     assert digest_corpus_files([a, b]) != first
 
 

@@ -5,6 +5,7 @@ import hashlib
 import json
 import os
 import resource
+import stat
 import struct
 import subprocess
 import sys
@@ -869,11 +870,51 @@ def test_output_fault_keeps_old_files(tmp_path, mini_corpus, mini_cache, writer,
 
     before = _tree(tmp_path)
     result = subprocess.run([sys.executable, "-m", "namecensus", *map(str, argv)],
-                            capture_output=True, text=True,
+                            capture_output=True, text=True, encoding="utf-8",
                             preexec_fn=cap_file_size if fault == "mid-write" else None)
     assert result.returncode == 1
     assert result.stderr == f"error: {target}: {message}\n"
     assert _tree(tmp_path) == before
+
+
+@pytest.fixture()
+def umask_022():
+    old = os.umask(0o022)
+    yield
+    os.umask(old)
+
+
+# A replaced output keeps its permission bits, even bits the umask would take
+# away; a new output gets the umask's.
+@pytest.mark.parametrize("mode", [0o600, 0o640, 0o666, None],
+                         ids=["0600", "0640", "0666", "new"])
+def test_replaced_outputs_keep_their_permission_bits(tmp_path, mini_corpus, mini_cache,
+                                                     umask_022, mode):
+    english, chinese = mini_corpus
+    old_cache = bytearray(mini_cache.read_bytes())
+    old_cache[8:40] = bytes(32)  # another source digest, so build-cache rebuilds it
+    mini_cache.unlink()
+    names = tmp_path / "names.txt"
+    names.write_text("Hua Zhao\n王娟\n", encoding="utf-8")
+    outs = {name: tmp_path / name
+            for name in ["m.ncm", "r.csv", "c.json", "c.svg", "c2.json", "c2.svg"]}
+    for name, path in outs.items() if mode is not None else ():
+        path.write_bytes(old_cache if name == "m.ncm" else b"old\n")
+        path.chmod(mode)
+    assert main(["build-cache", "--english-dir", str(english), "--chinese-csv", str(chinese),
+                 "--out", str(outs["m.ncm"])]) == 0
+    assert main(["predict", "--cache", str(outs["m.ncm"]), "--in", str(names),
+                 "--out", str(outs["r.csv"]), "--chart-json", str(outs["c.json"]),
+                 "--chart-svg", str(outs["c.svg"])]) == 0
+    assert main(["chart", "--results", str(outs["r.csv"]), "--json", str(outs["c2.json"]),
+                 "--svg", str(outs["c2.svg"])]) == 0
+    want = 0o644 if mode is None else mode
+    assert {name: oct(stat.S_IMODE(path.stat().st_mode)) for name, path in outs.items()} == {
+        name: oct(want) for name in outs}
+    assert outs["m.ncm"].read_bytes() != old_cache
+    assert outs["c2.json"].read_bytes() == outs["c.json"].read_bytes() != b"old\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+        [*outs, "names.txt", "english", "chars.csv"])
 
 
 # `--out /dev/stdout` with stdout appended to a file writes the results through
@@ -1120,14 +1161,14 @@ class TestUsage:
     def test_unknown_subcommand_exit_2(self):
         result = subprocess.run(
             [sys.executable, "-m", "namecensus", "frobnicate"],
-            capture_output=True, text=True,
+            capture_output=True, text=True, encoding="utf-8",
         )
         assert result.returncode == 2
 
     def test_unknown_flag_exit_2(self):
         result = subprocess.run(
             [sys.executable, "-m", "namecensus", "predict", "--bogus"],
-            capture_output=True, text=True,
+            capture_output=True, text=True, encoding="utf-8",
         )
         assert result.returncode == 2
 
@@ -1136,7 +1177,7 @@ class TestUsage:
             [sys.executable, "-m", "namecensus", "predict", "--cache", str(tmp_path / "m.ncm"),
              "--in", str(tmp_path / "names.txt"), "--out", str(tmp_path / "results.csv"),
              "--workers", "2"],
-            capture_output=True, text=True,
+            capture_output=True, text=True, encoding="utf-8",
         )
         assert result.returncode == 2
         assert "unrecognized arguments: --workers 2" in result.stderr
@@ -1158,6 +1199,6 @@ class TestUsage:
                      ["build-cache", "--help"], ["chart", "--help"]):
             result = subprocess.run(
                 [sys.executable, "-m", "namecensus", *argv],
-                capture_output=True, text=True,
+                capture_output=True, text=True, encoding="utf-8",
             )
             assert result.returncode == 0

@@ -71,7 +71,7 @@ class TestEnglishCorpus:
             load_english_year_files(tmp_path / "nope")
 
     def test_no_matching_files(self, tmp_path):
-        (tmp_path / "names.txt").write_text("Mary,F,10\n")
+        (tmp_path / "names.txt").write_text("Mary,F,10\n", encoding="utf-8")
         with pytest.raises(NamecensusError, match="no yob"):
             load_english_year_files(tmp_path)
 

@@ -233,7 +233,7 @@ def test_predict_imports_neither_fractions_nor_decimal(tmp_path, full_models):
             f"'--out', {str(out)!r}]); "
             "print(sorted({'fractions', 'decimal'} & sys.modules.keys()))")
     result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                            check=True)
+                            encoding="utf-8", check=True)
     assert result.stdout.splitlines()[-1] == "[]"
     assert out.read_bytes().splitlines()[1:] == [
         "1,李浩怡,Unisex,0.6000,Han,浩怡".encode(), "2,王军紫,Male,0.6938,Han,军紫".encode(),

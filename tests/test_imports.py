@@ -25,7 +25,8 @@ NOT_ON_THE_CHECK_PATH = {"dataclasses", "json", "namecensus.classifier", "namece
 
 
 def _python(*argv):
-    result = subprocess.run([sys.executable, *argv], capture_output=True, text=True)
+    result = subprocess.run([sys.executable, *argv], capture_output=True, text=True,
+                            encoding="utf-8")
     assert result.stderr == ""
     return result.stdout
 

@@ -146,7 +146,7 @@ def test_han_pattern_compiled_on_first_use():
     code = ("import namecensus.cli, namecensus.scriptdetect as s; "
             "print(s._han_re.cache_info().currsize)")
     result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                            check=True)
+                            encoding="utf-8", check=True)
     assert result.stdout == "0\n"
 
 

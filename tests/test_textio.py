@@ -122,6 +122,43 @@ def test_symlinked_output_replaces_its_target(tmp_path, fault, old):
     assert list((tmp_path / "links").iterdir()) == [link]
 
 
+# The temp file is created exclusively: a link or a stale file already at its
+# first name is neither written through nor renamed over `path` nor removed.
+@pytest.mark.parametrize("planted", ["link", "dangling-link", "stale-file"])
+@pytest.mark.parametrize("fault", [False, True], ids=["clean", "mid-write"])
+def test_existing_file_at_temp_name_is_left_alone(tmp_path, planted, fault):
+    victim = tmp_path / "victim"
+    if planted == "link":
+        victim.write_bytes(b"secret\n")
+    out = tmp_path / "results.csv"
+    out.write_bytes(b"old\n")
+    squatter = tmp_path / f".results.csv.{os.getpid()}.tmp"
+    if planted == "stale-file":
+        squatter.write_bytes(b"stale\n")
+    else:
+        squatter.symlink_to(victim)
+
+    def write():
+        with textio.replace_file(out) as fh:
+            fh.write(b"new\n")
+            if fault:
+                raise OSError("disk full")
+
+    if fault:
+        with pytest.raises(OSError, match="^disk full$"):
+            write()
+    else:
+        write()
+    assert not out.is_symlink() and out.read_bytes() == (b"old\n" if fault else b"new\n")
+    if planted == "stale-file":
+        assert squatter.read_bytes() == b"stale\n"
+    else:
+        assert squatter.is_symlink() and os.readlink(squatter) == str(victim)
+    assert sorted(tmp_path.iterdir()) == sorted(
+        [out, squatter] + ([victim] if planted == "link" else []))
+    assert planted != "link" or victim.read_bytes() == b"secret\n"
+
+
 # A path naming an open descriptor is written through a copy of it: a file
 # opened for appending keeps its bytes and gets the new ones after them, and it
 # is neither renamed over nor reopened, which would truncate it.
