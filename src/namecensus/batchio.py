@@ -20,7 +20,7 @@ from namecensus.classifier import (
 from namecensus.corpus import CountModel, normalize_name_key
 from namecensus.errors import NamecensusError
 from namecensus.scriptdetect import _LATIN, Script
-from namecensus.textio import column, csv_rows, replace_file, split_lines, text_blocks
+from namecensus.textio import column, csv_rows, line_lists, replace_file
 
 
 class AggregateStats(NamedTuple):
@@ -29,10 +29,10 @@ class AggregateStats(NamedTuple):
     total: int
 
 
-def _txt_names(block: str) -> Iterator[str]:
-    """The names of one block of a txt file. No name holds the block's line
-    list, so it is freed before the next block is read."""
-    return filter(None, map(str.strip, split_lines(block)))
+def _txt_names(lines: list[str]) -> Iterator[str]:
+    """The names of one list of a txt file's lines. No name holds the list,
+    so it is freed before the next list is read."""
+    return filter(None, map(str.strip, lines))
 
 
 def _csv_names(path: Path, name_column: str | int, has_header: bool) -> Iterator[list[str]]:
@@ -108,7 +108,7 @@ def _name_runs(
     """`iter_names` as two runs: the first name, checked to exist, then the rest."""
     format = input_format(path, format)
     if format == "txt":
-        blocks = map(_txt_names, text_blocks(path))
+        blocks = map(_txt_names, line_lists(path))
     elif format == "csv":
         blocks = _csv_names(path, name_column, has_header)
     else:
@@ -135,6 +135,9 @@ _Row = tuple[str, bytes]
 # alive together, so it bounds the memory a batch adds to its memos.
 _BLOCK = 1024
 
+# Past this many rows the row memo is cleared, so memory stops growing with distinct names.
+_MEMO_ROWS = 1 << 17
+
 
 def _blocks(items: Iterable[_T]) -> Iterator[list[_T]]:
     """`items` in order, as lists of up to `_BLOCK` items."""
@@ -159,9 +162,9 @@ def predict_to_results(
     path: str | Path,
 ) -> AggregateStats:
     """Predict every name into the results CSV at `path`, as `names` is
-    iterated a block at a time; returns its label counts. Each distinct
-    name is stripped, routed and its row formatted and encoded once; the
-    memo holds those row bytes. Each distinct decision key is decided once."""
+    iterated a block at a time; returns its label counts. The row memo holds the
+    rows of up to `_MEMO_ROWS` names and a block; each distinct decision key is
+    decided once, a memo bounded by the model's count pairs and Han given names."""
     entries = english.entries
     # Keyed by the evidence a decision depends on: the model's own
     # (female, male) tuple of a Latin given name, so a Latin key costs no
@@ -175,6 +178,8 @@ def predict_to_results(
     memo: dict[str, _Row] = {}
 
     def rows(block: list[str]) -> list[_Row]:
+        if len(memo) > _MEMO_ROWS:
+            memo.clear()
         # A name repeated within the block is in the memo by its second turn.
         for raw_name in itertools.filterfalse(memo.__contains__, block):
             name = raw_name.strip()
@@ -223,25 +228,25 @@ def _write_rows(blocks: Iterable[list[_Row]], path: str | Path) -> AggregateStat
         return _stats({label: counts[label.value] for label in GenderLabel})
 
 
-def read_result_labels(path: str | Path) -> list[GenderLabel]:
-    """The gender column of a results CSV, in row order."""
-    labels = []
+def iter_result_labels(path: str | Path) -> Iterator[GenderLabel]:
+    """The gender column of a results CSV, in row order, read as it is iterated."""
+    labels = {label.value: label for label in GenderLabel}  # a dict reads faster than the enum
+    rows = 0
     with csv_rows(path) as reader:
         col = column(path, next(reader, []), "gender")
-        for row in filter(None, reader):  # blank lines are skipped
+        for rows, row in enumerate(filter(None, reader), 1):  # blank lines are skipped
             try:
-                labels.append(GenderLabel(row[col]))
+                yield labels[row[col]]
             except IndexError:
                 raise NamecensusError(
                     f"{path}:{reader.line_num}: row has no column index {col}"
                 ) from None
-            except ValueError:
+            except KeyError:
                 raise NamecensusError(
                     f"{path}:{reader.line_num}: unknown gender label {row[col]!r}"
                 ) from None
-    if not labels:
+    if not rows:
         raise NamecensusError(f"{path}: no result rows")
-    return labels
 
 
 def _stats(counts: dict[GenderLabel, int]) -> AggregateStats:
@@ -283,6 +288,11 @@ def read_input(
 ) -> list[NameRecord]:
     """One NameRecord per name of `iter_names`."""
     return [NameRecord(name) for name in iter_names(path, format, name_column, has_header)]
+
+
+def read_result_labels(path: str | Path) -> list[GenderLabel]:
+    """The gender column of a results CSV, in row order."""
+    return list(iter_result_labels(path))
 
 
 def _memoised(fn: Callable[[str], _T], keys: Iterable[str]) -> Iterator[_T]:

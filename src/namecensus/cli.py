@@ -46,10 +46,18 @@ def _read_config(path: str) -> dict:
     import json
 
     from namecensus.classifier import ClassifierConfig
-    from namecensus.textio import text_blocks
+    from namecensus.textio import read_text
+
+    def unique_keys(pairs: list[tuple[str, object]]) -> dict:
+        doc = {}
+        for key, value in pairs:
+            if key in doc:
+                raise NamecensusError(f"{path}: duplicate config key {key!r}")
+            doc[key] = value
+        return doc
 
     try:
-        doc = json.loads("".join(text_blocks(path)))
+        doc = json.loads(read_text(path), object_pairs_hook=unique_keys)
     except ValueError as exc:  # JSON syntax
         raise NamecensusError(f"{path}: {exc}") from None
     if not isinstance(doc, dict):
@@ -214,10 +222,10 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 
 def cmd_chart(args: argparse.Namespace) -> int:
-    from namecensus.batchio import aggregate_labels, read_result_labels
+    from namecensus.batchio import aggregate_labels, iter_result_labels
     from namecensus.report import emit_chart
 
-    stats = aggregate_labels(read_result_labels(args.results))
+    stats = aggregate_labels(iter_result_labels(args.results))
     emit_chart(stats, args.json, args.svg)
     _print_stats(stats)
     return 0

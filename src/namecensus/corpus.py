@@ -3,27 +3,28 @@
 English side: a directory of yearly ``yob<YYYY>.txt`` files, each line
 ``Name,S,Count`` with no header. Chinese side: a single UTF-8 CSV
 ``char,female,male`` with a header row. A leading byte-order mark is
-ignored in both.
+ignored in both. A yob file is read whole, and the table a row at a time.
 """
 
 from __future__ import annotations
 
+import itertools
 import re
 import unicodedata
-from collections.abc import Iterator, Mapping
+from collections.abc import Iterable, Iterator, Mapping
 from pathlib import Path
 from typing import NamedTuple
 
 from namecensus.errors import NamecensusError
 from namecensus.scriptdetect import is_han
-from namecensus.textio import csv_rows, text_blocks
+from namecensus.textio import csv_rows, read_text
 
 YEAR_FILE_RE = re.compile(r"^yob(\d{4})\.txt$")
 # A yob line that needs no line check: blank, or a row `Name,S,Count` with an
 # ASCII name and a count of at most 18 digits. A longer count may pass
 # int()'s limit on digits, a fault the line check reports.
 _SSA_LINE = "(?:[A-Za-z]+,[FM],[1-9][0-9]{0,17})?"
-_SSA_BLOCK = re.compile(f"{_SSA_LINE}(?:\n{_SSA_LINE})*")
+_SSA_FILE = re.compile(f"{_SSA_LINE}(?:\n{_SSA_LINE})*")
 
 
 class CountModel(NamedTuple):
@@ -100,30 +101,31 @@ def load_english_year_files(directory: str | Path) -> CountModel:
     """Aggregate every yearly file in `directory` into one model.
 
     Counts for the same (case-folded name, sex) sum across years, so the
-    result is independent of file and row order. A block whose every line
-    is blank or an ASCII row in the SSA shape is checked with one regex and
-    split in one call; any other block is checked line by line, so a fault
-    names its line.
+    result is independent of file and row order. Each file is read whole.
+    Its lines up to the first that is not blank or an ASCII row in the SSA
+    shape, every line of the SSA corpus, are checked with one regex and
+    split in one call; that line and the rest are checked line by line,
+    so a fault names its line.
     """
     entries: dict[str, tuple[int, int]] = {}
     for path in find_year_files(directory):
-        lineno = 1  # of the block's first line
-        for block in text_blocks(path):
-            text = block.replace("\r\n", "\n").replace("\r", "\n")
-            if _SSA_BLOCK.fullmatch(text):
-                # An ASCII name is NFC already, and its case fold is its lower
-                # case. Only commas and line ends part the block's fields.
-                fields = text.lower().replace(",", "\n").split()
-                rows = zip(fields[::3], fields[1::3], map(int, fields[2::3]))
+        text = read_text(path)
+        checked: Iterable[tuple[str, str, int]] = ()
+        end = _SSA_FILE.match(text).end()
+        if end < len(text):
+            end = text.rfind("\n", 0, end) + 1  # the start of the first line not matched
+            checked = _checked_rows(text[end:].split("\n"), path, text.count("\n", 0, end) + 1)
+            text = text[:end]
+        # An ASCII name is NFC already, and its case fold is its lower
+        # case. Only commas and line ends part the lines' fields.
+        fields = text.lower().replace(",", "\n").split()
+        rows = zip(fields[::3], fields[1::3], map(int, fields[2::3]))
+        for key, sex, count in itertools.chain(rows, checked):
+            female, male = entries.get(key, (0, 0))
+            if sex == "f":
+                entries[key] = (female + count, male)
             else:
-                rows = _checked_rows(text.split("\n"), path, lineno)
-            for key, sex, count in rows:
-                female, male = entries.get(key, (0, 0))
-                if sex == "f":
-                    entries[key] = (female + count, male)
-                else:
-                    entries[key] = (female, male + count)
-            lineno += text.count("\n")
+                entries[key] = (female, male + count)
     return CountModel.from_entries(entries)
 
 

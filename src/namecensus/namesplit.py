@@ -7,7 +7,6 @@ from importlib import resources
 from typing import NamedTuple
 
 from namecensus.scriptdetect import is_latin_letter
-from namecensus.textio import split_lines
 
 
 class SplitName(NamedTuple):
@@ -19,8 +18,8 @@ class SplitName(NamedTuple):
 def default_compound_surnames() -> frozenset[str]:
     """The shipped two-character surname list; one per line, `#` comments allowed."""
     text = resources.files("namecensus").joinpath("data/compound_surnames.txt").read_text(
-        encoding="utf-8")
-    entries = (line.split("#", 1)[0].strip() for line in split_lines(text))
+        encoding="utf-8-sig")
+    entries = (line.split("#", 1)[0].strip() for line in text.split("\n"))
     return frozenset(filter(None, entries))
 
 

@@ -1,16 +1,18 @@
 """Open, read and write every file the CLI takes or writes. A text file is
 UTF-8, a leading byte-order mark dropped, records ending only at LF, CRLF
-or CR. A fault is raised as a NamecensusError with one line, `FILE:LINE:
-message`, or `FILE: message` for a path that cannot be opened or written."""
+or CR, and decoded by the stdlib's `io.TextIOWrapper` over a reader that
+counts its bytes and line ends to place an invalid byte. A fault is
+raised as a NamecensusError with one line, `FILE:LINE: message`, or
+`FILE: message` for a path that cannot be opened or written."""
 
 from __future__ import annotations
 
 import csv
 import errno
 import io
-import itertools
 import os
 import stat
+from codecs import BOM_UTF8 as BOM
 from collections.abc import Iterator
 from contextlib import contextmanager
 from functools import partial
@@ -159,55 +161,81 @@ def _create_beside(target: Path, mode: int | None) -> tuple[_Output, Path]:
     return raw, tmp
 
 
-def text_blocks(path: str | Path) -> Iterator[str]:
-    """The file's text, decoded one block of whole lines at a time.
+class _Counted(io.BufferedReader):
+    """A file's bytes as `io.TextIOWrapper` reads them, counted, so a fault the
+    decoder finds in the latest read is placed without a second read, which
+    a pipe would not allow."""
 
-    Each block but the last ends at LF, CRLF or CR, and never between the
-    CR and LF of a pair; UTF-8 never puts those bytes inside a character,
-    so every block decodes on its own. An invalid byte is raised as
-    `FILE:LINE: invalid UTF-8 at byte offset N`, N counted from the start
-    of the file, BOM included.
-    """
-    with open_bytes(path) as fh:
-        offset, line = 0, 1  # file offset and line number of `pending`
-        pending = b""
-        # The read size grows with a line longer than a chunk, so reading it stays linear.
-        while chunk := fh.read(max(_CHUNK, len(pending))):
-            pending += chunk
-            # A CR in the last byte may start a CRLF, so it waits for the next chunk.
-            cut = max(pending.rfind(b"\n"), pending.rfind(b"\r", 0, len(pending) - 1)) + 1
-            if cut:
-                block, pending = pending[:cut], pending[cut:]
-                text = _decode(block, offset, line, path)
-                offset, line = offset + cut, line + _line_ends(block)
-                yield text
-        if pending:
-            yield _decode(pending, offset, line, path)
+    # (bytes, line ends, whether the last is a CR) before the latest read, and through it
+    before = through = (0, 0, False)
+    head = b""  # the file's first bytes
 
+    def read(self, size=-1):
+        return self._count(super().read(size), end=size is None or size < 0)
 
-def _decode(block: bytes, offset: int, line: int, path: str | Path) -> str:
-    """`block`, read at file `offset` and `line`, decoded as "utf-8-sig" would
-    decode it, but a fault names its file offset and line."""
-    try:
-        text = block.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        line += _line_ends(block[: exc.start])
-        raise NamecensusError(
-            f"{path}:{line}: invalid UTF-8 at byte offset {offset + exc.start}"
-        ) from None
-    return text.removeprefix("\ufeff") if offset == 0 else text
+    def read1(self, size=-1):
+        data = super().read1(size)
+        return self._count(data, end=not data)
+
+    def _count(self, data: bytes, end: bool) -> bytes:
+        self.before = count, ends, cr = self.through
+        if data:
+            self.through = (count + len(data), ends + _line_ends(data) - (cr and data[0] == 10),
+                            data[-1] == 13)
+            if count < 3:
+                self.head += data[:3]
+        if end and 0 < len(self.head) < 3 and self.head[0] == 0xEF:
+            # Invalid, but utf-8-sig decodes the start of a BOM at the end to no text.
+            raise UnicodeDecodeError("utf-8", self.head, 0, 1, "unexpected end of data")
+        return data
 
 
 def _line_ends(data: bytes) -> int:
-    lf, cr = data.count(b"\n"), data.count(b"\r")
+    lf = data.count(b"\n")
     # Most files hold no CR, and counting CRLF pairs costs more than LF and CR together.
-    return lf + cr - data.count(b"\r\n") if cr else lf
+    return lf + data.count(b"\r") - data.count(b"\r\n") if b"\r" in data else lf
 
 
-def split_lines(block: str) -> list[str]:
-    """The lines of a block, split at LF, CRLF and CR only; the last item
-    is the text after the last line end, often empty."""
-    return block.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+@contextmanager
+def _text(path: str | Path, newline: str | None = None) -> Iterator[io.TextIOWrapper]:
+    """`path` opened as UTF-8 text, a leading BOM dropped, lines ending at LF,
+    CRLF and CR, for a `with` block. The first invalid byte read in the block
+    is raised as `FILE:LINE: invalid UTF-8 at byte offset N`, N counted from
+    the file's start: the decoder was given bytes ending where the latest
+    read ends, and starting at most a BOM or a cut sequence before it."""
+    read = _Counted(open_bytes(path).detach())
+    with io.TextIOWrapper(read, encoding="utf-8-sig", newline=newline) as fh:
+        try:
+            yield fh
+        except UnicodeDecodeError as exc:
+            _, ends, cr = read.before
+            head = exc.object[: exc.start]
+            line = 1 + ends + _line_ends(head) - (cr and head[:1] == b"\n")
+            offset = read.through[0] - len(exc.object) + exc.start
+            raise NamecensusError(f"{path}:{line}: invalid UTF-8 at byte offset {offset}") from None
+
+
+def read_text(path: str | Path) -> str:
+    """The file's whole text, its line ends read as LF."""
+    with _text(path) as fh:
+        return fh.read()
+
+
+def line_lists(path: str | Path) -> Iterator[list[str]]:
+    """The file's lines, ends dropped, a list per read of about `_CHUNK`
+    characters; neither a list nor its read's text outlives the next read."""
+    pending = ""
+    with _text(path) as fh:
+        # The read size grows with a line longer than a chunk, so reading it stays linear.
+        while text := fh.read(max(_CHUNK, len(pending))):
+            lines = text.split("\n")
+            del text
+            lines[0] = pending + lines[0]
+            pending = lines.pop()
+            yield lines
+            del lines
+    if pending:
+        yield [pending]
 
 
 @contextmanager
@@ -216,15 +244,12 @@ def csv_rows(path: str | Path) -> Iterator[Iterator[list[str]]]:
     ends only at LF, CRLF or CR, and a quoted field may span lines. A
     malformed row raises `FILE:LINE: <csv message>` from the block; the
     reader's `line_num` is the last line of the row last read."""
-    # newline="" splits lines at LF, CRLF and CR only, and keeps their ends;
-    # the lines are handed on in C, with no Python frame resumed per line.
-    reader = csv.reader(
-        itertools.chain.from_iterable(map(partial(io.StringIO, newline=""), text_blocks(path)))
-    )
-    try:
-        yield reader
-    except csv.Error as exc:
-        raise NamecensusError(f"{path}:{reader.line_num}: {exc}") from None
+    with _text(path, newline="") as fh:
+        reader = csv.reader(fh)
+        try:
+            yield reader
+        except csv.Error as exc:
+            raise NamecensusError(f"{path}:{reader.line_num}: {exc}") from None
 
 
 def column(path: str | Path, header: list[str], name: str) -> int:

@@ -22,7 +22,7 @@ from namecensus.batchio import (
     run_batch,
     write_results,
 )
-from namecensus.classifier import ClassifierConfig, GenderLabel, Posterior
+from namecensus.classifier import ClassifierConfig, GenderLabel, Posterior, route
 from namecensus.corpus import CountModel
 from namecensus.errors import NamecensusError
 from namecensus.scriptdetect import Script
@@ -327,6 +327,72 @@ class TestPercentSigns:
         write_results(run_batch(ENG, CHI, CFG, [NameRecord(name) for name in names]), written)
         assert predicted.read_bytes() == want
         assert written.read_bytes() == want
+
+
+class TestMemoCap:
+    """The row memo is cleared at the start of a block once it holds more
+    than `batchio._MEMO_ROWS` rows: no byte or count changes, and a run's
+    memory stops growing with its distinct names."""
+
+    BATCHES = [
+        TestBlocks.NAMES,
+        TestFourByteCharacters.NAMES + TestFourByteCharacters.NAMES[::-1],
+        [TestPercentSigns.NAMES[i % len(TestPercentSigns.NAMES)]
+         for i in range(TestPercentSigns.ROWS)],
+    ]
+
+    @staticmethod
+    def run(tmp_path, monkeypatch, names):
+        """The results bytes, the label counts and the number of names routed."""
+        routed = []
+
+        def counting_route(name):
+            routed.append(name)
+            return route(name)
+
+        monkeypatch.setattr(batchio, "route", counting_route)
+        path = tmp_path / "out.csv"
+        stats = predict_to_results(ENG, CHI, CFG, iter(names), path)
+        return path.read_bytes(), stats, len(routed)
+
+    @pytest.mark.parametrize("block", [1, 3, 1024])
+    @pytest.mark.parametrize("cap", [0, 1, 5])
+    def test_cap_gives_the_default_bytes_and_counts(self, tmp_path, monkeypatch, cap, block):
+        monkeypatch.setattr(batchio, "_BLOCK", block)
+        want = [self.run(tmp_path, monkeypatch, names) for names in self.BATCHES]
+        assert [routed for _, _, routed in want] == [len(set(names)) for names in self.BATCHES]
+        monkeypatch.setattr(batchio, "_MEMO_ROWS", cap)
+        for names, (data, stats, _) in zip(self.BATCHES, want):
+            got, got_stats, routed = self.run(tmp_path, monkeypatch, names)
+            assert (got, got_stats) == (data, stats)
+            if cap == 0 and block == 1:  # cleared before every row but the first
+                assert routed == len(names)
+
+    def test_peak_memory_stops_growing_past_the_cap(self, tmp_path, monkeypatch):
+        # Not raising where the constant is missing, so a memo without a cap
+        # fails on the peak rather than on the patch.
+        monkeypatch.setattr(batchio, "_MEMO_ROWS", 2000, raising=False)
+        monkeypatch.setattr(batchio, "_BLOCK", 100)
+        monkeypatch.setattr(textio, "_CHUNK", 1 << 12)
+
+        def peak(distinct):
+            path = tmp_path / f"names{distinct}.txt"
+            path.write_text("".join(f"Hua S{i:07d}\n" for i in range(distinct)),
+                            encoding="utf-8")
+            tracemalloc.start()
+            try:
+                stats = predict_to_results(ENG, CHI, CFG, iter_names(path), tmp_path / "out.csv")
+                assert stats.total == distinct
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(2000)  # fills the process-wide caches that later runs share
+        capped, large = peak(2000), peak(20 * 2000)
+        # About 1.15 times on Python 3.10 to 3.13: one block's rows past the
+        # cap and allocator noise. A memo that is never cleared peaks about
+        # 24 times higher.
+        assert large <= 2 * capped
 
 
 class TestPredictToResults:

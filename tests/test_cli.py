@@ -218,6 +218,23 @@ class TestPredict:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert named in err
 
+    # json.loads keeps a repeated key's last value, which would run at 0.5 unannounced.
+    @pytest.mark.parametrize("content, key", [
+        ('{"threshold": 0.9, "threshold": 0.5}', "threshold"),
+        ('{"alpha": 1.0, "priors": "uniform", "alpha": 1.0}', "alpha"),
+    ])
+    def test_repeated_config_key_exit_1(self, tmp_path, mini_cache, capsys, content, key):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(content, encoding="utf-8")
+        infile = tmp_path / "names.txt"
+        infile.write_text("Jordan Smith\n", encoding="utf-8")
+        out = tmp_path / "o.csv"
+        code = main(["predict", "--cache", str(mini_cache), "--in", str(infile),
+                     "--out", str(out), "--config", str(cfg)])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {cfg}: duplicate config key {key!r}\n"
+        assert not out.exists()
+
     def test_bad_flag_value_names_the_flag(self, tmp_path, mini_cache, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text('{"threshold": 0.9}', encoding="utf-8")

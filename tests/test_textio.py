@@ -2,6 +2,11 @@
 
 import codecs
 import os
+import random
+import re
+import threading
+import warnings
+from collections import Counter
 
 import pytest
 
@@ -11,6 +16,7 @@ from namecensus.cli import _read_config
 from namecensus.corpus import load_chinese_charfreq, load_english_year_files
 from namecensus.errors import NamecensusError
 from namecensus.report import load_gold_labels
+from oracles import english_model_oracle
 
 BOM = codecs.BOM_UTF8
 
@@ -49,6 +55,171 @@ def test_invalid_byte_after_bom_and_line_ends(tmp_path, monkeypatch, reader, chu
     path, message = read(tmp_path, reader, data)
     offset = data.index(b"\xff")
     assert message == f"{path}:3: invalid UTF-8 at byte offset {offset}"
+
+
+# The stdlib's utf-8-sig decodes the start of a BOM at the end of a file to no text.
+@pytest.mark.parametrize("data", [BOM[:1], BOM[:2]])
+@pytest.mark.parametrize("reader", READERS)
+def test_file_of_a_cut_bom(tmp_path, reader, data):
+    path, message = read(tmp_path, reader, data)
+    assert message == f"{path}:1: invalid UTF-8 at byte offset 0"
+
+
+# Pieces of the inputs below: ASCII, a BOM, every line end, line boundaries
+# that end no record (U+0085, U+2028), Han, a byte that is never UTF-8 and
+# sequences cut short.
+TEXT_PIECES = [b"a", b"Z", b" ", BOM, "\u0085".encode(), "\u2028".encode(),
+               "王".encode(), "青".encode()]
+BAD_PIECES = [b"\xff", "王".encode()[:2], "😀".encode()[:3], b"\x80"]
+LINE_ENDS = [b"\n", b"\r\n", b"\r"]
+LABELS = ["Female", "Male", "Unisex", "Unknown"]
+
+
+def decoded_lines(data):
+    """The lines of `data` read whole: decoded, its leading BOM dropped and
+    split at LF, CRLF and CR only."""
+    return re.split("\r\n|\r|\n", data.decode("utf-8").removeprefix("\ufeff"))
+
+
+def invalid_utf8(path, data):
+    """The fault of `data`'s first invalid byte, or None: its offset, and its
+    line from the line ends before it."""
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        head = data[:exc.start]
+        line = 1 + head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n")
+        return f"{path}:{line}: invalid UTF-8 at byte offset {exc.start}"
+    return None
+
+
+def field(rng, pieces, bad):
+    """A field of pieces, now and then with an invalid piece in it."""
+    out = [rng.choice(pieces) for _ in range(rng.randint(0, 4))]
+    if rng.random() < bad:
+        out.insert(rng.randint(0, len(out)), rng.choice(BAD_PIECES))
+    return b"".join(out)
+
+
+def txt_names(rng, bad):
+    """Bytes of any pieces, line ends among them; the oracle's names."""
+    data = field(rng, TEXT_PIECES + LINE_ENDS, 0) + b"".join(
+        field(rng, TEXT_PIECES + LINE_ENDS, bad) for _ in range(rng.randint(0, 30)))
+    return "names.txt", data, lambda path: [
+        name for name in map(str.strip, decoded_lines(data)) if name]
+
+
+def csv_names(rng, bad):
+    rows = [str(i).encode() + b"," + field(rng, TEXT_PIECES, bad) for i in range(30)]
+    data = join_rows(rng, b"id,name", rows)
+    return "names.csv", data, lambda path: [
+        name for line in decoded_lines(data)[1:] if line
+        for name in [line.split(",")[1].strip()] if name]
+
+
+def results(rng, bad):
+    rows = [b"%d,%s,%s" % (i, field(rng, TEXT_PIECES, bad), rng.choice(LABELS).encode())
+            for i in range(1, 31)]
+    data = join_rows(rng, b"item,name,gender", rows)
+    return "results.csv", data, lambda path: Counter(
+        line.split(",")[2] for line in decoded_lines(data)[1:] if line)
+
+
+def gold(rng, bad):
+    rows = [field(rng, TEXT_PIECES, bad) + b"%d," % i + rng.choice(LABELS[:2]).encode()
+            for i in range(30)]
+    data = join_rows(rng, b"name,gender", rows)
+    return "gold.csv", data, lambda path: {
+        line.split(",")[0].strip(): line.split(",")[1]
+        for line in decoded_lines(data)[1:] if line}
+
+
+def yob(rng, bad):
+    # Alphabetic names only, so a row is either valid or not UTF-8.
+    alpha = [b"a", b"Z", "王".encode(), "青".encode()]
+    rows = [b"N%s,%s,%d" % (field(rng, alpha, bad), rng.choice([b"F", b"M"]), rng.randint(1, 99))
+            for _ in range(30)]
+    data = join_rows(rng, b"Mary,F,5", rows)
+    return "yob2000.txt", data, lambda path: english_model_oracle(path.parent)
+
+
+def join_rows(rng, header, rows):
+    """A header and rows, blank lines among them, each ended by any line end."""
+    rows = [header] + [row for row in rows for row in [row] + [b""] * (rng.random() < 0.1)]
+    return (BOM if rng.random() < 0.3 else b"") + b"".join(
+        row + rng.choice(LINE_ENDS) for row in rows)
+
+
+PROPERTY_READERS = {
+    "batch-txt": (txt_names, lambda p: list(iter_names(p))),
+    "batch-csv": (csv_names, lambda p: list(iter_names(p))),
+    "results": (results, lambda p: Counter(label.value for label in read_result_labels(p))),
+    "gold": (gold, lambda p: {name: label.value for name, label in load_gold_labels(p).items()}),
+    "yob": (yob, lambda p: load_english_year_files(p.parent)),
+}
+
+
+# A read of 1 to 7 characters, and of as many bytes, splits CRLF pairs, a BOM
+# at the start and Han characters; every reader must give what a read of the
+# whole file gives.
+@pytest.mark.parametrize("chunk", [1, 2, 3, 7, textio._CHUNK])
+@pytest.mark.parametrize("reader", PROPERTY_READERS)
+def test_reader_equals_whole_file_read(tmp_path, monkeypatch, reader, chunk):
+    monkeypatch.setattr(textio, "_CHUNK", chunk)
+    read1 = textio._Counted.read1
+    monkeypatch.setattr(textio._Counted, "read1", lambda self, size=-1: read1(self, chunk))
+    make, call = PROPERTY_READERS[reader]
+    rng = random.Random(f"{reader}-{chunk}")
+    outcomes = Counter()
+    for trial in range(200):
+        directory = tmp_path / str(trial)
+        directory.mkdir()
+        filename, data, oracle = make(rng, bad=0.02)
+        path = directory / filename
+        path.write_bytes(data)
+        fault = invalid_utf8(path, data)
+        if fault is None:
+            want = oracle(path)
+            if not want:
+                fault = f"{path}: no name records found"
+        if fault is not None:
+            with pytest.raises(NamecensusError) as exc:
+                call(path)
+            assert str(exc.value) == fault
+        else:
+            assert call(path) == want
+        outcomes["invalid" if fault and "UTF-8" in fault else "valid"] += 1
+    assert min(outcomes["invalid"], outcomes["valid"]) >= 30, outcomes
+
+
+def test_abandoned_names_close_their_file(tmp_path):
+    for filename, text in [("names.txt", "Hua Zhao\n王青\n" * 10_000),
+                           ("names.csv", "name\nHua Zhao\n王青\n" * 10_000)]:
+        path = tmp_path / filename
+        path.write_text(text, encoding="utf-8")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            names = iter_names(path)
+            assert next(names) == "Hua Zhao"
+            del names
+        assert [w for w in caught if issubclass(w.category, ResourceWarning)] == []
+
+
+# A pipe's bytes cannot be read twice: its first invalid byte is placed as it is read.
+@pytest.mark.parametrize("data, line, offset", [
+    (b"Hua Zhao\nBr\xffown\n", 2, 11),
+    (BOM + b"Hua Zhao\r\n\r" + "王".encode()[:2] + b"\n", 3, 14),
+    (b"Hua Zhao\n" + "王".encode()[:2], 2, 9),
+])
+def test_invalid_byte_in_a_pipe(tmp_path, data, line, offset):
+    fifo = tmp_path / "names.fifo"
+    os.mkfifo(fifo)
+    writer = threading.Thread(target=fifo.write_bytes, args=(data,), daemon=True)
+    writer.start()
+    with pytest.raises(NamecensusError) as exc:
+        list(iter_names(fifo, format="txt"))
+    writer.join(timeout=10)
+    assert str(exc.value) == f"{fifo}:{line}: invalid UTF-8 at byte offset {offset}"
 
 
 @pytest.mark.parametrize("reader", CSV_READERS)
