@@ -4,8 +4,8 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter
-from collections.abc import Callable, Iterable, Iterator
-from operator import itemgetter
+from collections.abc import Iterable, Iterator
+from operator import attrgetter, itemgetter
 from pathlib import Path
 from typing import NamedTuple, TypeVar
 
@@ -225,7 +225,7 @@ def _write_rows(blocks: Iterable[list[_Row]], path: str | Path) -> AggregateStat
             out.write(b"%d%s" * len(rows) % tuple(args))
             item = end
         # Inside the block, so a batch of zero rows leaves `path` as it was.
-        return _stats({label: counts[label.value] for label in GenderLabel})
+        return _stats(counts)
 
 
 def iter_result_labels(path: str | Path) -> Iterator[GenderLabel]:
@@ -249,7 +249,9 @@ def iter_result_labels(path: str | Path) -> Iterator[GenderLabel]:
         raise NamecensusError(f"{path}: no result rows")
 
 
-def _stats(counts: dict[GenderLabel, int]) -> AggregateStats:
+def _stats(values: Counter[str]) -> AggregateStats:
+    """The stats of a count per label value; every label appears, even at zero."""
+    counts = {label: values[label.value] for label in GenderLabel}
     total = sum(counts.values())
     if not total:
         raise NamecensusError("cannot aggregate zero predictions")
@@ -259,13 +261,12 @@ def _stats(counts: dict[GenderLabel, int]) -> AggregateStats:
 
 def aggregate_labels(labels: Iterable[GenderLabel]) -> AggregateStats:
     """Count and percentage per label; every label appears, even at zero."""
-    counts = dict.fromkeys(GenderLabel, 0)
-    for label in labels:
-        counts[label] += 1
-    return _stats(counts)
+    # `_value_` is a plain attribute, read in C: `.value` runs Python code.
+    return _stats(Counter(map(attrgetter("_value_"), labels)))
 
 
-# The list API. Its only non-test caller is perfbench/traced.py.
+# The list API. Its only non-test caller, perfbench/traced.py, calls
+# `read_input`, `run_batch`, `write_results` and `aggregate`.
 
 
 class NameRecord(NamedTuple):
@@ -290,23 +291,6 @@ def read_input(
     return [NameRecord(name) for name in iter_names(path, format, name_column, has_header)]
 
 
-def read_result_labels(path: str | Path) -> list[GenderLabel]:
-    """The gender column of a results CSV, in row order."""
-    return list(iter_result_labels(path))
-
-
-def _memoised(fn: Callable[[str], _T], keys: Iterable[str]) -> Iterator[_T]:
-    """`fn(key)` for every key, in order. Each distinct key is computed
-    once and its repeats share the value, so the memo holds one entry
-    per distinct key."""
-    memo: dict[str, _T] = {}
-    for key in keys:
-        value = memo.get(key)
-        if value is None:
-            value = memo[key] = fn(key)
-        yield value
-
-
 def run_batch(
     english: CountModel,
     chinese: CountModel,
@@ -315,13 +299,13 @@ def run_batch(
 ) -> list[Prediction]:
     """Predict every record, in order; repeats of a raw name share one
     frozen Prediction."""
-
-    def prediction(raw_name: str) -> Prediction:
+    memo: dict[str, Prediction] = {}
+    for raw_name in dict.fromkeys(record.raw_name for record in records):  # distinct, in order
         name = raw_name.strip()
         script, given = route(name)
-        return Prediction(name, script, given, *decide(english, chinese, config, script, given))
-
-    return list(_memoised(prediction, (record.raw_name for record in records)))
+        post, label = decide(english, chinese, config, script, given)
+        memo[raw_name] = Prediction(name, script, given, post, label)
+    return [memo[record.raw_name] for record in records]
 
 
 def _row(pred: Prediction) -> _Row:

@@ -202,6 +202,10 @@ def _decode(payload: bytes, pos: int, path: str | Path) -> tuple[CountModel, int
         index.byteswap()
     if index and max(index) >= pair_count:
         raise CacheError(f"{path}: model section has a pair index past its {pair_count} pairs")
+    # A count is 8 little-endian bytes, so its last byte holds its sign
+    # bit: one C pass over those bytes, with no int made per count.
+    if not payload[pairs_start + 7:index_start:8].isascii() or min(total_female, total_male) < 0:
+        raise CacheError(f"{path}: model section has a negative count")
     it = iter(counts)
     entries = _LazyEntries(key_text, firsts, spans, list(zip(it, it)), index, path)
     return CountModel(entries, total_female, total_male), end
@@ -262,9 +266,9 @@ def read_source_digest(path: str | Path) -> str:
 def load_cache(path: str | Path) -> ModelCache:
     """The two models of the cache at `path`, after `_read`'s checks and a
     check of each section: its lengths, its keys' UTF-8, its key count, its
-    chunks' key order and its pair indexes' range. Any fault is a
-    CacheError. The chinese keys become a dict here; the english keys are
-    decoded as lookups reach them."""
+    chunks' key order, its pair indexes' range and its counts' sign. Any
+    fault is a CacheError. The chinese keys become a dict here; the english
+    keys are decoded as lookups reach them."""
     _, payload = _read(path)
     english, pos = _decode(payload, 0, path)
     chinese, pos = _decode(payload, pos, path)

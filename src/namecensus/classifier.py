@@ -93,11 +93,12 @@ class ClassifierConfig(_ConfigFields):
 def posterior_english(
     model: CountModel, given: str, config: ClassifierConfig = ClassifierConfig()
 ) -> Posterior:
-    """Exact-key count ratio; absent names yield no evidence (no smoothing).
+    """Exact-key count ratio; an absent name, or one counted (0, 0), yields
+    no evidence (no smoothing).
     Uniform priors weigh each count by its class total, f/N_F against
     m/N_M; a class whose total is 0 weighs 0."""
     pair = model.entries.get(normalize_name_key(given))
-    if pair is None:
+    if pair is None or pair == (0, 0):
         return _NO_EVIDENCE
     female, male = pair
     if config.priors_mode == "uniform":  # both weights times N_F * N_M

@@ -126,6 +126,7 @@ def load_english_year_files(directory: str | Path) -> CountModel:
                 entries[key] = (female + count, male)
             else:
                 entries[key] = (female, male + count)
+        del text, fields, rows, checked  # freed before the next file is read
     return CountModel.from_entries(entries)
 
 

@@ -15,10 +15,11 @@ from namecensus.batchio import (
     NameRecord,
     Prediction,
     aggregate,
+    aggregate_labels,
     iter_names,
+    iter_result_labels,
     predict_to_results,
     read_input,
-    read_result_labels,
     run_batch,
     write_results,
 )
@@ -535,7 +536,7 @@ class TestWriteResults:
         preds = run_batch(ENG, CHI, CFG, [NameRecord(name) for name in names])
         path = tmp_path / "out.csv"
         write_results(preds, path)
-        assert read_result_labels(path) == [pred.label for pred in preds]
+        assert list(iter_result_labels(path)) == [pred.label for pred in preds]
         with open(path, encoding="utf-8", newline="") as fh:
             rows = list(csv.DictReader(fh))
         assert [row["name"] for row in rows] == names
@@ -565,7 +566,7 @@ class TestWriteResults:
              pred.script.value, pred.given]
             for item, pred in enumerate(preds, start=1)
         ])
-        assert read_result_labels(path) == [pred.label for pred in preds]
+        assert list(iter_result_labels(path)) == [pred.label for pred in preds]
 
     def test_failed_batch_leaves_old_file_and_no_temp(self, tmp_path):
         path = tmp_path / "out.csv"
@@ -607,8 +608,28 @@ class TestReadResultLabels:
         path = tmp_path / "results.csv"
         path.write_bytes(data)
         with pytest.raises(NamecensusError) as exc:
-            read_result_labels(path)
+            list(iter_result_labels(path))
         assert str(exc.value) == f"{path}:{message}"
+
+    def test_peak_memory_does_not_grow_with_rows(self, tmp_path):
+        """chart counts the labels as it reads them: no list of rows or labels."""
+        labels = [label.value for label in GenderLabel]
+
+        def peak(rows):
+            path = tmp_path / f"results{rows}.csv"
+            path.write_text("item,name,gender\n" + "".join(
+                f"{i},Hua S{i:07d},{labels[i % 4]}\n" for i in range(1, rows + 1)),
+                encoding="utf-8")
+            tracemalloc.start()
+            try:
+                assert aggregate_labels(iter_result_labels(path)).total == rows
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(2000)  # fills the process-wide caches that later runs share
+        small, large = peak(2000), peak(20 * 2000)
+        assert large <= 2 * small
 
 
 class TestAggregate:

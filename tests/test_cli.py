@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 
 from namecensus import batchio
-from namecensus.batchio import read_input, read_result_labels, run_batch, write_results
+from namecensus.batchio import iter_result_labels, read_input, run_batch, write_results
 from namecensus.cache import FORMAT_VERSION, MAGIC, load_cache, save_cache
 from namecensus.classifier import ClassifierConfig, decide, route
 from namecensus.cli import main
@@ -458,7 +458,7 @@ class TestPredict:
         assert main(["predict", "--cache", str(mini_cache), "--in", str(infile),
                      "--out", str(out)]) == 0
         cache = load_cache(mini_cache)
-        assert read_result_labels(out) == [
+        assert list(iter_result_labels(out)) == [
             decide(cache.english, cache.chinese, ClassifierConfig(), *route(name.strip()))[1]
             for name in names
         ]
@@ -829,6 +829,41 @@ def test_bad_pair_index_in_an_unread_english_chunk_fails_predict(tmp_path, capsy
     assert capsys.readouterr().err == (
         f"error: {bad}: model section has a pair index past its {pair_count} pairs\n")
     assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.ncm", "names.txt"]
+
+
+# A cache written with a valid digest is decoded as it is: a count no
+# corpus gives must be refused as one line, or read as no evidence.
+@pytest.mark.parametrize("english, chinese", [
+    (CountModel.from_entries({"hua": (-1, 1)}), CountModel.from_entries({"娟": (30, 1)})),
+    (CountModel.from_entries({"ann": (5, 2), "hua": (3, -1), "zoe": (9, 0)}),
+     CountModel.from_entries({"娟": (30, 1)})),
+    (CountModel.from_entries({"hua": (80, 20)}), CountModel.from_entries({"李": (-3, 4)})),
+    (CountModel.from_entries({"hua": (80, 20)}), CountModel({"李": (3, 4)}, -7, 4)),
+], ids=["english-pair", "english-male-count", "chinese-pair", "chinese-total"])
+def test_cache_with_a_negative_count_exit_1(tmp_path, capsys, english, chinese):
+    bad = tmp_path / "bad.ncm"
+    save_cache(english, chinese, bad)
+    names = tmp_path / "names.txt"
+    names.write_text("Hua Zhao\n李李\n", encoding="utf-8")
+    out = tmp_path / "results.csv"
+    assert main(["predict", "--cache", str(bad), "--in", str(names), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {bad}: model section has a negative count\n"
+    assert not out.exists()
+
+
+def test_cache_with_a_zero_latin_pair_predicts_unknown(tmp_path):
+    english = CountModel.from_entries({"hua": (0, 0), "phil": (0, 5)})
+    chinese = CountModel.from_entries({"娟": (30, 1)})
+    cache = tmp_path / "zero.ncm"
+    save_cache(english, chinese, cache)
+    names = tmp_path / "names.txt"
+    names.write_text("Hua Zhao\nPhil Barker\n", encoding="utf-8")
+    out = tmp_path / "results.csv"
+    for flags in [], ["--priors", "uniform"]:
+        assert main(["predict", "--cache", str(cache), "--in", str(names), "--out", str(out),
+                     *flags]) == 0
+        assert out.read_bytes().splitlines()[1:] == [
+            b"1,Hua Zhao,Unknown,,Latin,Hua", b"2,Phil Barker,Male,1.0000,Latin,Phil"]
 
 
 def _tree(root):

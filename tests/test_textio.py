@@ -11,7 +11,7 @@ from collections import Counter
 import pytest
 
 from namecensus import textio
-from namecensus.batchio import iter_names, read_result_labels
+from namecensus.batchio import iter_names, iter_result_labels
 from namecensus.cli import _read_config
 from namecensus.corpus import load_chinese_charfreq, load_english_year_files
 from namecensus.errors import NamecensusError
@@ -26,7 +26,7 @@ READERS = {
     "batch-txt": ("names.txt", lambda p: list(iter_names(p)), "Mary Smith\r\n王青\r", None),
     "batch-csv": ("names.csv", lambda p: list(iter_names(p)), "name\r\n王青\r", "name"),
     "gold": ("gold.csv", load_gold_labels, "name,gender\r\n王青,Female\r", "name,gender"),
-    "results": ("results.csv", read_result_labels,
+    "results": ("results.csv", lambda p: list(iter_result_labels(p)),
                 "item,name,gender\r\n1,王青,Female\r", "item,name,gender"),
     "char-table": ("chars.csv", load_chinese_charfreq,
                    "char,female,male\r\n娟,3,1\r", "char,female,male"),
@@ -153,7 +153,7 @@ def join_rows(rng, header, rows):
 PROPERTY_READERS = {
     "batch-txt": (txt_names, lambda p: list(iter_names(p))),
     "batch-csv": (csv_names, lambda p: list(iter_names(p))),
-    "results": (results, lambda p: Counter(label.value for label in read_result_labels(p))),
+    "results": (results, lambda p: Counter(label.value for label in iter_result_labels(p))),
     "gold": (gold, lambda p: {name: label.value for name, label in load_gold_labels(p).items()}),
     "yob": (yob, lambda p: load_english_year_files(p.parent)),
 }
@@ -203,6 +203,17 @@ def test_abandoned_names_close_their_file(tmp_path):
             assert next(names) == "Hua Zhao"
             del names
         assert [w for w in caught if issubclass(w.category, ResourceWarning)] == []
+
+
+def test_abandoned_result_labels_close_their_file(tmp_path):
+    path = tmp_path / "results.csv"
+    path.write_text("item,name,gender\n" + "1,Hua Zhao,Female\n" * 10_000, encoding="utf-8")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        labels = iter_result_labels(path)
+        assert next(labels).value == "Female"
+        del labels
+    assert [w for w in caught if issubclass(w.category, ResourceWarning)] == []
 
 
 # A pipe's bytes cannot be read twice: its first invalid byte is placed as it is read.
