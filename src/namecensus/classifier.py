@@ -57,9 +57,11 @@ class _ConfigFields(NamedTuple):
 
 
 class ClassifierConfig(_ConfigFields):
-    """The classifier's knobs, checked however the config is built: a
-    NamedTuple's `_make` and `_replace` would skip a checking `__new__`,
-    so `_make` goes through it too."""
+    """The classifier's knobs, and the one check of each knob's type and
+    range: the CLI builds a config from each flag or --config value alone
+    to check it. Checked however the config is built: a NamedTuple's
+    `_make` and `_replace` would skip a checking `__new__`, so `_make`
+    goes through it too."""
 
     __slots__ = ()
 
@@ -75,12 +77,12 @@ class ClassifierConfig(_ConfigFields):
             raise ValueError(
                 f"need 0.5 <= decisive_threshold < 1, got {self.decisive_threshold}"
             )
-        # An int is finite at any size; math.isfinite would overflow turning it into a float.
+        # Exactly an int or a float: a bool is an int. An int is finite at any
+        # size; math.isfinite would overflow turning it into a float.
         alpha = self.smoothing_alpha
-        if not (alpha > 0 and (isinstance(alpha, int) or math.isfinite(alpha))):
-            raise ValueError(
-                f"smoothing alpha must be a finite positive number: {alpha}"
-            )
+        if not (alpha > 0 if type(alpha) is int else
+                type(alpha) is float and alpha > 0 and math.isfinite(alpha)):
+            raise ValueError(f"smoothing alpha must be a finite positive int or float: {alpha!r}")
         if self.priors_mode not in ("empirical", "uniform"):
             raise ValueError(f"priors_mode must be empirical or uniform: {self.priors_mode}")
         return self

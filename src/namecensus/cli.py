@@ -37,7 +37,7 @@ def _add_model_flags(parser: argparse.ArgumentParser) -> None:
                         help="JSON config file; flags override its values")
 
 
-# --config key (and flag), in check order -> field; its default's type is the JSON type.
+# --config key (and flag) -> ClassifierConfig field, which checks its values.
 _CONFIG_FIELDS = {"threshold": "decisive_threshold", "alpha": "smoothing_alpha",
                   "priors": "priors_mode"}
 
@@ -45,7 +45,6 @@ _CONFIG_FIELDS = {"threshold": "decisive_threshold", "alpha": "smoothing_alpha",
 def _read_config(path: str) -> dict:
     import json
 
-    from namecensus.classifier import ClassifierConfig
     from namecensus.textio import read_text
 
     def unique_keys(pairs: list[tuple[str, object]]) -> dict:
@@ -58,39 +57,34 @@ def _read_config(path: str) -> dict:
 
     try:
         doc = json.loads(read_text(path), object_pairs_hook=unique_keys)
-    except ValueError as exc:  # JSON syntax
+    except (ValueError, RecursionError) as exc:  # JSON syntax, or nesting too deep
         raise NamecensusError(f"{path}: {exc}") from None
     if not isinstance(doc, dict):
         raise NamecensusError(f"{path}: config must be a JSON object")
-    for key, value in doc.items():
+    for key in doc:
         if key not in _CONFIG_FIELDS:
             raise NamecensusError(f"{path}: unknown config key {key!r}")
-        want = type(ClassifierConfig._field_defaults[_CONFIG_FIELDS[key]])
-        if not (type(value) is want or (want is float and type(value) is int)):
-            raise NamecensusError(
-                f"{path}: config key {key!r} must be {want.__name__}, got {value!r}"
-            )
     return doc
 
 
 def _resolve_config(args: argparse.Namespace) -> ClassifierConfig:
-    """Flags override the --config file, which overrides the defaults. The first
-    value that makes the config invalid is reported by its flag or key."""
+    """Flags override the --config file, which overrides the defaults. Each
+    value is checked alone, every file key and then every flag, so a bad
+    file value is an error even where a flag overrides it."""
     from namecensus.classifier import ClassifierConfig
 
     base = _read_config(args.config) if args.config else {}
+    given = [(f"{args.config}: config key {key!r}", _CONFIG_FIELDS[key], value)
+             for key, value in base.items()]
+    given += [("--" + key, field, getattr(args, key)) for key, field in _CONFIG_FIELDS.items()
+              if getattr(args, key) is not None]
     values = {}
-    for key, field in _CONFIG_FIELDS.items():
-        if getattr(args, key) is not None:
-            values[field], source = getattr(args, key), "--" + key.replace("_", "-")
-        elif key in base:
-            values[field], source = base[key], f"{args.config}: config key {key!r}"
-        else:
-            continue
+    for source, field, value in given:
         try:
-            ClassifierConfig(**values)
+            ClassifierConfig(**{field: value})
         except ValueError as exc:
             raise NamecensusError(f"{source}: {exc}") from None
+        values[field] = value
     return ClassifierConfig(**values)
 
 

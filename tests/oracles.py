@@ -48,7 +48,8 @@ def english_ratio_oracle(
     key: str,
     priors_mode: str = "empirical",
 ) -> tuple[float, float] | None:
-    """Exact-fraction count ratio for one name key; None when absent.
+    """Exact-fraction count ratio for one name key; None when absent or
+    counted (0, 0), as no evidence.
 
     Uniform priors divide each count by its class total over all entries;
     a class whose total is 0 contributes nothing.
@@ -62,7 +63,7 @@ def english_ratio_oracle(
 def _english_fraction(
     entries: dict[str, tuple[int, int]], key: str, priors_mode: str
 ) -> Fraction | None:
-    if key not in entries:
+    if entries.get(key, (0, 0)) == (0, 0):
         return None
     female, male = map(Fraction, entries[key])
     if priors_mode == "uniform":

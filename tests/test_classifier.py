@@ -249,6 +249,7 @@ class TestClassify:
     @pytest.mark.parametrize("field, bad", [
         ("decisive_threshold", 0.4), ("decisive_threshold", 1.0),
         ("smoothing_alpha", 0.0), ("smoothing_alpha", float("nan")),
+        ("smoothing_alpha", True), ("smoothing_alpha", "1"), ("smoothing_alpha", None),
         ("priors_mode", "bogus"),
     ])
     @pytest.mark.parametrize("builder", BUILDERS)

@@ -204,6 +204,8 @@ class TestPredict:
         ('{"alpha": 0}', "'alpha'"),
         ('{"alpha": NaN}', "'alpha'"),
         ('{"alpha": Infinity}', "'alpha'"),
+        ('{"alpha": true}', "'alpha'"),
+        ('{"priors": 5}', "'priors'"),
         ('{"alpha": ', "cfg.json: Expecting value"),
     ])
     def test_bad_config_exit_1(self, tmp_path, mini_cache, capsys, content, named):
@@ -217,6 +219,21 @@ class TestPredict:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert named in err
+
+    # A file value is checked even where a flag overrides it.
+    def test_bad_config_value_overridden_by_a_flag_exit_1(self, tmp_path, mini_cache, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"threshold": 1.5}', encoding="utf-8")
+        infile = tmp_path / "names.txt"
+        infile.write_text("Jordan Smith\n", encoding="utf-8")
+        out = tmp_path / "o.csv"
+        code = main(["predict", "--cache", str(mini_cache), "--in", str(infile),
+                     "--out", str(out), "--config", str(cfg), "--threshold", "0.7"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {cfg}: config key 'threshold': ")
+        assert err.count("\n") == 1
+        assert not out.exists()
 
     # json.loads keeps a repeated key's last value, which would run at 0.5 unannounced.
     @pytest.mark.parametrize("content, key", [
@@ -750,6 +767,25 @@ def test_undecodable_gold_or_results_names_file(tmp_path, mini_cache, capsys, co
     assert capsys.readouterr().err == f"error: {path}:3: invalid UTF-8 at byte offset 37\n"
 
 
+# The JSON decoder recurses once per level: a deep file is one line, not a traceback.
+@pytest.mark.parametrize("command", ["predict", "eval"])
+@pytest.mark.parametrize("opener", ["[", '{"a":'])
+def test_deeply_nested_config_exit_1(tmp_path, mini_cache, capsys, command, opener):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(opener * 200_000, encoding="utf-8")
+    names = tmp_path / "names.txt"
+    names.write_text("Hua Zhao\n", encoding="utf-8")
+    gold = tmp_path / "gold.csv"
+    gold.write_text("name,gender\nHua Zhao,Female\n", encoding="utf-8")
+    out = tmp_path / "o.csv"
+    flags = (["--in", str(names), "--out", str(out)] if command == "predict"
+             else ["--gold", str(gold)])
+    assert main([command, "--cache", str(mini_cache), "--config", str(cfg), *flags]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {cfg}: ") and err.count("\n") == 1
+    assert not out.exists()
+
+
 # Every file read, model cache and corpora included, reports a bad path as one line.
 @pytest.mark.parametrize("command, flag, fault", [
     ("build-cache", "--chinese-csv", "file not found"),
@@ -859,11 +895,14 @@ def test_cache_with_a_zero_latin_pair_predicts_unknown(tmp_path):
     names = tmp_path / "names.txt"
     names.write_text("Hua Zhao\nPhil Barker\n", encoding="utf-8")
     out = tmp_path / "results.csv"
-    for flags in [], ["--priors", "uniform"]:
+    for flags, priors in ([], "empirical"), (["--priors", "uniform"], "uniform"):
         assert main(["predict", "--cache", str(cache), "--in", str(names), "--out", str(out),
                      *flags]) == 0
         assert out.read_bytes().splitlines()[1:] == [
             b"1,Hua Zhao,Unknown,,Latin,Hua", b"2,Phil Barker,Male,1.0000,Latin,Phil"]
+        assert [(row["gender"], row["probability"]) for row in read_rows(out)] == [
+            decision_oracle(english.entries, chinese.entries, "Latin", given, priors_mode=priors)
+            for given in ("Hua", "Phil")]
 
 
 def _tree(root):
