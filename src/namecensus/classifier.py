@@ -6,11 +6,12 @@ import enum
 import functools
 import math
 import re
+from importlib import resources
 from typing import NamedTuple
 
 from namecensus.corpus import CountModel, normalize_name_key
-from namecensus.namesplit import default_compound_surnames, split_english
-from namecensus.scriptdetect import _HAN, _LATIN, _MIXED, Script, common_script, script_and_han
+from namecensus.scriptdetect import (
+    _HAN, _LATIN, _MIXED, Script, common_script, is_latin_letter, script_and_han)
 
 
 class GenderLabel(enum.Enum):
@@ -177,7 +178,40 @@ def printed_probability(post: Posterior) -> str:
     return f"0.{q}" if q < 10_000 else "1.0000"
 
 
-# split_english's rule on an ASCII name, in one match: skip the leading
+@functools.lru_cache(maxsize=1)
+def default_compound_surnames() -> frozenset[str]:
+    """The shipped two-character surname list; one per line, `#` comments allowed."""
+    text = resources.files("namecensus").joinpath("data/compound_surnames.txt").read_text(
+        encoding="utf-8-sig")
+    entries = (line.split("#", 1)[0].strip() for line in text.split("\n"))
+    return frozenset(filter(None, entries))
+
+
+def han_given(han: str, compound_surnames: frozenset[str]) -> str:
+    """The given name of a surname-first Han name: what follows a listed
+    compound surname when anything does, else what follows the first
+    character. A lone character is all given name."""
+    if len(han) == 1:
+        return han
+    if len(han) > 2 and han[:2] in compound_surnames:
+        return han[2:]
+    return han[1:]
+
+
+def latin_given(name: str) -> str:
+    """The first token of a Western-order name that is not an initial
+    ("J", "J."); never the last token, the surname. If every token before
+    the last is an initial, the first token (such names end up Unknown)."""
+    tokens = name.split()
+    for token in tokens[:-1]:
+        initial = (is_latin_letter(token) if len(token) == 1 else
+                   len(token) == 2 and token[1] == "." and is_latin_letter(token[0]))
+        if not initial:
+            return token
+    return tokens[0] if tokens else name
+
+
+# latin_given's rule on an ASCII name, in one match: skip the leading
 # initials ("J", "J.") and take the next token, unless it is the last.
 # No match means every token before the last is an initial, or there is
 # one token: the first token is then the given name.
@@ -191,7 +225,7 @@ def route(name: str) -> tuple[Script, str]:
 
     ASCII and all-Han names, the common shapes, are routed by one regex
     match each; every other name takes `script_and_han`, the slow path of
-    `detect_script`, then `split_english` or the Han split of its Han
+    `detect_script`, then `latin_given` or `han_given` of its Han
     substring. Both ways give the same (script, given).
     """
     script = common_script(name)
@@ -202,17 +236,10 @@ def route(name: str) -> tuple[Script, str]:
     if script is None:
         script, han = script_and_han(name)
         if script is _LATIN:
-            return script, split_english(name).given
+            return script, latin_given(name)
     if script is not _HAN and script is not _MIXED:
         return script, ""
-    # split_chinese's rule, without building a SplitName: a listed compound
-    # surname when a given name follows it, else one surname character; a
-    # lone character is all given name.
-    if len(han) == 1:
-        return script, han
-    if len(han) > 2 and han[:2] in default_compound_surnames():
-        return script, han[2:]
-    return script, han[1:]
+    return script, han_given(han, default_compound_surnames())
 
 
 def decide(

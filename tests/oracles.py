@@ -10,8 +10,10 @@ from fractions import Fraction
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
+    from collections.abc import Iterable
     from pathlib import Path
 
+    from namecensus.classifier import ClassifierConfig
     from namecensus.corpus import CountModel
     from namecensus.scriptdetect import Script
 
@@ -120,21 +122,44 @@ def script_oracle(name: str) -> tuple[Script, str]:
     return (Script.OTHER if other else Script.EMPTY), ""
 
 
+def latin_given_oracle(name: str) -> str:
+    """The given name of a Latin name, by the rule as stated: the first of
+    the tokens before the last that is not an initial, else the first
+    token. An initial is one Latin letter, bare or with a full stop."""
+
+    def initial(token: str) -> bool:
+        letter = token.removesuffix(".")
+        return (len(letter) == 1 and letter.isalpha()
+                and unicodedata.name(letter, "").startswith("LATIN"))
+
+    tokens = name.split()
+    return next((token for token in tokens[:-1] if not initial(token)), tokens[0])
+
+
+def han_given_oracle(han: str, compound_surnames: frozenset[str]) -> str:
+    """The Han characters after the surname: a listed two-character
+    surname when at least one character follows it, else the first
+    character, unless it is the only one."""
+    if len(han) >= 3 and han[:2] in compound_surnames:
+        return han[2:]
+    return han[1:] or han
+
+
 def route_oracle(name: str) -> tuple[Script, str]:
     """`classifier.route` of a stripped name by `script_oracle` and the
-    split alone, for every name: Latin takes split_english, Han and Mixed
-    split_chinese of their Han substring, and Empty and Other have no
-    given name."""
+    two split rules above, for every name: Latin takes latin_given_oracle,
+    Han and Mixed han_given_oracle of their Han substring, and Empty and
+    Other have no given name."""
     # Imported here: the benchmark's checks import this module without
     # the package on the path.
-    from namecensus.namesplit import default_compound_surnames, split_chinese, split_english
+    from namecensus.classifier import default_compound_surnames
     from namecensus.scriptdetect import Script
 
     script, han = script_oracle(name)
     if script is Script.LATIN:
-        return script, split_english(name).given
+        return script, latin_given_oracle(name)
     if script is Script.HAN or script is Script.MIXED:
-        return script, split_chinese(han, default_compound_surnames()).given
+        return script, han_given_oracle(han, default_compound_surnames())
     return script, ""
 
 
@@ -196,6 +221,21 @@ def decision_oracle(
         label = "Unisex"
     digits = round(max(p_female, 1 - p_female) * 10**4)  # half-even
     return label, str(Decimal(digits).scaleb(-4))
+
+
+def result_rows_oracle(
+    english: CountModel, chinese: CountModel, config: ClassifierConfig, names: Iterable[str]
+) -> list[list[object]]:
+    """The results rows `batchio.predict_to_results` writes for `names`,
+    each name stripped, by `route_oracle` and `decision_oracle` alone."""
+    rows: list[list[object]] = []
+    for item, name in enumerate(map(str.strip, names), 1):
+        script, given = route_oracle(name)
+        gender, prob = decision_oracle(
+            english.entries, chinese.entries, script.value, given,
+            config.smoothing_alpha, config.priors_mode, config.decisive_threshold)
+        rows.append([item, name, gender, prob, script.value, given])
+    return rows
 
 
 def results_csv_oracle(rows: list[list[object]]) -> bytes:

@@ -17,7 +17,7 @@ import pytest
 
 import corpusgen
 from conftest import DATA_DIR, TABLE2_NAMES, TABLE4_LABELS
-from namecensus.batchio import NameRecord, Prediction, aggregate, run_batch
+from namecensus.batchio import Prediction, aggregate, predict_to_results
 from namecensus.cache import load_cache, save_cache
 from namecensus.classifier import (
     ClassifierConfig,
@@ -151,7 +151,7 @@ def test_criterion_5_normalization_and_partition():
     _report("5 normalization-partition", ok)
 
 
-def test_criterion_6_aggregation(full_models):
+def test_criterion_6_aggregation(tmp_path, full_models):
     rng = random.Random(66)
     ok = True
     for _ in range(1000):
@@ -166,8 +166,7 @@ def test_criterion_6_aggregation(full_models):
             for lb in GenderLabel
         )
     english, chinese = full_models
-    records = [NameRecord(n) for n in TABLE2_NAMES]
-    stats = aggregate(run_batch(english, chinese, CFG, records))
+    stats = predict_to_results(english, chinese, CFG, TABLE2_NAMES, tmp_path / "results.csv")
     ok &= stats.percentages[GenderLabel.MALE] == pytest.approx(60.0)
     ok &= stats.percentages[GenderLabel.FEMALE] == pytest.approx(30.0)
     ok &= stats.percentages[GenderLabel.UNISEX] == pytest.approx(10.0)
@@ -218,8 +217,7 @@ def test_criterion_8_chart_emission(tmp_path, full_models):
     from namecensus.report import SVG_BAR_SCALE, emit_chart
 
     english, chinese = full_models
-    records = [NameRecord(n) for n in TABLE2_NAMES]
-    stats = aggregate(run_batch(english, chinese, CFG, records))
+    stats = predict_to_results(english, chinese, CFG, TABLE2_NAMES, tmp_path / "results.csv")
     json_path, svg_path = tmp_path / "c.json", tmp_path / "c.svg"
     emit_chart(stats, json_path, svg_path)
     doc = json.loads(json_path.read_text(encoding="utf-8"))

@@ -27,11 +27,17 @@ from namecensus.classifier import ClassifierConfig, GenderLabel, Posterior, rout
 from namecensus.corpus import CountModel
 from namecensus.errors import NamecensusError
 from namecensus.scriptdetect import Script
-from oracles import decision_oracle, results_csv_oracle, route_oracle
+from oracles import result_rows_oracle, results_csv_oracle
 
 CFG = ClassifierConfig()
 ENG = CountModel(entries={"hua": (80, 20)}, total_female=80, total_male=20)
 CHI = CountModel(entries={"青": (55, 45)}, total_female=55, total_male=45)
+
+
+def oracle_outputs(names, english=ENG, chinese=CHI, config=CFG):
+    """The results bytes and label counts of `names`, by the oracles alone."""
+    rows = result_rows_oracle(english, chinese, config, names)
+    return results_csv_oracle(rows), aggregate_labels(GenderLabel(row[2]) for row in rows)
 
 
 class TestReadInput:
@@ -245,11 +251,9 @@ class TestBlocks:
 
     @staticmethod
     def outputs(tmp_path, names):
-        predicted, written = tmp_path / "predicted.csv", tmp_path / "written.csv"
-        stats = predict_to_results(ENG, CHI, CFG, iter(names), predicted)
-        records = [NameRecord(name) for name in names]
-        assert write_results(iter(run_batch(ENG, CHI, CFG, records)), written) == stats
-        return predicted.read_bytes(), written.read_bytes(), stats
+        path = tmp_path / "out.csv"
+        stats = predict_to_results(ENG, CHI, CFG, iter(names), path)
+        return path.read_bytes(), stats
 
     @pytest.mark.parametrize("block", [1, 2, 3])
     def test_block_boundaries_give_the_default_bytes(self, tmp_path, monkeypatch, block):
@@ -257,11 +261,10 @@ class TestBlocks:
         batches = [self.NAMES, self.NAMES[:block], self.NAMES[:block + 1],
                    self.NAMES[-block:] + self.NAMES[:block]]
         want = [self.outputs(tmp_path, names) for names in batches]
+        assert want == [oracle_outputs(names) for names in batches]
         monkeypatch.setattr(batchio, "_BLOCK", block)
         for names, expected in zip(batches, want):
-            got = self.outputs(tmp_path, names)
-            assert got == expected, names
-            assert got[0] == got[1]
+            assert self.outputs(tmp_path, names) == expected, names
 
     @pytest.mark.parametrize("block", [1, 2, 3])
     def test_zero_names_leave_out_as_it_was(self, tmp_path, monkeypatch, block):
@@ -287,18 +290,11 @@ class TestFourByteCharacters:
     def test_rows_equal_csv_writer_reference(self, tmp_path, monkeypatch, block):
         monkeypatch.setattr(batchio, "_BLOCK", block)
         names = self.NAMES + self.NAMES[::-1]
-        rows = []
-        for item, name in enumerate(names, 1):
-            script, given = route_oracle(name)
-            gender, prob = decision_oracle(ENG.entries, CHI.entries, script.value, given)
-            rows.append([item, name, gender, prob, script.value, given])
-        want = results_csv_oracle(rows)
+        want = results_csv_oracle(result_rows_oracle(ENG, CHI, CFG, names))
         assert "\U00020000".encode() in want and "😀".encode() in want
-        predicted, written = tmp_path / "predicted.csv", tmp_path / "written.csv"
-        predict_to_results(ENG, CHI, CFG, iter(names), predicted)
-        write_results(run_batch(ENG, CHI, CFG, [NameRecord(name) for name in names]), written)
-        assert predicted.read_bytes() == want
-        assert written.read_bytes() == want
+        path = tmp_path / "out.csv"
+        predict_to_results(ENG, CHI, CFG, iter(names), path)
+        assert path.read_bytes() == want
 
 
 class TestPercentSigns:
@@ -315,19 +311,12 @@ class TestPercentSigns:
     def test_rows_equal_csv_writer_reference(self, tmp_path, monkeypatch, block):
         monkeypatch.setattr(batchio, "_BLOCK", block)
         names = [self.NAMES[i % len(self.NAMES)] for i in range(self.ROWS)]
-        oracle = {}
-        for name in self.NAMES:
-            script, given = route_oracle(name)
-            gender, prob = decision_oracle(ENG.entries, CHI.entries, script.value, given)
-            oracle[name] = [name, gender, prob, script.value, given]
-        want = results_csv_oracle([[item, *oracle[name]] for item, name in enumerate(names, 1)])
+        want = results_csv_oracle(result_rows_oracle(ENG, CHI, CFG, names))
         assert b"\n1,%d %s,Unknown,,Latin,%d\n" in want
         assert want.endswith(b"\n2049,% Hua,Unknown,,Latin,%\n2050,%,Unknown,,Empty,\n")
-        predicted, written = tmp_path / "predicted.csv", tmp_path / "written.csv"
-        predict_to_results(ENG, CHI, CFG, iter(names), predicted)
-        write_results(run_batch(ENG, CHI, CFG, [NameRecord(name) for name in names]), written)
-        assert predicted.read_bytes() == want
-        assert written.read_bytes() == want
+        path = tmp_path / "out.csv"
+        predict_to_results(ENG, CHI, CFG, iter(names), path)
+        assert path.read_bytes() == want
 
 
 class TestMemoCap:
@@ -399,10 +388,9 @@ class TestMemoCap:
 class TestPredictToResults:
     def test_names_print_stripped_with_predicts_row(self, tmp_path):
         names = [" Mary Smith ", "\u3000王青 ", "Hua Zhao\t", "王青", " 1234"]
-        path, ref = tmp_path / "out.csv", tmp_path / "ref.csv"
-        predict_to_results(ENG, CHI, CFG, names, path)
-        write_results(run_batch(ENG, CHI, CFG, [NameRecord(name) for name in names]), ref)
-        assert path.read_bytes() == ref.read_bytes()
+        path = tmp_path / "out.csv"
+        stats = predict_to_results(ENG, CHI, CFG, names, path)
+        assert (path.read_bytes(), stats) == oracle_outputs(names)
         assert path.read_bytes().splitlines()[1:] == [
             b"1,Mary Smith,Unknown,,Latin,Mary", "2,王青,Unisex,0.5500,Han,青".encode(),
             b"3,Hua Zhao,Female,0.8000,Latin,Hua", "4,王青,Unisex,0.5500,Han,青".encode(),
@@ -421,7 +409,7 @@ class TestPredictToResults:
         CFG, ClassifierConfig(priors_mode="uniform"), ClassifierConfig(smoothing_alpha=0.3),
     ], ids=["default", "uniform", "alpha-0.3"])
     @pytest.mark.parametrize("seed", range(4))
-    def test_shuffled_repeats_equal_run_batch(self, tmp_path, config, seed):
+    def test_shuffled_repeats_equal_oracle(self, tmp_path, config, seed):
         english = CountModel(entries={"hua": (80, 20), "jo": (80, 20), "phil": (0, 160)},
                              total_female=160, total_male=200)
         chinese = CountModel(entries={"青": (55, 45), "娟": (30, 1)},
@@ -429,11 +417,9 @@ class TestPredictToResults:
         rng = random.Random(seed)
         names = [name for name in self.KINDS for _ in range(rng.randint(1, 4))]
         rng.shuffle(names)
-        path, ref = tmp_path / "out.csv", tmp_path / "ref.csv"
+        path = tmp_path / "out.csv"
         stats = predict_to_results(english, chinese, config, names, path)
-        preds = run_batch(english, chinese, config, [NameRecord(name) for name in names])
-        assert stats == write_results(preds, ref)
-        assert path.read_bytes() == ref.read_bytes()
+        assert (path.read_bytes(), stats) == oracle_outputs(names, english, chinese, config)
 
 
 class TestRunBatch:

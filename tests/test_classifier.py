@@ -4,6 +4,7 @@ import pickle
 import random
 from decimal import Decimal
 from fractions import Fraction
+from importlib import resources
 
 import pytest
 
@@ -14,6 +15,9 @@ from namecensus.classifier import (
     Posterior,
     classify,
     decide,
+    default_compound_surnames,
+    han_given,
+    latin_given,
     posterior_chinese,
     posterior_english,
     route,
@@ -301,6 +305,74 @@ class TestRoute:
         for _ in range(120_000):
             name = "".join(rng.choices(rng.choice(pools), k=rng.randint(0, 8))).strip()
             assert route(name) == route_oracle(name), repr(name)
+
+
+COMPOUND = default_compound_surnames()
+
+
+class TestHanGiven:
+    @pytest.mark.parametrize("name, given", [
+        ("赵金标", "金标"),
+        ("欧阳娜", "娜"),  # a listed compound surname
+        ("骅", "骅"),  # a single character is all given name
+        # nothing would remain as the given name, so fall back to 1-char
+        ("欧阳", "阳"),
+    ])
+    def test_named_cases(self, name, given):
+        assert han_given(name, COMPOUND) == given
+        assert route(name) == (Script.HAN, given)
+
+    def test_given_is_the_name_less_a_short_surname(self):
+        for name in ["赵骅", "王青", "欧阳娜娜", "司马相如", "张三丰"]:
+            given = han_given(name, COMPOUND)
+            assert name.endswith(given)
+            assert len(name) - len(given) in (0, 1, 2)
+
+    def test_compound_list_is_the_argument(self):
+        assert han_given("欧阳娜", frozenset()) == "阳娜"
+        assert han_given("赵金标", frozenset({"赵金"})) == "标"
+
+
+class TestLatinGiven:
+    @pytest.mark.parametrize("name, given", [
+        ("Alasdair J G Gray", "Alasdair"),
+        ("Hua Zhao", "Hua"),
+        ("Phil Barker", "Phil"),
+        ("Mary-Jane Watson", "Mary-Jane"),
+        ("J. Robert Oppenheimer", "Robert"),
+        ("J. K. Rowling", "J."),  # all initials fall back to the first token
+        ("Hua", "Hua"),
+        # Non-ASCII initials, routed by script detection and latin_given.
+        ("É Marie Curie", "Marie"),
+        ("Ø. ǅ Jan Novák", "Jan"),
+        ("José Ñ", "José"),
+    ])
+    def test_western_order(self, name, given):
+        assert latin_given(name) == given
+        assert route(name) == (Script.LATIN, given)
+
+    def test_surname_never_chosen_with_two_noninitial_tokens(self):
+        for name in ["Grace Hopper", "Ada King Lovelace", "Jim T Thomson"]:
+            assert latin_given(name) != name.split()[-1]
+
+    def test_idempotent_on_given(self):
+        given = latin_given("Martin Kettle")
+        assert latin_given(given) == given
+
+
+def test_shipped_compound_list_drops_comments_and_whitespace():
+    assert not any("#" in e or any(ch.isspace() for ch in e) for e in COMPOUND)
+    text = resources.files("namecensus").joinpath("data/compound_surnames.txt").read_text(
+        encoding="utf-8")
+    comment = text.split("\n", 1)[0]
+    assert comment.startswith("# ")
+    assert comment not in COMPOUND and comment[2:] not in COMPOUND
+
+
+def test_shipped_compound_list_is_two_char_entries():
+    assert len(COMPOUND) >= 70
+    assert all(len(e) == 2 for e in COMPOUND)
+    assert "欧阳" in COMPOUND and "诸葛" in COMPOUND
 
 
 class TestPredict:

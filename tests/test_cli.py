@@ -14,13 +14,13 @@ from pathlib import Path
 import pytest
 
 from namecensus import batchio
-from namecensus.batchio import iter_result_labels, read_input, run_batch, write_results
+from namecensus.batchio import iter_names, iter_result_labels
 from namecensus.cache import FORMAT_VERSION, MAGIC, load_cache, save_cache
 from namecensus.classifier import ClassifierConfig, decide, route
 from namecensus.cli import main
 from namecensus.corpus import CountModel
 import corpusgen
-from oracles import decision_oracle
+from oracles import decision_oracle, result_rows_oracle, results_csv_oracle
 
 CACHE_HEADER_SIZE = len(MAGIC) + 4 + 32 + 32 + 8  # magic, version, both digests, payload length
 
@@ -553,18 +553,17 @@ class TestPredict:
     @pytest.mark.parametrize("workload, size", [
         ("mixed-100k", 3000), ("tail-csv-100k", 3000), ("startup-1k", 1000),
     ])
-    def test_results_equal_write_results_of_run_batch(self, tmp_path, cache_path,
-                                                      english_dir, workload, size):
+    def test_results_equal_oracle(self, tmp_path, cache_path, english_dir, workload, size):
         spec = dataclasses.replace(workloads.WORKLOADS[workload], names=size)
         infile = tmp_path / f"names{spec.suffix}"
         workloads.write_input(spec, infile, 7, english_dir)
-        out, expected = tmp_path / "results.csv", tmp_path / "expected.csv"
+        out = tmp_path / "results.csv"
         assert main(["predict", "--cache", str(cache_path), "--in", str(infile),
                      "--out", str(out)]) == 0
         cache = load_cache(cache_path)
-        write_results(run_batch(cache.english, cache.chinese, ClassifierConfig(),
-                                read_input(infile)), expected)
-        assert out.read_bytes() == expected.read_bytes()
+        rows = result_rows_oracle(cache.english, cache.chinese, ClassifierConfig(),
+                                  iter_names(infile))
+        assert out.read_bytes() == results_csv_oracle(rows)
         assert len(read_rows(out)) == size
 
     @pytest.mark.parametrize("filename, content", [

@@ -66,6 +66,7 @@ def test_predict_without_chart_loads_no_chart_code(tmp_path, cache_path, bare_mo
     assert code == "0"
     assert {"namecensus.batchio", "namecensus.classifier"} <= modules
     assert "namecensus.report" not in modules
+    assert "namecensus.namesplit" not in modules  # kept for the benchmark only
     assert "dataclasses" not in modules - bare_modules
 
 
@@ -88,6 +89,7 @@ def test_commands_load_no_dataclasses(tmp_path, cache_path, bare_modules, comman
     code, modules = loaded_modules(*argv)
     assert code == "0"
     assert "namecensus.report" in modules
+    assert "namecensus.namesplit" not in modules
     assert "dataclasses" not in modules - bare_modules
 
 
