@@ -1,8 +1,10 @@
 """Versioned binary cache for the two trained models (.ncm files).
 
-Layout: magic, format version, source-corpus digest, payload digest and
-payload length (`_HEADER`), then the payload. The payload digest catches
-corruption; the source digest catches staleness.
+Layout: magic, format version, source-corpus SHA-256, payload CRC-32 and
+payload length (`_HEADER`), then the payload. The CRC-32 catches
+accidental corruption, as in gzip, zip and PNG: it is unkeyed and stored
+beside the payload, so no digest there could stop a deliberate edit. The
+SHA-256 is the corpus's identity and catches staleness.
 
 The payload is two columnar model sections, english then chinese. Each
 section is a fixed `_SECTION` header (entry count, key-bytes length,
@@ -21,9 +23,10 @@ that looks up a few names decodes a few chunks.
 
 from __future__ import annotations
 
-import hashlib
+import re
 import struct
 import sys
+import zlib
 from array import array
 from bisect import bisect_right
 from collections.abc import Iterator, Mapping
@@ -35,8 +38,8 @@ from namecensus.errors import CacheError, NamecensusError
 from namecensus.textio import open_bytes, replace_file
 
 MAGIC = b"NCMC"
-FORMAT_VERSION = 4
-_HEADER = struct.Struct("<4sI32s32sQ")
+FORMAT_VERSION = 5
+_HEADER = struct.Struct("<4sI32sIQ")
 _SECTION = struct.Struct("<QQQqq")
 # The array typecode of a 4-byte unsigned int: "I" on every common ABI,
 # but C promises it only 2 bytes.
@@ -52,7 +55,9 @@ class ModelCache(NamedTuple):
 
 
 def digest_corpus_files(paths: list[Path]) -> str:
-    """Order-independent content hash of the input corpus files."""
+    """Order-independent SHA-256 of the input corpus files."""
+    import hashlib  # here, not at the top, so reading a cache never loads OpenSSL
+
     h = hashlib.sha256()
     for path in sorted(paths, key=lambda p: p.name):
         h.update(path.name.encode("utf-8"))
@@ -217,7 +222,10 @@ def save_cache(
     path: str | Path,
     source_digest: str = "",
 ) -> None:
-    """Write through `textio.replace_file`, so a failed write leaves `path` as it was."""
+    """Write through `textio.replace_file`, so a failed write leaves `path` as
+    it was. `source_digest` is "" or 64 hex digits."""
+    if source_digest and not re.fullmatch(r"[0-9a-fA-F]{64}", source_digest):
+        raise CacheError(f"{path}: source digest is not 64 hex digits")
     try:
         payload = _encode(english) + _encode(chinese)
     except CacheError as exc:
@@ -226,7 +234,7 @@ def save_cache(
         MAGIC,
         FORMAT_VERSION,
         bytes.fromhex(source_digest) if source_digest else b"\x00" * 32,
-        hashlib.sha256(payload).digest(),
+        zlib.crc32(payload),
         len(payload),
     )
     with replace_file(path) as fh:
@@ -245,14 +253,14 @@ def _read(path: str | Path) -> tuple[bytes, bytes]:
         if len(header) < _HEADER.size:
             raise CacheError(f"{path}: cache file shorter than its header")
         payload = fh.read()
-    _, version, source_digest, payload_digest, payload_len = _HEADER.unpack(header)
+    _, version, source_digest, payload_crc, payload_len = _HEADER.unpack(header)
     if version != FORMAT_VERSION:
         raise CacheError(
             f"{path}: cache format version {version}, this build supports {FORMAT_VERSION}"
         )
     if len(payload) != payload_len:
         raise CacheError(f"{path}: payload is {len(payload)} bytes, header promised {payload_len}")
-    if hashlib.sha256(payload).digest() != payload_digest:
+    if zlib.crc32(payload) != payload_crc:
         raise CacheError(f"{path}: cache payload digest mismatch (corrupted file)")
     return source_digest, payload
 

@@ -1,8 +1,8 @@
-import hashlib
 import itertools
 import random
 import re
 import struct
+import zlib
 
 import pytest
 
@@ -21,7 +21,7 @@ from namecensus.corpus import CountModel
 from namecensus.errors import CacheError, NamecensusError
 
 HAN_POOL = "娟刚青金标骅明丽伟芳"
-HEADER_SIZE = len(MAGIC) + 4 + 32 + 32 + 8  # magic, version, both digests, payload length
+HEADER_SIZE = len(MAGIC) + 4 + 32 + 4 + 8  # magic, version, source digest, payload CRC-32, length
 SECTION = struct.Struct("<QQQqq")  # entries, key bytes, pairs, total_female, total_male
 
 
@@ -47,8 +47,19 @@ def test_round_trip_identity(tmp_path):
     cache = load_cache(path)
     assert cache.english == english
     assert cache.chinese == chinese
-    assert FORMAT_VERSION == 4
+    assert FORMAT_VERSION == 5
     assert read_source_digest(path) == "ab" * 32
+
+
+@pytest.mark.parametrize("digest", ["ab", "ab" * 40, "xy" * 32, "ab " * 21 + "a"],
+                         ids=["short", "long", "not-hex", "spaced"])
+def test_source_digest_not_64_hex_digits_is_one_line_error(tmp_path, digest):
+    english, chinese = small_models()
+    path = tmp_path / "m.ncm"
+    with pytest.raises(CacheError, match=f"^{re.escape(str(path))}: "
+                                         "source digest is not 64 hex digits$"):
+        save_cache(english, chinese, path, source_digest=digest)
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_round_trip_randomized_corpora(tmp_path):
@@ -75,9 +86,9 @@ def test_version_mismatch(tmp_path):
         load_cache(path)
 
 
-@pytest.mark.parametrize("old_version", [1, 2, 3])
+@pytest.mark.parametrize("old_version", [1, 2, 3, 4])
 def test_old_format_rejected(tmp_path, old_version):
-    assert FORMAT_VERSION == 4
+    assert FORMAT_VERSION == 5
     english, chinese = small_models()
     path = tmp_path / "m.ncm"
     save_cache(english, chinese, path)
@@ -121,16 +132,19 @@ def test_bad_magic(tmp_path):
 
 
 def test_corrupted_payload(tmp_path):
-    english, chinese = small_models()
+    """CRC-32 catches every error burst of up to 32 bits, so each changed
+    payload byte, and each changed byte of the stored CRC, must fail."""
     path = tmp_path / "m.ncm"
-    save_cache(english, chinese, path)
-    blob = bytearray(path.read_bytes())
-    blob[-1] ^= 0xFF
-    path.write_bytes(bytes(blob))
-    for read in (load_cache, read_source_digest):
-        with pytest.raises(CacheError, match=rf"^{re.escape(str(path))}: cache payload digest "
-                                             r"mismatch \(corrupted file\)$"):
-            read(path)
+    crc = HEADER_SIZE - 12  # the CRC-32, between the source digest and the payload length
+    message = rf"^{re.escape(str(path))}: cache payload digest mismatch \(corrupted file\)$"
+    for at in [*range(crc, crc + 4), *range(HEADER_SIZE, len(V5_BYTES))]:
+        for mask in (0x01, 0xFF):
+            blob = bytearray(V5_BYTES)
+            blob[at] ^= mask
+            path.write_bytes(bytes(blob))
+            for read in (load_cache, read_source_digest):
+                with pytest.raises(CacheError, match=message):
+                    read(path)
 
 
 def test_truncated_file(tmp_path):
@@ -141,7 +155,7 @@ def test_truncated_file(tmp_path):
     promised = len(blob) - HEADER_SIZE
     for damaged, message in [
         (blob[:10], "cache file shorter than its header"),
-        (blob[:70], "cache file shorter than its header"),
+        (blob[:42], "cache file shorter than its header"),  # in the CRC-32
         (blob[: HEADER_SIZE - 5], "cache file shorter than its header"),  # in the payload length
         (blob[:HEADER_SIZE], f"payload is 0 bytes, header promised {promised}"),
         (blob[:-5], f"payload is {promised - 5} bytes, header promised {promised}"),
@@ -180,7 +194,8 @@ def test_round_trip_edge_models(tmp_path, entries):
     assert cache.chinese == model
 
 
-# A fixed model's v4 file, byte for byte: any change to it needs a new FORMAT_VERSION.
+# A fixed model's v4 file, byte for byte, as v4 builds wrote it with a
+# SHA-256 of the payload. This build must refuse it as an old version.
 V4_BYTES = bytes.fromhex(
     "4e434d43" "04000000"  # magic, version 4
     + "ab" * 32  # source digest
@@ -202,13 +217,46 @@ V4_BYTES = bytes.fromhex(
 )
 
 
-def test_v4_bytes_are_pinned(tmp_path):
+# The same model's v5 file, byte for byte: any change to it needs a new
+# FORMAT_VERSION. Its header holds the payload's CRC-32 where v4 held a SHA-256.
+V5_BYTES = (
+    bytes.fromhex("4e434d43" "05000000")  # magic, version 5
+    + bytes.fromhex("ab" * 32)  # source digest
+    + bytes.fromhex("57d9059b")  # payload CRC-32
+    + V4_BYTES[-159:]  # payload length 151, then the payload as in v4
+)
+
+
+def test_v5_bytes_are_pinned(tmp_path):
     english = CountModel.from_entries({"zoë": (3, 0), "ann": (7, 1)})
     chinese = CountModel.from_entries({"娟": (30, 1)})
     path = tmp_path / "m.ncm"
     save_cache(english, chinese, path, source_digest="ab" * 32)
-    assert path.read_bytes() == V4_BYTES
+    assert path.read_bytes() == V5_BYTES
     assert load_cache(path) == ModelCache(english, chinese)
+
+
+def test_v4_file_is_refused_and_rebuilt(tmp_path, capsys, english_dir, chinese_csv):
+    path = tmp_path / "m.ncm"
+    path.write_bytes(V4_BYTES)
+    version = f"{path}: cache format version 4, this build supports {FORMAT_VERSION}"
+    for read in (load_cache, read_source_digest):
+        with pytest.raises(CacheError, match=f"^{re.escape(version)}$"):
+            read(path)
+    names = tmp_path / "names.txt"
+    names.write_text("Hua Zhao\n", encoding="utf-8")
+    gold = tmp_path / "gold.csv"
+    gold.write_text("name,gender\nHua Zhao,Female\n", encoding="utf-8")
+    for argv in (["predict", "--cache", str(path), "--in", str(names),
+                  "--out", str(tmp_path / "results.csv")],
+                 ["eval", "--cache", str(path), "--gold", str(gold)]):
+        assert main(argv) == 1
+        assert capsys.readouterr() == ("", f"error: {version}\n")
+    assert path.read_bytes() == V4_BYTES
+    assert main(["build-cache", "--english-dir", str(english_dir),
+                 "--chinese-csv", str(chinese_csv), "--out", str(path)]) == 0
+    assert capsys.readouterr().out.startswith(f"wrote cache: {path}\n")
+    load_cache(path)
 
 
 def test_equal_counts_share_one_pair(tmp_path):
@@ -297,11 +345,11 @@ def test_insertion_order_does_not_change_bytes(tmp_path):
 
 
 def rewrite_payload(path, edit):
-    """Apply `edit` to the payload and record its new length and digest."""
+    """Apply `edit` to the payload and record its new CRC-32 and length."""
     blob = path.read_bytes()
     payload = edit(bytearray(blob[HEADER_SIZE:]))
-    header = blob[: HEADER_SIZE - 40] + hashlib.sha256(payload).digest()
-    path.write_bytes(header + struct.pack("<Q", len(payload)) + bytes(payload))
+    header = blob[: HEADER_SIZE - 12] + struct.pack("<IQ", zlib.crc32(payload), len(payload))
+    path.write_bytes(header + bytes(payload))
 
 
 def bump_entry_count(payload):

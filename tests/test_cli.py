@@ -9,6 +9,7 @@ import stat
 import struct
 import subprocess
 import sys
+import zlib
 from pathlib import Path
 
 import pytest
@@ -22,7 +23,7 @@ from namecensus.corpus import CountModel
 import corpusgen
 from oracles import decision_oracle, result_rows_oracle, results_csv_oracle
 
-CACHE_HEADER_SIZE = len(MAGIC) + 4 + 32 + 32 + 8  # magic, version, both digests, payload length
+CACHE_HEADER_SIZE = len(MAGIC) + 4 + 32 + 4 + 8  # magic, version, source digest, CRC-32, length
 
 
 @pytest.fixture()
@@ -87,7 +88,7 @@ class TestBuildCache:
                      "--chinese-csv", str(chinese), "--out", str(mini_cache)]) == 0
         assert "english distinct names: 4" in capsys.readouterr().out
 
-    @pytest.mark.parametrize("old_version", [1, 2, 3])
+    @pytest.mark.parametrize("old_version", [1, 2, 3, 4])
     def test_rebuilds_old_cache(self, mini_corpus, mini_cache, capsys, old_version):
         english, chinese = mini_corpus
         blob = bytearray(mini_cache.read_bytes())
@@ -97,7 +98,7 @@ class TestBuildCache:
                      "--chinese-csv", str(chinese), "--out", str(mini_cache)]) == 0
         assert "wrote cache" in capsys.readouterr().out
         load_cache(mini_cache)
-        assert FORMAT_VERSION == 4
+        assert FORMAT_VERSION == 5
 
     @pytest.mark.parametrize("content", [b"Hua Zhao\nPhil Barker\n", b"", b"NCM"],
                              ids=["name-list", "empty", "short"])
@@ -705,9 +706,9 @@ mismatches:
         assert main(["build-cache", "--english-dir", str(english_dir),
                      "--chinese-csv", str(chinese_csv), "--out", str(cache)]) == 0
         data = cache.read_bytes()
-        assert len(data) == 1_609_010
+        assert len(data) == 1_608_982
         assert hashlib.sha256(data).hexdigest() == (
-            "dc77f38d569f48b2618c60d733aff4c62411c0f86d1823582049617988d3f027")
+            "3587e408e772566981bb13d9bec64544ba516655a6a39ec39cddbec7d1c1f76e")
 
     # A seeded mixed batch, then repeats of one name of each Unknown cause,
     # a Mixed name and a quoted field: no change to the batch path may
@@ -853,9 +854,8 @@ def test_bad_pair_index_in_an_unread_english_chunk_fails_predict(tmp_path, capsy
     assert keys_len > 4 * 1024  # several chunks
     last_index = CACHE_HEADER_SIZE + 40 + keys_len + 16 * pair_count + 4 * (count - 1)
     struct.pack_into("<I", blob, last_index, pair_count)
-    # The payload digest, between the source digest and the payload length.
-    blob[CACHE_HEADER_SIZE - 40 : CACHE_HEADER_SIZE - 8] = hashlib.sha256(
-        blob[CACHE_HEADER_SIZE:]).digest()
+    # The payload CRC-32, between the source digest and the payload length.
+    struct.pack_into("<I", blob, CACHE_HEADER_SIZE - 12, zlib.crc32(blob[CACHE_HEADER_SIZE:]))
     bad.write_bytes(bytes(blob))
     names = tmp_path / "names.txt"
     names.write_text("Name0001\n", encoding="utf-8")

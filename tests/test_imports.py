@@ -1,13 +1,17 @@
 """Each command imports only the modules it runs, no command imports
-`dataclasses`, and `import namecensus` loads no submodule and defines no
-public name."""
+`dataclasses`, no command that reads a cache loads OpenSSL, and `import
+namecensus` loads no submodule and defines no public name."""
 
+import hashlib
 import subprocess
 import sys
 
 import pytest
 
 import namecensus
+from namecensus.cache import read_source_digest, save_cache
+from namecensus.cli import main
+from namecensus.corpus import CountModel
 
 # Runs the CLI as `python -m namecensus ARGS` does, then prints its exit code
 # and every module loaded, one line.
@@ -58,11 +62,28 @@ def test_up_to_date_build_cache_loads_no_command_code(english_dir, chinese_csv, 
     assert modules & (NOT_ON_THE_CHECK_PATH - bare_modules) == set()
 
 
-def test_predict_without_chart_loads_no_chart_code(tmp_path, cache_path, bare_modules):
+def command_argv(tmp_path, cache_path, command):
+    """The arguments of `command` on a two-name list and its inputs."""
     names = tmp_path / "names.txt"
     names.write_text("Hua Zhao\n王娟\n", encoding="utf-8")
-    code, modules = loaded_modules("predict", "--cache", cache_path, "--in", names,
-                                   "--out", tmp_path / "results.csv")
+    gold = tmp_path / "gold.csv"
+    gold.write_text("name,gender\nHua Zhao,Female\n", encoding="utf-8")
+    results = tmp_path / "results.csv"
+    results.write_text("item,name,gender\n1,Hua Zhao,Female\n", encoding="utf-8")
+    return {
+        "predict": ["predict", "--cache", cache_path, "--in", names,
+                    "--out", tmp_path / "out.csv"],
+        "predict-chart": ["predict", "--cache", cache_path, "--in", names,
+                          "--out", tmp_path / "out.csv", "--chart-json", tmp_path / "c.json",
+                          "--chart-svg", tmp_path / "c.svg"],
+        "eval": ["eval", "--cache", cache_path, "--gold", gold],
+        "chart": ["chart", "--results", results, "--json", tmp_path / "c.json",
+                  "--svg", tmp_path / "c.svg"],
+    }[command]
+
+
+def test_predict_without_chart_loads_no_chart_code(tmp_path, cache_path, bare_modules):
+    code, modules = loaded_modules(*command_argv(tmp_path, cache_path, "predict"))
     assert code == "0"
     assert {"namecensus.batchio", "namecensus.classifier"} <= modules
     assert "namecensus.report" not in modules
@@ -72,25 +93,51 @@ def test_predict_without_chart_loads_no_chart_code(tmp_path, cache_path, bare_mo
 
 @pytest.mark.parametrize("command", ["predict-chart", "eval", "chart"])
 def test_commands_load_no_dataclasses(tmp_path, cache_path, bare_modules, command):
-    names = tmp_path / "names.txt"
-    names.write_text("Hua Zhao\n王娟\n", encoding="utf-8")
-    gold = tmp_path / "gold.csv"
-    gold.write_text("name,gender\nHua Zhao,Female\n", encoding="utf-8")
-    results = tmp_path / "results.csv"
-    results.write_text("item,name,gender\n1,Hua Zhao,Female\n", encoding="utf-8")
-    argv = {
-        "predict-chart": ["predict", "--cache", cache_path, "--in", names,
-                          "--out", tmp_path / "out.csv", "--chart-json", tmp_path / "c.json",
-                          "--chart-svg", tmp_path / "c.svg"],
-        "eval": ["eval", "--cache", cache_path, "--gold", gold],
-        "chart": ["chart", "--results", results, "--json", tmp_path / "c.json",
-                  "--svg", tmp_path / "c.svg"],
-    }[command]
-    code, modules = loaded_modules(*argv)
+    code, modules = loaded_modules(*command_argv(tmp_path, cache_path, command))
     assert code == "0"
     assert "namecensus.report" in modules
     assert "namecensus.namesplit" not in modules
     assert "dataclasses" not in modules - bare_modules
+
+
+# The cache's CRC-32 is checked with zlib; only the corpus digest needs hashlib,
+# whose OpenSSL backend costs some 3.6 MB of peak memory.
+@pytest.mark.parametrize("command", ["predict", "predict-chart", "eval", "chart"])
+def test_commands_load_no_openssl(tmp_path, cache_path, bare_modules, command):
+    code, modules = loaded_modules(*command_argv(tmp_path, cache_path, command))
+    assert code == "0"
+    assert {"hashlib", "_hashlib"} & (modules - bare_modules) == set()
+
+
+def test_build_cache_writes_and_checks_the_corpus_sha256(tmp_path, capsys):
+    english = tmp_path / "english"
+    english.mkdir()
+    (english / "yob2014.txt").write_text("Hua,F,80\nPhil,M,160\n", encoding="utf-8")
+    (english / "yob2015.txt").write_text("Hua,M,20\n", encoding="utf-8")
+    chinese = tmp_path / "chars.csv"
+    chinese.write_text("char,female,male\n娟,30,1\n", encoding="utf-8")
+    # Each file's name and bytes, each followed by a NUL, in name order.
+    sha = hashlib.sha256()
+    for path in sorted([*english.iterdir(), chinese], key=lambda p: p.name):
+        sha.update(path.name.encode("utf-8") + b"\0" + path.read_bytes() + b"\0")
+    reference = sha.hexdigest()
+    out = tmp_path / "m.ncm"
+    argv = ["build-cache", "--english-dir", str(english), "--chinese-csv", str(chinese),
+            "--out", str(out)]
+    assert main(argv) == 0
+    assert capsys.readouterr().out.startswith("wrote cache")
+    assert read_source_digest(out) == reference
+    # Another model under the reference digest is up to date; under any other, rebuilt.
+    empty = CountModel.from_entries({})
+    save_cache(empty, empty, out, source_digest=reference)
+    stale = out.read_bytes()
+    assert main(argv) == 0
+    assert capsys.readouterr().out == f"cache up to date: {out}\n"
+    assert out.read_bytes() == stale
+    save_cache(empty, empty, out, source_digest="00" * 32)
+    assert main(argv) == 0
+    assert capsys.readouterr().out.startswith("wrote cache")
+    assert read_source_digest(out) == reference
 
 
 def test_import_loads_no_submodule():
