@@ -45,10 +45,7 @@ def _csv_names(path: Path, name_column: str | int, has_header: bool) -> Iterator
         raise NamecensusError(
             f"name column must be a header name or an index of 0 or more, got {name_column!r}"
         )
-    with csv_rows(path) as reader:
-        first = next(reader, None)
-        if first is None:
-            raise NamecensusError(f"{path}: empty input")
+    with csv_rows(path) as (first, reader):
         col: int
         if isinstance(name_column, int):
             col = name_column
@@ -135,7 +132,7 @@ _Row = tuple[str, bytes]
 # alive together, so it bounds the memory a batch adds to its memos.
 _BLOCK = 1024
 
-# Past this many rows the row memo is cleared, so memory stops growing with distinct names.
+# Past this many rows both memos are cleared, so memory stops growing with distinct names.
 _MEMO_ROWS = 1 << 17
 
 
@@ -162,9 +159,9 @@ def predict_to_results(
     path: str | Path,
 ) -> AggregateStats:
     """Predict every name into the results CSV at `path`, as `names` is
-    iterated a block at a time; returns its label counts. The row memo holds the
-    rows of up to `_MEMO_ROWS` names and a block; each distinct decision key is
-    decided once, a memo bounded by the model's count pairs and Han given names."""
+    iterated a block at a time; returns its label counts. Both memos are cleared
+    together once the row memo holds more than `_MEMO_ROWS` rows, so neither
+    holds the entries of more than that many names and a block."""
     entries = english.entries
     # Keyed by the evidence a decision depends on: the model's own
     # (female, male) tuple of a Latin given name, so a Latin key costs no
@@ -180,6 +177,7 @@ def predict_to_results(
     def rows(block: list[str]) -> list[_Row]:
         if len(memo) > _MEMO_ROWS:
             memo.clear()
+            decisions.clear()
         # A name repeated within the block is in the memo by its second turn.
         for raw_name in itertools.filterfalse(memo.__contains__, block):
             name = raw_name.strip()
@@ -232,8 +230,8 @@ def iter_result_labels(path: str | Path) -> Iterator[GenderLabel]:
     """The gender column of a results CSV, in row order, read as it is iterated."""
     labels = {label.value: label for label in GenderLabel}  # a dict reads faster than the enum
     rows = 0
-    with csv_rows(path) as reader:
-        col = column(path, next(reader, []), "gender")
+    with csv_rows(path) as (header, reader):
+        col = column(path, header, "gender")
         for rows, row in enumerate(filter(None, reader), 1):  # blank lines are skipped
             try:
                 yield labels[row[col]]

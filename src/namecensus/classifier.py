@@ -6,12 +6,13 @@ import enum
 import functools
 import math
 import re
-from importlib import resources
+from pathlib import Path
 from typing import NamedTuple
 
 from namecensus.corpus import CountModel, normalize_name_key
 from namecensus.scriptdetect import (
     _HAN, _LATIN, _MIXED, Script, common_script, is_latin_letter, script_and_han)
+from namecensus.textio import read_text
 
 
 class GenderLabel(enum.Enum):
@@ -181,8 +182,7 @@ def printed_probability(post: Posterior) -> str:
 @functools.lru_cache(maxsize=1)
 def default_compound_surnames() -> frozenset[str]:
     """The shipped two-character surname list; one per line, `#` comments allowed."""
-    text = resources.files("namecensus").joinpath("data/compound_surnames.txt").read_text(
-        encoding="utf-8-sig")
+    text = read_text(Path(__file__).with_name("data") / "compound_surnames.txt")
     entries = (line.split("#", 1)[0].strip() for line in text.split("\n"))
     return frozenset(filter(None, entries))
 

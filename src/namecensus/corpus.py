@@ -133,8 +133,7 @@ def load_english_year_files(directory: str | Path) -> CountModel:
 def load_chinese_charfreq(file_path: str | Path) -> CountModel:
     """Load the single-character frequency table ``char,female,male``."""
     entries: dict[str, tuple[int, int]] = {}
-    with csv_rows(file_path) as reader:
-        header = next(reader, None)
+    with csv_rows(file_path) as (header, reader):
         if header != ["char", "female", "male"]:
             raise NamecensusError(f"{file_path}:1: expected header char,female,male, got {header}")
         for row in filter(None, reader):  # blank lines are skipped

@@ -82,8 +82,7 @@ class EvalResult(NamedTuple):
 def load_gold_labels(path: str | Path) -> dict[str, GenderLabel]:
     """Gold CSV `name,gender` with header; gender is Female or Male."""
     gold: dict[str, GenderLabel] = {}
-    with csv_rows(path) as reader:
-        header = next(reader, [])
+    with csv_rows(path) as (header, reader):
         name_col = column(path, header, "name")
         gender_col = column(path, header, "gender")
         for row in filter(None, reader):  # blank lines are skipped

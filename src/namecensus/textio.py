@@ -3,7 +3,8 @@ UTF-8, a leading byte-order mark dropped, records ending only at LF, CRLF
 or CR, and decoded by the stdlib's `io.TextIOWrapper` over a reader that
 counts its bytes and line ends to place an invalid byte. A fault is
 raised as a NamecensusError with one line, `FILE:LINE: message`, or
-`FILE: message` for a path that cannot be opened or written."""
+`FILE: message` for a path that cannot be opened or written, or a CSV file
+with no row."""
 
 from __future__ import annotations
 
@@ -239,15 +240,19 @@ def line_lists(path: str | Path) -> Iterator[list[str]]:
 
 
 @contextmanager
-def csv_rows(path: str | Path) -> Iterator[Iterator[list[str]]]:
-    """A csv.reader over the file's rows, for use in a `with` block. A row
-    ends only at LF, CRLF or CR, and a quoted field may span lines. A
-    malformed row raises `FILE:LINE: <csv message>` from the block; the
-    reader's `line_num` is the last line of the row last read."""
+def csv_rows(path: str | Path) -> Iterator[tuple[list[str], Iterator[list[str]]]]:
+    """The file's first row and a csv.reader over the rows after it, for use
+    in a `with` block. A row ends only at LF, CRLF or CR, and a quoted field
+    may span lines; a blank line is an empty row. A file with no row is
+    raised as `FILE: empty input`, and a malformed row as `FILE:LINE: <csv
+    message>`; the reader's `line_num` is the last line of the row last read."""
     with _text(path, newline="") as fh:
         reader = csv.reader(fh)
         try:
-            yield reader
+            first = next(reader, None)
+            if first is None:
+                raise NamecensusError(f"{path}: empty input")
+            yield first, reader
         except csv.Error as exc:
             raise NamecensusError(f"{path}:{reader.line_num}: {exc}") from None
 

@@ -320,9 +320,9 @@ class TestPercentSigns:
 
 
 class TestMemoCap:
-    """The row memo is cleared at the start of a block once it holds more
-    than `batchio._MEMO_ROWS` rows: no byte or count changes, and a run's
-    memory stops growing with its distinct names."""
+    """The row memo and the decision memo are cleared at the start of a block
+    once the row memo holds more than `batchio._MEMO_ROWS` rows: no byte or
+    count changes, and a run's memory stops growing with its distinct names."""
 
     BATCHES = [
         TestBlocks.NAMES,
@@ -358,7 +358,13 @@ class TestMemoCap:
             if cap == 0 and block == 1:  # cleared before every row but the first
                 assert routed == len(names)
 
-    def test_peak_memory_stops_growing_past_the_cap(self, tmp_path, monkeypatch):
+    # Latin names the corpus lacks, and Han names whose given names differ,
+    # each given name a decision key of its own.
+    @pytest.mark.parametrize("name", [
+        "Hua S{:07d}".format,
+        lambda i: f"王娜{chr(0x4E00 + i // 256)}{chr(0x4E00 + i % 256)}",
+    ], ids=["latin", "han"])
+    def test_peak_memory_stops_growing_past_the_cap(self, tmp_path, monkeypatch, name):
         # Not raising where the constant is missing, so a memo without a cap
         # fails on the peak rather than on the patch.
         monkeypatch.setattr(batchio, "_MEMO_ROWS", 2000, raising=False)
@@ -367,7 +373,7 @@ class TestMemoCap:
 
         def peak(distinct):
             path = tmp_path / f"names{distinct}.txt"
-            path.write_text("".join(f"Hua S{i:07d}\n" for i in range(distinct)),
+            path.write_text("".join(f"{name(i)}\n" for i in range(distinct)),
                             encoding="utf-8")
             tracemalloc.start()
             try:
@@ -379,9 +385,10 @@ class TestMemoCap:
 
         peak(2000)  # fills the process-wide caches that later runs share
         capped, large = peak(2000), peak(20 * 2000)
-        # About 1.15 times on Python 3.10 to 3.13: one block's rows past the
-        # cap and allocator noise. A memo that is never cleared peaks about
-        # 24 times higher.
+        # About 1.15 times for Latin names and 1.2 for Han on Python 3.10 to
+        # 3.13: one block's rows past the cap and allocator noise. A row memo
+        # that is never cleared peaks about 24 times higher, and a decision
+        # memo that is never cleared about 7 times on the Han names.
         assert large <= 2 * capped
 
 

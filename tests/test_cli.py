@@ -1234,6 +1234,9 @@ class TestChartCommand:
         ("item,name,gender\n1,Hua Zhao,Female\n2,Wang,female\n",
          "results.csv:3: unknown gender label 'female'"),
         ("item,name,gender\n", "results.csv: no result rows\n"),
+        ("", "results.csv: empty input\n"),
+        ("\nitem,name,gender\n1,Hua Zhao,Female\n",
+         "results.csv:1: no column 'gender' in header []"),
     ])
     def test_bad_results_exit_1(self, tmp_path, capsys, content, named):
         results = tmp_path / "results.csv"

@@ -265,11 +265,18 @@ class TestChineseCorpus:
         with pytest.raises(NamecensusError, match="negative"):
             load_chinese_charfreq(self.write(tmp_path, ["娟,-3,1"]))
 
-    def test_bad_header(self, tmp_path):
+    @pytest.mark.parametrize("text, fault", [
+        ("character,f,m\n娟,3,1\n",
+         ":1: expected header char,female,male, got ['character', 'f', 'm']"),
+        ("", ": empty input"),
+        ("\nchar,female,male\n娟,3,1\n", ":1: expected header char,female,male, got []"),
+    ], ids=["bad-header", "empty", "blank-first-line"])
+    def test_bad_header(self, tmp_path, text, fault):
         path = tmp_path / "chars.csv"
-        path.write_text("character,f,m\n娟,3,1\n", encoding="utf-8")
-        with pytest.raises(NamecensusError, match="header"):
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(NamecensusError) as exc:
             load_chinese_charfreq(path)
+        assert str(exc.value) == f"{path}{fault}"
 
     def test_leading_bom_ignored(self, tmp_path):
         path = tmp_path / "chars.csv"

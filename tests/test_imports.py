@@ -1,8 +1,10 @@
 """Each command imports only the modules it runs, no command imports
-`dataclasses`, no command that reads a cache loads OpenSSL, and `import
-namecensus` loads no submodule and defines no public name."""
+`dataclasses`, no command that reads a cache loads OpenSSL, no command
+loads a zip-safe resource reader, and `import namecensus` loads no
+submodule and defines no public name."""
 
 import hashlib
+import os
 import subprocess
 import sys
 
@@ -41,9 +43,17 @@ def bare_modules():
     return set(_python("-c", "import sys; print(*sys.modules)").split())
 
 
-def loaded_modules(*args):
-    """The exit code of `namecensus ARGS` and the modules it loaded."""
-    code, *modules = _python("-c", RUN_CLI, *map(str, args)).splitlines()[-1].split()
+def loaded_modules(*args, site=True):
+    """The exit code of `namecensus ARGS` and the modules it loaded. Without
+    `site`, it runs under `python -S`, the directory holding the imported
+    package first on sys.path, so the package found is this one, installed
+    or not."""
+    if site:
+        flags, source = [], RUN_CLI
+    else:
+        root = os.path.dirname(os.path.dirname(namecensus.__file__))
+        flags, source = ["-S"], f"import sys; sys.path.insert(0, {root!r})" + RUN_CLI
+    code, *modules = _python(*flags, "-c", source, *map(str, args)).splitlines()[-1].split()
     return code, set(modules)
 
 
@@ -107,6 +117,17 @@ def test_commands_load_no_openssl(tmp_path, cache_path, bare_modules, command):
     code, modules = loaded_modules(*command_argv(tmp_path, cache_path, command))
     assert code == "0"
     assert {"hashlib", "_hashlib"} & (modules - bare_modules) == set()
+
+
+# The shipped surname list is a plain file beside the package, read as every
+# other file is. A package that `site` loads may import these modules itself,
+# as `certifi` imports `importlib.resources`, so they are checked without it.
+@pytest.mark.parametrize("command", ["predict", "predict-chart", "eval", "chart"])
+def test_commands_load_no_zip_safe_reader(tmp_path, cache_path, command):
+    code, modules = loaded_modules(*command_argv(tmp_path, cache_path, command), site=False)
+    assert code == "0"
+    assert "site" not in modules
+    assert {"importlib.resources", "zipfile", "tempfile"} & modules == set()
 
 
 def test_build_cache_writes_and_checks_the_corpus_sha256(tmp_path, capsys):

@@ -183,7 +183,9 @@ class TestGoldFile:
         (b"name,gender\nAda Lovelace,Female\n\xff,Male\n", "3: invalid UTF-8 at byte offset 32"),
         (b"name,gender\n" + b"x" * 200_000 + b",Male\n",
          "2: field larger than field limit (131072)"),
-    ], ids=["bad-byte", "field-limit"])
+        (b"", " empty input"),
+        (b"\nname,gender\nAda Lovelace,Female\n", "1: no column 'name' in header []"),
+    ], ids=["bad-byte", "field-limit", "empty", "blank-first-line"])
     def test_bad_file_names_file_and_line(self, tmp_path, data, message):
         path = tmp_path / "gold.csv"
         path.write_bytes(data)
