@@ -13,12 +13,17 @@ UTF-8 joined by "\n"; then each distinct (female, male) pair once, as
 little-endian int64, numbered in the order it is first seen along the
 sorted keys; then one 4-byte little-endian pair index per key, in key
 order. Sorting and first-seen numbering make the file a function of the
-model alone. Loading checks every section whole and reads its two arrays
-instead of a JSON parse, and keys with equal counts share one tuple.
-Both sections' key text is cut into chunks of whole keys in one pass.
-The chinese keys are split into a dict at load. The english keys, ~95k
-of them, are split a chunk at a time as lookups reach them, so a batch
-that looks up a few names decodes a few chunks.
+model alone.
+
+A load reads the file in one call and keeps its bytes. It checks every
+section whole, copies out the pair indexes, and cuts each section's key
+bytes into chunks of whole keys at newlines, decoding each chunk once to
+check its UTF-8. The chinese keys are split into a dict at load. The
+english keys, ~95k of them, stay as UTF-8 in the file's bytes and are
+split a chunk at a time as lookups reach them, so a batch that looks up
+a few names decodes a few chunks. A (female, male) pair becomes a tuple
+when a split chunk first needs it, and keys with equal counts share it.
+Once every chunk is split, the file's bytes are freed.
 """
 
 from __future__ import annotations
@@ -30,6 +35,7 @@ import zlib
 from array import array
 from bisect import bisect_right
 from collections.abc import Iterator, Mapping
+from itertools import filterfalse
 from pathlib import Path
 from typing import NamedTuple
 
@@ -41,12 +47,13 @@ MAGIC = b"NCMC"
 FORMAT_VERSION = 5
 _HEADER = struct.Struct("<4sI32sIQ")
 _SECTION = struct.Struct("<QQQqq")
+_PAIR = struct.Struct("<qq")
 # The array typecode of a 4-byte unsigned int: "I" on every common ABI,
 # but C promises it only 2 bytes.
 _INDEX = next(code for code in "IL" if array(code).itemsize == 4)
-# Characters of key text per chunk of a lazily decoded section: about a
+# Bytes of key text per chunk of a lazily decoded section: about a
 # thousand chunks of some ninety keys for a 95k-name English corpus.
-_CHUNK_CHARS = 1024
+_CHUNK_BYTES = 1024
 
 
 class ModelCache(NamedTuple):
@@ -92,50 +99,62 @@ def _encode(model: CountModel) -> bytes:
     return header + key_bytes + counts.tobytes() + index.tobytes()
 
 
-def _chunks(text: str, size: int) -> tuple[list[str], dict[int, tuple[int, int, int]], int]:
-    """The key text of a model with at least one key, cut into runs of
-    whole keys: each run ends at the first newline `size` or more
-    characters past its start, or at the end. Returns the runs' first
-    keys, a (start, stop, lo) per run numbered from 0 (`text[start:stop]`
+def _chunks(data: bytes, start: int, stop: int,
+            size: int) -> tuple[list[str], dict[int, tuple[int, int, int]], int]:
+    """The key bytes `data[start:stop]` of a model with at least one key,
+    cut into runs of whole keys: each run ends at the first newline `size`
+    or more bytes past its start, or at `stop`. No UTF-8 character holds a
+    newline byte, so each run is decoded once here on its own, which checks
+    the UTF-8 of every key and raises UnicodeDecodeError. Returns the runs'
+    first keys, a (start, stop, lo) per run numbered from 0 (`data[start:stop]`
     holds the keys from key lo on) and the number of keys."""
     firsts, spans = [], {}
-    start = lo = 0
-    while start <= len(text):
-        cut = text.find("\n", start + size)
-        stop = len(text) if cut < 0 else cut
-        end = text.find("\n", start, stop)
-        firsts.append(text[start : stop if end < 0 else end])
-        spans[len(spans)] = (start, stop, lo)
-        start, lo = stop + 1, lo + text.count("\n", start, stop) + 1
+    lo = 0
+    while start <= stop:
+        cut = data.find(b"\n", start + size, stop)
+        end = stop if cut < 0 else cut
+        text = data[start:end].decode("utf-8")
+        firsts.append(text.partition("\n")[0])
+        spans[len(spans)] = (start, end, lo)
+        start, lo = end + 1, lo + text.count("\n") + 1
     return firsts, spans, lo
 
 
 class _LazyEntries(Mapping):
     """The entries of a decoded model section, read only, whose keys are
     turned into a dict a chunk at a time. A chunk is a run of consecutive
-    sorted keys, about `_CHUNK_CHARS` characters of key text, decoded on
-    the first lookup of a key that sorts into it. A lookup that hits is one
-    dict read; one that misses bisects the chunks' first keys. So a decoded
-    chunk must hold strictly increasing keys, below the next chunk's first
-    key; a key stored in a chunk that its own lookup never reaches reads as
-    absent. `len` and iteration decode every chunk."""
+    sorted keys, about `_CHUNK_BYTES` bytes of the payload's key text,
+    decoded on the first lookup of a key that sorts into it. A lookup that
+    hits is one dict read; one that misses bisects the chunks' first keys.
+    So a decoded chunk must hold strictly increasing keys, below the next
+    chunk's first key; a key stored in a chunk that its own lookup never
+    reaches reads as absent. Each (female, male) pair is made from the
+    payload when a decoded chunk first needs it, and every later key with
+    that pair shares the tuple. `len` and iteration decode every chunk."""
 
-    __slots__ = ("_found", "_text", "_pairs", "_index", "_firsts", "_pending", "_path")
+    __slots__ = ("_found", "_data", "_pairs_at", "_pairs", "_index", "_firsts", "_pending",
+                 "_path")
 
-    def __init__(self, text: str, firsts: list[str], pending: dict[int, tuple[int, int, int]],
-                 pairs: list[tuple[int, int]], index: array, path: str | Path) -> None:
+    def __init__(self, data: bytes, firsts: list[str], pending: dict[int, tuple[int, int, int]],
+                 pairs_at: int, pair_count: int, index: array, path: str | Path) -> None:
         self._found: dict[str, tuple[int, int]] = {}
-        self._text, self._pairs, self._index = text, pairs, index
+        # `data` holds the pairs as little-endian int64s from `pairs_at` on;
+        # a slot of `_pairs` is None until its pair is made.
+        self._data, self._pairs_at, self._index = data, pairs_at, index
+        self._pairs: list[tuple[int, int] | None] = [None] * pair_count
         # `pending` maps each chunk not yet decoded, by number, to its (start, stop, lo).
         self._firsts, self._pending, self._path = firsts, pending, path
 
     def _decode_chunk(self, i: int) -> None:
         start, stop, lo = self._pending[i]
-        keys = self._text[start:stop].split("\n")
+        keys = self._data[start:stop].decode("utf-8").split("\n")
         found = self._found
         size = len(found)
         if keys == sorted(keys) and (i + 1 == len(self._firsts) or keys[-1] < self._firsts[i + 1]):
-            found.update(zip(keys, map(self._pairs.__getitem__, self._index[lo : lo + len(keys)])))
+            index, pairs = self._index[lo : lo + len(keys)], self._pairs
+            for j in set(filterfalse(pairs.__getitem__, index)):  # each empty slot once
+                pairs[j] = _PAIR.unpack_from(self._data, self._pairs_at + _PAIR.size * j)
+            found.update(zip(keys, map(pairs.__getitem__, index)))
         # A chunk out of order adds no key, and one with a repeated key adds
         # too few: either way its keys are taken back out and it stays
         # pending, so every lookup into it fails the same way.
@@ -144,8 +163,8 @@ class _LazyEntries(Mapping):
                 found.popitem()
             raise CacheError(f"{self._path}: model section keys are out of order")
         del self._pending[i]
-        if not self._pending:  # every key is in the dict: free the section's arrays
-            self._text = self._pairs = self._index = None
+        if not self._pending:  # every key is in the dict: free the payload and the arrays
+            self._data = self._pairs = self._index = None
 
     def get(self, key, default=None):
         pair = self._found.get(key)
@@ -174,45 +193,43 @@ class _LazyEntries(Mapping):
         return iter(self._all())
 
 
-def _decode(payload: bytes, pos: int, path: str | Path) -> tuple[CountModel, int]:
-    """Check the section at `pos` whole; return its model, whose entries
-    are a `_LazyEntries`, and its end. Every fault begins `FILE: `."""
-    if len(payload) - pos < _SECTION.size:
+def _decode(data: bytes, pos: int, path: str | Path) -> tuple[CountModel, int]:
+    """Check the section at offset `pos` of the cache file `data` whole;
+    return its model, whose entries are a `_LazyEntries` over `data`, and
+    its end. Every fault begins `FILE: `."""
+    if len(data) - pos < _SECTION.size:
         raise CacheError(f"{path}: model section ends inside its header")
-    count, keys_len, pair_count, total_female, total_male = _SECTION.unpack_from(payload, pos)
+    count, keys_len, pair_count, total_female, total_male = _SECTION.unpack_from(data, pos)
     keys_start = pos + _SECTION.size
     pairs_start = keys_start + keys_len
-    index_start = pairs_start + 16 * pair_count
+    index_start = pairs_start + _PAIR.size * pair_count
     end = index_start + 4 * count
-    if end > len(payload):
+    if end > len(data):
         raise CacheError(
             f"{path}: model section promises {count} entries and {pair_count} pairs "
-            f"in {end - pos} bytes, {len(payload) - pos} remain"
+            f"in {end - pos} bytes, {len(data) - pos} remain"
         )
     try:
-        key_text = payload[keys_start:pairs_start].decode("utf-8")
+        # An empty model has no key bytes, and neither has a lone empty key.
+        firsts, spans, keys = (_chunks(data, keys_start, pairs_start, _CHUNK_BYTES)
+                               if count or keys_len else ([], {}, 0))
     except UnicodeDecodeError:
         raise CacheError(f"{path}: model section keys are not valid UTF-8") from None
-    # An empty model has no key bytes, and neither has a lone empty key.
-    firsts, spans, keys = _chunks(key_text, _CHUNK_CHARS) if count or key_text else ([], {}, 0)
     if keys != count:
         raise CacheError(f"{path}: model section header promises {count} keys, found {keys}")
     if sorted(set(firsts)) != firsts:
         raise CacheError(f"{path}: model section keys are out of order")
-    counts, index = array("q"), array(_INDEX)
-    counts.frombytes(payload[pairs_start:index_start])
-    index.frombytes(payload[index_start:end])
+    index = array(_INDEX)
+    index.frombytes(memoryview(data)[index_start:end])
     if sys.byteorder == "big":
-        counts.byteswap()
         index.byteswap()
     if index and max(index) >= pair_count:
         raise CacheError(f"{path}: model section has a pair index past its {pair_count} pairs")
     # A count is 8 little-endian bytes, so its last byte holds its sign
     # bit: one C pass over those bytes, with no int made per count.
-    if not payload[pairs_start + 7:index_start:8].isascii() or min(total_female, total_male) < 0:
+    if not data[pairs_start + 7:index_start:8].isascii() or min(total_female, total_male) < 0:
         raise CacheError(f"{path}: model section has a negative count")
-    it = iter(counts)
-    entries = _LazyEntries(key_text, firsts, spans, list(zip(it, it)), index, path)
+    entries = _LazyEntries(data, firsts, spans, pairs_start, pair_count, index, path)
     return CountModel(entries, total_female, total_male), end
 
 
@@ -242,27 +259,30 @@ def save_cache(
 
 
 def _read(path: str | Path) -> tuple[bytes, bytes]:
-    """The source digest and the payload of the cache at `path`, checked
-    whole but not decoded. A file that does not begin with the magic is no
-    cache at all: it is raised as a NamecensusError, not a CacheError, so
-    build-cache never replaces it. Every fault begins `FILE: `."""
+    """The source digest of the cache at `path` and the whole file, whose
+    payload follows `_HEADER`, checked whole but not decoded. A file that
+    does not begin with the magic is no cache at all: it is raised as a
+    NamecensusError, not a CacheError, so build-cache never replaces it.
+    Every fault begins `FILE: `."""
     with open_bytes(path) as fh:
-        header = fh.read(_HEADER.size)
-        if header[: len(MAGIC)] != MAGIC:
-            raise NamecensusError(f"{path}: not a model cache (magic {header[: len(MAGIC)]!r})")
-        if len(header) < _HEADER.size:
-            raise CacheError(f"{path}: cache file shorter than its header")
-        payload = fh.read()
-    _, version, source_digest, payload_crc, payload_len = _HEADER.unpack(header)
+        # One read of a fresh reader returns the file's bytes as read, with
+        # no copy through its buffer, and reads a pipe to its end.
+        data = fh.read()
+    if data[: len(MAGIC)] != MAGIC:
+        raise NamecensusError(f"{path}: not a model cache (magic {data[: len(MAGIC)]!r})")
+    if len(data) < _HEADER.size:
+        raise CacheError(f"{path}: cache file shorter than its header")
+    _, version, source_digest, payload_crc, payload_len = _HEADER.unpack_from(data)
     if version != FORMAT_VERSION:
         raise CacheError(
             f"{path}: cache format version {version}, this build supports {FORMAT_VERSION}"
         )
+    payload = memoryview(data)[_HEADER.size :]
     if len(payload) != payload_len:
         raise CacheError(f"{path}: payload is {len(payload)} bytes, header promised {payload_len}")
     if zlib.crc32(payload) != payload_crc:
         raise CacheError(f"{path}: cache payload digest mismatch (corrupted file)")
-    return source_digest, payload
+    return source_digest, data
 
 
 def read_source_digest(path: str | Path) -> str:
@@ -277,9 +297,9 @@ def load_cache(path: str | Path) -> ModelCache:
     chunks' key order, its pair indexes' range and its counts' sign. Any
     fault is a CacheError. The chinese keys become a dict here; the english
     keys are decoded as lookups reach them."""
-    _, payload = _read(path)
-    english, pos = _decode(payload, 0, path)
-    chinese, pos = _decode(payload, pos, path)
-    if pos != len(payload):
-        raise CacheError(f"{path}: {len(payload) - pos} bytes follow the model sections")
+    _, data = _read(path)
+    english, pos = _decode(data, _HEADER.size, path)
+    chinese, pos = _decode(data, pos, path)
+    if pos != len(data):
+        raise CacheError(f"{path}: {len(data) - pos} bytes follow the model sections")
     return ModelCache(english, chinese._replace(entries=dict(chinese.entries)))

@@ -1,11 +1,16 @@
 import itertools
+import os
 import random
 import re
 import struct
+import threading
+import time
+import tracemalloc
 import zlib
 
 import pytest
 
+import corpusgen
 from namecensus import textio
 from namecensus.cache import (
     FORMAT_VERSION,
@@ -284,6 +289,54 @@ def test_full_english_model_holds_one_tuple_per_distinct_pair(cache_path, full_m
     assert len({id(pair) for pair in english.entries.values()}) == len(pairs)
 
 
+def test_load_holds_the_file_once(cache_path):
+    """A load keeps the file's bytes as read and builds beside them only
+    the pair-index array and the chunk table: no copy of the payload, no
+    decoded key text and no pair made before a lookup needs it."""
+    tracemalloc.start()
+    try:
+        cache = load_cache(cache_path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert decoded_chunks(cache.english.entries) == 0
+    assert peak - cache_path.stat().st_size <= 1_250_000
+
+
+def test_cache_read_from_a_pipe_in_pieces(tmp_path, cache_path):
+    """A pipe may answer a read with fewer bytes than asked for. The header
+    arrives a few bytes at a time, and `load_cache` and `predict` give what
+    they give on the regular file."""
+    blob = cache_path.read_bytes()
+    fifo = tmp_path / "models.fifo"
+    os.mkfifo(fifo)
+
+    def send():
+        with open(fifo, "wb") as fh:
+            for at in range(0, HEADER_SIZE, 5):
+                fh.write(blob[at : min(at + 5, HEADER_SIZE)])
+                fh.flush()
+                time.sleep(0.005)
+            fh.write(blob[HEADER_SIZE:])
+
+    def through_pipe(read):
+        writer = threading.Thread(target=send, daemon=True)
+        writer.start()
+        try:
+            return read()
+        finally:
+            writer.join(timeout=10)
+            assert not writer.is_alive()
+
+    assert through_pipe(lambda: load_cache(fifo)) == load_cache(cache_path)
+    names = tmp_path / "names.txt"
+    corpusgen.write_mixed_batch(names, 1_000)
+    argv = ["predict", "--in", str(names), "--cache"]
+    assert main(argv + [str(cache_path), "--out", str(tmp_path / "file.csv")]) == 0
+    assert through_pipe(lambda: main(argv + [str(fifo), "--out", str(tmp_path / "fifo.csv")])) == 0
+    assert (tmp_path / "fifo.csv").read_bytes() == (tmp_path / "file.csv").read_bytes()
+
+
 KEY_ALPHABET = "abzéß娟\U00020000"  # ASCII, Latin-1, BMP and astral
 
 
@@ -295,14 +348,14 @@ def decoded_chunks(entries):
     return len(entries._firsts) - len(entries._pending)
 
 
-@pytest.mark.parametrize("chunk_chars", [1, 5, 16, 1024])
-def test_lazy_english_entries_equal_a_dict(tmp_path, monkeypatch, chunk_chars):
+@pytest.mark.parametrize("chunk_bytes", [1, 5, 16, 1024])
+def test_lazy_english_entries_equal_a_dict(tmp_path, monkeypatch, chunk_bytes):
     """Random models, from the empty one and the lone "" key up, looked up
     key by key against the dict they were saved from: present keys, each
     chunk's first key, and absent keys before the first key, after the
     last and between chunks. A lookup decodes at most one chunk."""
-    monkeypatch.setattr("namecensus.cache._CHUNK_CHARS", chunk_chars)
-    rng = random.Random(chunk_chars)
+    monkeypatch.setattr("namecensus.cache._CHUNK_BYTES", chunk_bytes)
+    rng = random.Random(chunk_bytes)
     chinese = CountModel.from_entries({"娟": (30, 1)})
     models = [{}, {"": (1, 2)}, {"": (0, 0), "a": (0, 0)}]
     models += [{random_key(rng): (rng.randint(0, 3), rng.randint(0, 3))
@@ -448,10 +501,12 @@ def shuffle(keys):
     return keys
 
 
+MANY_KEYS = ["".join(p) for p in itertools.product("abcdefgh", repeat=4)][:2000]  # sorted
+
+
 def save_many_chunk_cache(path):
     """2,000 four-letter English keys, some ten chunks, and three Han characters."""
-    keys = ["".join(p) for p in itertools.product("abcdefgh", repeat=4)][:2000]
-    english = CountModel.from_entries({key: (i % 7, i % 5) for i, key in enumerate(keys)})
+    english = CountModel.from_entries({key: (i % 7, i % 5) for i, key in enumerate(MANY_KEYS)})
     chinese = CountModel.from_entries({"娟": (30, 1), "刚": (1, 30), "青": (55, 45)})
     save_cache(english, chinese, path)
 
@@ -515,3 +570,35 @@ def test_unencodable_model_is_one_line_error(tmp_path, entries, named):
     assert str(info.value).startswith(f"{path}: cannot cache model")
     assert "\n" not in str(info.value)
     assert list(tmp_path.iterdir()) == []
+
+
+def set_english_key_byte(at, byte):
+    """An edit that sets byte `at` of the English key text to `byte`."""
+    def edit(payload):
+        payload[SECTION.size + at] = byte
+        return payload
+    return edit
+
+
+@pytest.mark.parametrize("chunk_bytes", [1, 5, 16, 1024])
+def test_chunks_check_their_utf8_at_load_and_share_pairs(tmp_path, monkeypatch, chunk_bytes):
+    """Each chunk is checked to its last byte at load: an invalid byte in the
+    last English key, and a two-byte character cut short by the newline that
+    ends a chunk, fail `load_cache` before any lookup. Keys with equal counts
+    in two chunks give one tuple once both are looked up."""
+    monkeypatch.setattr("namecensus.cache._CHUNK_BYTES", chunk_bytes)
+    path = tmp_path / "m.ncm"
+    save_many_chunk_cache(path)
+    entries = load_cache(path).english.entries
+    assert any(MANY_KEYS[1] < first <= MANY_KEYS[1996] for first in entries._firsts)
+    pair = entries.get(MANY_KEYS[1])
+    assert pair == (1, 1) and entries.get(MANY_KEYS[1996]) is pair
+    key_bytes = "\n".join(MANY_KEYS).encode("utf-8")
+    last_chunk = key_bytes.index(b"\n" + entries._firsts[-1].encode("utf-8"))
+    for at, byte in [(last_chunk - 1, 0xC3), (len(key_bytes) - 1, 0xFF)]:
+        bad = tmp_path / f"bad{at}.ncm"
+        bad.write_bytes(path.read_bytes())
+        rewrite_payload(bad, set_english_key_byte(at, byte))
+        with pytest.raises(CacheError, match=f"^{re.escape(str(bad))}: "
+                                             "model section keys are not valid UTF-8$"):
+            load_cache(bad)
