@@ -53,40 +53,36 @@ _NO_EVIDENCE = Posterior(evidence_found=False)  # shared by every no-evidence pa
 
 
 class _ConfigFields(NamedTuple):
-    decisive_threshold: float = 0.60
-    smoothing_alpha: float = 1.0
-    priors_mode: str = "empirical"  # or "uniform"
+    threshold: float = 0.60
+    alpha: float = 1.0
+    priors: str = "empirical"  # or "uniform"
 
 
 class ClassifierConfig(_ConfigFields):
-    """The classifier's knobs, and the one check of each knob's type and
-    range: the CLI builds a config from each flag or --config value alone
-    to check it. Checked however the config is built: a NamedTuple's
-    `_make` and `_replace` would skip a checking `__new__`, so `_make`
-    goes through it too."""
+    """The classifier's knobs, each named as its flag and --config key,
+    and the one check of each knob's type and range: the CLI builds a
+    config from each flag or --config value alone to check it. Checked
+    however the config is built: a NamedTuple's `_make` and `_replace`
+    would skip a checking `__new__`, so `_make` goes through it too."""
 
     __slots__ = ()
 
     def __new__(cls, *args, **kwargs) -> ClassifierConfig:
         self = super().__new__(cls, *args, **kwargs)
+        threshold, alpha, priors = self
         # `_decimal` reads the threshold's repr as a float's: a Fraction, a
         # Decimal or a float subclass would pass the range check and fail there.
-        if type(self.decisive_threshold) is not float:
-            raise ValueError(
-                f"decisive_threshold must be a float, got {self.decisive_threshold!r}"
-            )
-        if not (0.5 <= self.decisive_threshold < 1.0):
-            raise ValueError(
-                f"need 0.5 <= decisive_threshold < 1, got {self.decisive_threshold}"
-            )
+        if type(threshold) is not float:
+            raise ValueError(f"threshold must be a float, got {threshold!r}")
+        if not (0.5 <= threshold < 1.0):
+            raise ValueError(f"need 0.5 <= threshold < 1, got {threshold}")
         # Exactly an int or a float: a bool is an int. An int is finite at any
         # size; math.isfinite would overflow turning it into a float.
-        alpha = self.smoothing_alpha
         if not (alpha > 0 if type(alpha) is int else
                 type(alpha) is float and alpha > 0 and math.isfinite(alpha)):
-            raise ValueError(f"smoothing alpha must be a finite positive int or float: {alpha!r}")
-        if self.priors_mode not in ("empirical", "uniform"):
-            raise ValueError(f"priors_mode must be empirical or uniform: {self.priors_mode}")
+            raise ValueError(f"alpha must be a finite positive int or float: {alpha!r}")
+        if priors not in ("empirical", "uniform"):
+            raise ValueError(f"priors must be empirical or uniform: {priors!r}")
         return self
 
     @classmethod
@@ -105,7 +101,7 @@ def posterior_english(
     if pair is None or pair == (0, 0):
         return _NO_EVIDENCE
     female, male = pair
-    if config.priors_mode == "uniform":  # both weights times N_F * N_M
+    if config.priors == "uniform":  # both weights times N_F * N_M
         return Posterior(True, female * (model.total_male or 1),
                          male * (model.total_female or 1))
     return Posterior(True, female, male)
@@ -125,8 +121,8 @@ def posterior_chinese(model: CountModel, given: str, config: ClassifierConfig) -
     n_female, n_male = model.total_female, model.total_male
     if n_female + n_male == 0 or entries.keys().isdisjoint(given):
         return _NO_EVIDENCE
-    a, b = config.smoothing_alpha.as_integer_ratio()
-    if config.priors_mode == "uniform":
+    a, b = config.alpha.as_integer_ratio()
+    if config.priors == "uniform":
         female = male = 1
     else:  # the priors' common denominator cancels
         female, male = n_female, n_male
@@ -155,7 +151,7 @@ def classify(post: Posterior, config: ClassifierConfig) -> GenderLabel:
     if not post.evidence_found:
         return _UNKNOWN
     female, male = post.female, post.male
-    digits, scale = _decimal(config.decisive_threshold)
+    digits, scale = _decimal(config.threshold)
     cut = digits * (female + male)
     if female * scale > cut:
         return _FEMALE

@@ -31,20 +31,16 @@ def _add_model_flags(parser: argparse.ArgumentParser) -> None:
                         help="decisive posterior threshold (default 0.60)")
     parser.add_argument("--alpha", type=float, default=None,
                         help="add-alpha smoothing for Chinese characters (default 1.0)")
-    parser.add_argument("--priors", choices=["empirical", "uniform"], default=None,
+    parser.add_argument("--priors", metavar="empirical|uniform", default=None,
                         help="gender priors mode (default empirical)")
     parser.add_argument("--config", metavar="FILE.json", default=None,
                         help="JSON config file; flags override its values")
 
 
-# --config key (and flag) -> ClassifierConfig field, which checks its values.
-_CONFIG_FIELDS = {"threshold": "decisive_threshold", "alpha": "smoothing_alpha",
-                  "priors": "priors_mode"}
-
-
 def _read_config(path: str) -> dict:
     import json
 
+    from namecensus.classifier import ClassifierConfig
     from namecensus.textio import read_text
 
     def unique_keys(pairs: list[tuple[str, object]]) -> dict:
@@ -62,7 +58,7 @@ def _read_config(path: str) -> dict:
     if not isinstance(doc, dict):
         raise NamecensusError(f"{path}: config must be a JSON object")
     for key in doc:
-        if key not in _CONFIG_FIELDS:
+        if key not in ClassifierConfig._fields:
             raise NamecensusError(f"{path}: unknown config key {key!r}")
     return doc
 
@@ -74,17 +70,16 @@ def _resolve_config(args: argparse.Namespace) -> ClassifierConfig:
     from namecensus.classifier import ClassifierConfig
 
     base = _read_config(args.config) if args.config else {}
-    given = [(f"{args.config}: config key {key!r}", _CONFIG_FIELDS[key], value)
-             for key, value in base.items()]
-    given += [("--" + key, field, getattr(args, key)) for key, field in _CONFIG_FIELDS.items()
+    given = [(f"{args.config}: config key {key!r}", key, value) for key, value in base.items()]
+    given += [("--" + key, key, getattr(args, key)) for key in ClassifierConfig._fields
               if getattr(args, key) is not None]
     values = {}
-    for source, field, value in given:
+    for source, key, value in given:
         try:
-            ClassifierConfig(**{field: value})
+            ClassifierConfig(**{key: value})
         except ValueError as exc:
             raise NamecensusError(f"{source}: {exc}") from None
-        values[field] = value
+        values[key] = value
     return ClassifierConfig(**values)
 
 

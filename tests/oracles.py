@@ -22,7 +22,7 @@ def bayes_product_oracle(
     entries: dict[str, tuple[int, int]],
     given: str,
     alpha: float = 1.0,
-    priors_mode: str = "empirical",
+    priors: str = "empirical",
 ) -> tuple[float, float] | None:
     """Direct product-form naive Bayes, no logs; None when no evidence."""
     if not any(ch in entries for ch in given):
@@ -32,7 +32,7 @@ def bayes_product_oracle(
     if n_female + n_male == 0:
         return None
     vocab = len(entries)
-    if priors_mode == "uniform":
+    if priors == "uniform":
         w_female, w_male = 0.5, 0.5
     else:
         w_female = n_female / (n_female + n_male)
@@ -48,7 +48,7 @@ def bayes_product_oracle(
 def english_ratio_oracle(
     entries: dict[str, tuple[int, int]],
     key: str,
-    priors_mode: str = "empirical",
+    priors: str = "empirical",
 ) -> tuple[float, float] | None:
     """Exact-fraction count ratio for one name key; None when absent or
     counted (0, 0), as no evidence.
@@ -56,19 +56,19 @@ def english_ratio_oracle(
     Uniform priors divide each count by its class total over all entries;
     a class whose total is 0 contributes nothing.
     """
-    p_female = _english_fraction(entries, key, priors_mode)
+    p_female = _english_fraction(entries, key, priors)
     if p_female is None:
         return None
     return float(p_female), float(1 - p_female)
 
 
 def _english_fraction(
-    entries: dict[str, tuple[int, int]], key: str, priors_mode: str
+    entries: dict[str, tuple[int, int]], key: str, priors: str
 ) -> Fraction | None:
     if entries.get(key, (0, 0)) == (0, 0):
         return None
     female, male = map(Fraction, entries[key])
-    if priors_mode == "uniform":
+    if priors == "uniform":
         n_female = sum(v[0] for v in entries.values())
         n_male = sum(v[1] for v in entries.values())
         female = female / n_female if n_female else Fraction(0)
@@ -77,7 +77,7 @@ def _english_fraction(
 
 
 def _chinese_fraction(
-    entries: dict[str, tuple[int, int]], given: str, alpha: float, priors_mode: str
+    entries: dict[str, tuple[int, int]], given: str, alpha: float, priors: str
 ) -> Fraction | None:
     """The product form of bayes_product_oracle, in Fractions."""
     if not any(ch in entries for ch in given):
@@ -87,7 +87,7 @@ def _chinese_fraction(
     if n_female + n_male == 0:
         return None
     alpha_q, vocab = Fraction(alpha), len(entries)
-    if priors_mode == "uniform":
+    if priors == "uniform":
         w_female = w_male = Fraction(1, 2)
     else:
         w_female = Fraction(n_female, n_female + n_male)
@@ -192,7 +192,7 @@ def decision_oracle(
     script: str,
     given: str,
     alpha: float = 1.0,
-    priors_mode: str = "empirical",
+    priors: str = "empirical",
     threshold: float = 0.60,
 ) -> tuple[str, str]:
     """The (gender, probability) fields of a results row, in exact
@@ -205,9 +205,9 @@ def decision_oracle(
     """
     if script == "Latin":
         key = unicodedata.normalize("NFC", given).casefold()
-        p_female = _english_fraction(english, key, priors_mode)
+        p_female = _english_fraction(english, key, priors)
     elif script in ("Han", "Mixed"):
-        p_female = _chinese_fraction(chinese, given, alpha, priors_mode)
+        p_female = _chinese_fraction(chinese, given, alpha, priors)
     else:
         p_female = None
     if p_female is None:
@@ -232,8 +232,7 @@ def result_rows_oracle(
     for item, name in enumerate(map(str.strip, names), 1):
         script, given = route_oracle(name)
         gender, prob = decision_oracle(
-            english.entries, chinese.entries, script.value, given,
-            config.smoothing_alpha, config.priors_mode, config.decisive_threshold)
+            english.entries, chinese.entries, script.value, given, **config._asdict())
         rows.append([item, name, gender, prob, script.value, given])
     return rows
 

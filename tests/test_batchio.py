@@ -413,7 +413,7 @@ class TestPredictToResults:
     # The decision memo shares one key among names without evidence: None for
     # Latin, "" for Empty and Other. No key may merge rows that print differently.
     @pytest.mark.parametrize("config", [
-        CFG, ClassifierConfig(priors_mode="uniform"), ClassifierConfig(smoothing_alpha=0.3),
+        CFG, ClassifierConfig(priors="uniform"), ClassifierConfig(alpha=0.3),
     ], ids=["default", "uniform", "alpha-0.3"])
     @pytest.mark.parametrize("seed", range(4))
     def test_shuffled_repeats_equal_oracle(self, tmp_path, config, seed):

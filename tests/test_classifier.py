@@ -63,7 +63,7 @@ class TestPosteriorEnglish:
         # but (80/900) / (80/900 + 20/100) = 0.308 once each class is weighted alike.
         model = CountModel.from_entries({"alex": (80, 20), "mary": (820, 80)})
         empirical = posterior_english(model, "Alex", CFG)
-        uniform = posterior_english(model, "Alex", ClassifierConfig(priors_mode="uniform"))
+        uniform = posterior_english(model, "Alex", ClassifierConfig(priors="uniform"))
         assert classify(empirical, CFG) is GenderLabel.FEMALE
         assert classify(uniform, CFG) is GenderLabel.MALE
         assert uniform.p_female == pytest.approx(0.8 / 2.6, abs=1e-12)
@@ -85,7 +85,7 @@ class TestPosteriorEnglish:
             entries = {n: v for n, v in entries.items() if sum(v)}
             model = CountModel.from_entries(entries)
             for mode in ("empirical", "uniform"):
-                cfg = ClassifierConfig(priors_mode=mode)
+                cfg = ClassifierConfig(priors=mode)
                 for name in names:
                     expected = english_ratio_oracle(entries, name, mode)
                     post = posterior_english(model, name, cfg)
@@ -106,7 +106,7 @@ class TestPosteriorChinese:
         assert post.p_female == pytest.approx(0.75, abs=1e-12)
 
     def test_single_char_uniform_priors(self):
-        cfg = ClassifierConfig(priors_mode="uniform")
+        cfg = ClassifierConfig(priors="uniform")
         post = posterior_chinese(CountModel.from_entries({"娟": (3, 1)}), "娟", cfg)
         assert post.p_female == pytest.approx(0.5, abs=1e-12)
 
@@ -124,7 +124,7 @@ class TestPosteriorChinese:
             model = random_chinese_model(rng)
             given = "".join(rng.choice(HAN_POOL) for _ in range(rng.randint(1, 2)))
             mode = rng.choice(["empirical", "uniform"])
-            cfg = ClassifierConfig(priors_mode=mode)
+            cfg = ClassifierConfig(priors=mode)
             expected = bayes_product_oracle(model.entries, given, 1.0, mode)
             post = posterior_chinese(model, given, cfg)
             if expected is None:
@@ -146,7 +146,7 @@ class TestPosteriorChinese:
                 {ch: (f * 7, m * 7) for ch, (f, m) in model.entries.items()}
             )
             for mode in ("empirical", "uniform"):
-                cfg = ClassifierConfig(priors_mode=mode, smoothing_alpha=1e-9)
+                cfg = ClassifierConfig(priors=mode, alpha=1e-9)
                 a = posterior_chinese(model, "娟刚", cfg)
                 b = posterior_chinese(scaled, "娟刚", cfg)
                 if a.evidence_found and b.evidence_found:
@@ -189,18 +189,17 @@ class TestClassify:
             last = rank
 
     def test_custom_threshold(self):
-        cfg = ClassifierConfig(decisive_threshold=0.9)
+        cfg = ClassifierConfig(threshold=0.9)
         assert classify(Posterior(True, 3, 7), cfg) is GenderLabel.UNISEX
 
     # One non-default value per ClassifierConfig field; a field missing here
     # fails the field-list test below until it gets a value that must take effect.
-    NON_DEFAULT = {"decisive_threshold": 0.9, "smoothing_alpha": 0.3,
-                   "priors_mode": "uniform"}
+    NON_DEFAULT = {"threshold": 0.9, "alpha": 0.3, "priors": "uniform"}
 
     def test_every_field_has_a_knob_test(self):
         assert ClassifierConfig._fields == tuple(self.NON_DEFAULT)
 
-    @pytest.mark.parametrize("field", ["decisive_threshold", "smoothing_alpha", "priors_mode"])
+    @pytest.mark.parametrize("field", ["threshold", "alpha", "priors"])
     def test_every_knob_changes_a_prediction(self, field):
         english = CountModel.from_entries({"hua": (80, 20), "jordan": (3, 7)})
         chinese = CountModel.from_entries({"娟": (30, 1), "刚": (1, 30), "青": (55, 45)})
@@ -214,14 +213,14 @@ class TestClassify:
     @pytest.mark.parametrize("threshold", [Fraction(3, 5), Decimal("0.6"), True],
                              ids=["Fraction", "Decimal", "bool"])
     @pytest.mark.parametrize("build", [
-        lambda t: ClassifierConfig(decisive_threshold=t),
+        lambda t: ClassifierConfig(threshold=t),
         lambda t: ClassifierConfig._make([t, 1.0, "empirical"]),
-        lambda t: CFG._replace(decisive_threshold=t),
+        lambda t: CFG._replace(threshold=t),
     ], ids=["new", "make", "replace"])
     def test_non_float_threshold_is_refused(self, build, threshold):
         with pytest.raises(ValueError) as exc:
             build(threshold)
-        assert str(exc.value) == f"decisive_threshold must be a float, got {threshold!r}"
+        assert str(exc.value) == f"threshold must be a float, got {threshold!r}"
 
     def test_label_aliases_are_the_label_members(self):
         from namecensus import classifier
@@ -231,14 +230,14 @@ class TestClassify:
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
-            ClassifierConfig(decisive_threshold=0.4)
+            ClassifierConfig(threshold=0.4)
         for alpha in (0.0, float("nan"), float("inf")):
             with pytest.raises(ValueError, match="finite positive"):
-                ClassifierConfig(smoothing_alpha=alpha)
+                ClassifierConfig(alpha=alpha)
         # An int of any size is finite, though no float can hold it.
-        assert ClassifierConfig(smoothing_alpha=10**400).smoothing_alpha == 10**400
+        assert ClassifierConfig(alpha=10**400).alpha == 10**400
         with pytest.raises(ValueError):
-            ClassifierConfig(priors_mode="bogus")
+            ClassifierConfig(priors="bogus")
 
     # Every way of building a config checks it, the NamedTuple helpers too.
     BUILDERS = {
@@ -251,10 +250,10 @@ class TestClassify:
         BUILDERS["copy-replace"] = lambda values: copy.replace(CFG, **values)
 
     @pytest.mark.parametrize("field, bad", [
-        ("decisive_threshold", 0.4), ("decisive_threshold", 1.0),
-        ("smoothing_alpha", 0.0), ("smoothing_alpha", float("nan")),
-        ("smoothing_alpha", True), ("smoothing_alpha", "1"), ("smoothing_alpha", None),
-        ("priors_mode", "bogus"),
+        ("threshold", 0.4), ("threshold", 1.0),
+        ("alpha", 0.0), ("alpha", float("nan")),
+        ("alpha", True), ("alpha", "1"), ("alpha", None),
+        ("priors", "bogus"),
     ])
     @pytest.mark.parametrize("builder", BUILDERS)
     def test_every_way_of_building_a_bad_config_raises(self, builder, field, bad):

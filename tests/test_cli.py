@@ -194,22 +194,28 @@ class TestPredict:
         # Uniform priors from the file still apply: (3/83) / (3/83 + 7/347) = 0.642.
         assert read_rows(out)[0]["gender"] == "Female"
 
-    @pytest.mark.parametrize("content, named", [
-        ("[1]", "JSON object"),
-        ('{"threshold": "0.7"}', "'threshold'"),
-        ('{"treshold": 0.7}', "'treshold'"),
-        ('{"priors": "bogus"}', "'priors'"),
-        ('{"threshold": 1.5}', "'threshold'"),
-        ('{"threshold": 0.55, "unisex_floor": 0.58}', "'unisex_floor'"),
-        ('{"unisex_floor": 0.4}', "'unisex_floor'"),
-        ('{"alpha": 0}', "'alpha'"),
-        ('{"alpha": NaN}', "'alpha'"),
-        ('{"alpha": Infinity}', "'alpha'"),
-        ('{"alpha": true}', "'alpha'"),
-        ('{"priors": 5}', "'priors'"),
-        ('{"alpha": ', "cfg.json: Expecting value"),
+    @pytest.mark.parametrize("content, message", [
+        ("[1]", "config must be a JSON object"),
+        ('{"threshold": "0.7"}', "config key 'threshold': threshold must be a float, got '0.7'"),
+        ('{"treshold": 0.7}', "unknown config key 'treshold'"),
+        ('{"priors": "bogus"}',
+         "config key 'priors': priors must be empirical or uniform: 'bogus'"),
+        ('{"priors": "bogus\\nx"}',  # quoted: a line break cannot split the error line
+         "config key 'priors': priors must be empirical or uniform: 'bogus\\nx'"),
+        ('{"threshold": 1.5}', "config key 'threshold': need 0.5 <= threshold < 1, got 1.5"),
+        ('{"threshold": 0.55, "unisex_floor": 0.58}', "unknown config key 'unisex_floor'"),
+        ('{"unisex_floor": 0.4}', "unknown config key 'unisex_floor'"),
+        ('{"alpha": 0}', "config key 'alpha': alpha must be a finite positive int or float: 0"),
+        ('{"alpha": NaN}',
+         "config key 'alpha': alpha must be a finite positive int or float: nan"),
+        ('{"alpha": Infinity}',
+         "config key 'alpha': alpha must be a finite positive int or float: inf"),
+        ('{"alpha": true}',
+         "config key 'alpha': alpha must be a finite positive int or float: True"),
+        ('{"priors": 5}', "config key 'priors': priors must be empirical or uniform: 5"),
+        ('{"alpha": ', "Expecting value: line 1 column 11 (char 10)"),
     ])
-    def test_bad_config_exit_1(self, tmp_path, mini_cache, capsys, content, named):
+    def test_bad_config_exit_1(self, tmp_path, mini_cache, capsys, content, message):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(content, encoding="utf-8")
         infile = tmp_path / "names.txt"
@@ -217,9 +223,7 @@ class TestPredict:
         code = main(["predict", "--cache", str(mini_cache), "--in", str(infile),
                      "--out", str(tmp_path / "o.csv"), "--config", str(cfg)])
         assert code == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and err.count("\n") == 1
-        assert named in err
+        assert capsys.readouterr().err == f"error: {cfg}: {message}\n"
 
     # A file value is checked even where a flag overrides it.
     def test_bad_config_value_overridden_by_a_flag_exit_1(self, tmp_path, mini_cache, capsys):
@@ -253,16 +257,31 @@ class TestPredict:
         assert capsys.readouterr().err == f"error: {cfg}: duplicate config key {key!r}\n"
         assert not out.exists()
 
-    def test_bad_flag_value_names_the_flag(self, tmp_path, mini_cache, capsys):
+    # ClassifierConfig checks flags too: --priors is no argparse choice, so a
+    # bad value is one line and exit 1, as a bad file value is.
+    @pytest.mark.parametrize("command", ["predict", "eval"])
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--threshold", "1.0", "need 0.5 <= threshold < 1, got 1.0"),
+        ("--threshold", "0.4", "need 0.5 <= threshold < 1, got 0.4"),
+        ("--alpha", "0", "alpha must be a finite positive int or float: 0.0"),
+        ("--priors", "bogus", "priors must be empirical or uniform: 'bogus'"),
+    ])
+    def test_bad_flag_value_names_the_flag(self, tmp_path, mini_cache, capsys, command, flag,
+                                           value, message):
         cfg = tmp_path / "cfg.json"
         cfg.write_text('{"threshold": 0.9}', encoding="utf-8")
         infile = tmp_path / "names.txt"
         infile.write_text("Jordan Smith\n", encoding="utf-8")
-        code = main(["predict", "--cache", str(mini_cache), "--in", str(infile),
-                     "--out", str(tmp_path / "o.csv"), "--config", str(cfg),
-                     "--threshold", "1.0"])
+        gold = tmp_path / "gold.csv"
+        gold.write_text("name,gender\nJordan Smith,Male\n", encoding="utf-8")
+        out = tmp_path / "o.csv"
+        flags = (["--in", str(infile), "--out", str(out)] if command == "predict"
+                 else ["--gold", str(gold)])
+        code = main([command, "--cache", str(mini_cache), "--config", str(cfg), *flags,
+                     flag, value])
         assert code == 1
-        assert capsys.readouterr().err.startswith("error: --threshold: ")
+        assert capsys.readouterr().err == f"error: {flag}: {message}\n"
+        assert not out.exists()
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
     def test_non_finite_alpha_flag_exit_1(self, tmp_path, mini_cache, capsys, value):
@@ -272,7 +291,8 @@ class TestPredict:
         code = main(["predict", "--cache", str(mini_cache), "--in", str(infile),
                      "--out", str(out), f"--alpha={value}"])
         assert code == 1
-        assert capsys.readouterr().err.startswith("error: --alpha: ")
+        assert capsys.readouterr().err == (
+            f"error: --alpha: alpha must be a finite positive int or float: {float(value)}\n")
         assert not out.exists()
 
     @pytest.mark.parametrize("value", ["1e308", "5e-324"])
@@ -900,7 +920,7 @@ def test_cache_with_a_zero_latin_pair_predicts_unknown(tmp_path):
         assert out.read_bytes().splitlines()[1:] == [
             b"1,Hua Zhao,Unknown,,Latin,Hua", b"2,Phil Barker,Male,1.0000,Latin,Phil"]
         assert [(row["gender"], row["probability"]) for row in read_rows(out)] == [
-            decision_oracle(english.entries, chinese.entries, "Latin", given, priors_mode=priors)
+            decision_oracle(english.entries, chinese.entries, "Latin", given, priors=priors)
             for given in ("Hua", "Phil")]
 
 
@@ -1237,6 +1257,8 @@ class TestChartCommand:
         ("", "results.csv: empty input\n"),
         ("\nitem,name,gender\n1,Hua Zhao,Female\n",
          "results.csv:1: no column 'gender' in header []"),
+        ("item,name,gender\n1,Hua Zhao,Female\n2,Bob\n",
+         "/results.csv:3: row has no column index 2\n"),
     ])
     def test_bad_results_exit_1(self, tmp_path, capsys, content, named):
         results = tmp_path / "results.csv"
@@ -1248,6 +1270,7 @@ class TestChartCommand:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert named in err
+        assert not (tmp_path / "c.json").exists() and not (tmp_path / "c.svg").exists()
 
 
 class TestUsage:
@@ -1286,6 +1309,26 @@ class TestUsage:
             main(argv)
         assert exc.value.code == 2
         assert f"unrecognized arguments: {removed}" in capsys.readouterr().err
+
+    # Building the parser must not import the classifier, so the help states
+    # the config's defaults and priors values as text: they must agree.
+    @pytest.mark.parametrize("command", ["predict", "eval"])
+    def test_help_states_the_config_defaults_and_priors_values(self, capsys, command):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--help"])
+        assert exc.value.code == 0
+        text = " ".join(capsys.readouterr().out.split())
+        default = ClassifierConfig()
+        assert f"threshold (default {default.threshold:.2f})" in text
+        assert f"Chinese characters (default {default.alpha})" in text
+        assert f"priors mode (default {default.priors})" in text
+        values = text.split("--priors ", 1)[1].split()[0].strip("[]").split("|")
+        assert default.priors in values
+        for priors in values:
+            assert ClassifierConfig(priors=priors).priors == priors
+        with pytest.raises(ValueError) as exc:
+            ClassifierConfig(priors="bogus")
+        assert str(exc.value) == f"priors must be {' or '.join(values)}: 'bogus'"
 
     def test_version_and_help_on_subcommands(self):
         for argv in (["--version"], ["predict", "--help"], ["eval", "--help"],

@@ -31,8 +31,8 @@ UNSEEN = "龘"
 LATIN_POOL = ["ann", "bo", "cy", "di"]
 # alpha 0.3 comes back after other configs, so a posterior kept from an
 # earlier call shows.
-CONFIGS = [ClassifierConfig(), ClassifierConfig(smoothing_alpha=0.3),
-           ClassifierConfig(priors_mode="uniform"), ClassifierConfig(smoothing_alpha=0.3)]
+CONFIGS = [ClassifierConfig(), ClassifierConfig(alpha=0.3),
+           ClassifierConfig(priors="uniform"), ClassifierConfig(alpha=0.3)]
 
 
 def results_and_oracle(tmp_path, english, chinese, config, names):
@@ -43,8 +43,7 @@ def results_and_oracle(tmp_path, english, chinese, config, names):
     rows = [
         [item, name.strip(),
          *decision_oracle(english.entries, chinese.entries, script, given,
-                          config.smoothing_alpha, config.priors_mode,
-                          config.decisive_threshold), script, given]
+                          **config._asdict()), script, given]
         for item, (name, script, given) in enumerate(names, start=1)
     ]
     return path.read_bytes(), results_csv_oracle(rows)
@@ -64,7 +63,7 @@ def test_every_short_corpus_given_matches_oracle(tmp_path, full_models, priors):
     chars = sorted(chinese.entries)
     givens = chars + ["".join(pair) for pair in itertools.product(chars, repeat=2)]
     got, want = results_and_oracle(tmp_path, english, chinese,
-                                   ClassifierConfig(priors_mode=priors), [han(g) for g in givens])
+                                   ClassifierConfig(priors=priors), [han(g) for g in givens])
     assert got == want
 
 
@@ -94,10 +93,9 @@ def test_random_models_match_oracle(tmp_path, one_class):
         chinese = CountModel.from_entries(
             random_entries(rng, list(HAN_POOL), 6, one_class))
         config = ClassifierConfig(
-            decisive_threshold=rng.choice([0.5, 0.55, 0.6, 0.6, 0.75]),
-            smoothing_alpha=rng.choice(
-                [5e-324, 1e-300, 2.0**-40, 0.5, 1.0, 1.0, 3.0, 1e9, 1e308]),
-            priors_mode=rng.choice(["empirical", "uniform"]),
+            threshold=rng.choice([0.5, 0.55, 0.6, 0.6, 0.75]),
+            alpha=rng.choice([5e-324, 1e-300, 2.0**-40, 0.5, 1.0, 1.0, 3.0, 1e9, 1e308]),
+            priors=rng.choice(["empirical", "uniform"]),
         )
         names = [latin(key) for key in LATIN_POOL]
         for _ in range(30):
@@ -113,7 +111,7 @@ def test_random_models_match_oracle(tmp_path, one_class):
 def test_exact_half_is_unisex(tmp_path, priors, threshold):
     english = CountModel.from_entries({"ann": (3, 3), "bo": (7, 1)})
     chinese = CountModel.from_entries({"娟": (2, 2)})
-    config = ClassifierConfig(decisive_threshold=threshold, priors_mode=priors)
+    config = ClassifierConfig(threshold=threshold, priors=priors)
     names = [latin("ann"), han("娟"), han("娟娟"), han(UNSEEN + "娟")]
     got, want = results_and_oracle(tmp_path, english, chinese, config, names)
     assert got == want
@@ -144,8 +142,7 @@ def test_one_model_alternating_configs_gets_each_its_own_posterior():
     for current, config in calls:
         for given in ("娟", "刚青", UNSEEN + "青"):
             post = posterior_chinese(current, given, config)
-            expected = bayes_product_oracle(current.entries, given,
-                                            config.smoothing_alpha, config.priors_mode)
+            expected = bayes_product_oracle(current.entries, given, config.alpha, config.priors)
             assert post.p_female == pytest.approx(expected[0], abs=1e-12)
     # A model equal to another, but not the same object, gets the same answer.
     twin = CountModel.from_entries(dict(entries))
